@@ -97,9 +97,12 @@ def _write_atomic(path: str, text: str) -> None:
         raise
 
 
-def _load_configuration(path: str) -> cfgmod.Configuration:
+def _load_configuration(report: RunReport, path: str) -> cfgmod.Configuration:
+    t0 = time.perf_counter()
     with open(path) as fh:
-        return cfgmod.ingest_rays(fh.read())
+        cfg = cfgmod.ingest_rays(fh.read())
+    _stage(report, "ingest", t0)
+    return cfg
 
 
 def _stage(report: RunReport, name: str, t0: float) -> float:
@@ -108,93 +111,74 @@ def _stage(report: RunReport, name: str, t0: float) -> float:
     return t1
 
 
-# --- commands ---------------------------------------------------------------
+# --- pipeline steps: each reads its options from report.inputs, works on an
+# in-memory configuration and records results, checks and timings in report.
 
 
-def cmd_generate(args, expects: _Expectations) -> RunReport:
-    report = RunReport(
-        command="generate",
-        inputs={"out": args.out, "seed_choice": args.seed_choice},
-    )
+def _generate(report: RunReport, expects: _Expectations) -> cfgmod.Configuration:
+    seed_choice = report.inputs["seed_choice"]
     t0 = time.perf_counter()
-    if args.seed_choice == "mub":
+    if seed_choice == "mub":
         seed = cfgmod.mub_seed()
     else:
         seed = cfgmod.mub_bases()[0]
     cfg = cfgmod.closure_generate(seed)
     t0 = _stage(report, "closure", t0)
-    _write_atomic(args.out, cfgmod.export_rays(cfg))
+    _write_atomic(report.inputs["out"], cfgmod.export_rays(cfg))
     _stage(report, "export", t0)
     report.results = {
         "rays": cfg.n_rays,
         "edges": len(cfg.edges),
         "contexts": len(cfg.contexts),
     }
-    paper_scale = args.seed_choice == "mub"
+    paper_scale = seed_choice == "mub"
     if expects.active("rays165", paper_scale):
         report.check("rays165", cfg.n_rays == 165, f"rays={cfg.n_rays}")
     if expects.active("contexts130", paper_scale):
         report.check("contexts130", len(cfg.contexts) == 130,
                      f"contexts={len(cfg.contexts)}")
-    return report
+    return cfg
 
 
-def cmd_realify(args, expects: _Expectations) -> RunReport:
-    report = RunReport(
-        command="realify",
-        inputs={
-            "rays": args.rays,
-            "K": args.K,
-            "strategy": args.strategy,
-            "seed": args.seed,
-            "precision": args.precision,
-            "out_phases": args.out_phases,
-            "out_vectors": args.out_vectors,
-        },
-    )
+def _realify(report: RunReport, cfg: cfgmod.Configuration) -> None:
+    opts = report.inputs
     t0 = time.perf_counter()
-    cfg = _load_configuration(args.rays)
-    t0 = _stage(report, "ingest", t0)
-    pa = remod.rational_phase_search(cfg, args.K, args.strategy, rng_seed=args.seed)
+    pa = remod.rational_phase_search(cfg, opts["K"], opts["strategy"], rng_seed=opts["seed"])
     t0 = _stage(report, "search", t0)
     fr = remod.verify_faithful(cfg, pa)
     t0 = _stage(report, "verify", t0)
-    if args.out_phases:
-        _write_atomic(args.out_phases, remod.save_phases(pa))
-    if args.out_vectors:
-        rows = remod.phase_apply_export(cfg, pa, args.precision)
-        _write_atomic(args.out_vectors, remod.save_vectors(rows, args.precision))
+    if opts["out_phases"]:
+        _write_atomic(opts["out_phases"], remod.save_phases(pa))
+    if opts["out_vectors"]:
+        rows = remod.phase_apply_export(cfg, pa, opts["precision"])
+        _write_atomic(opts["out_vectors"], remod.save_vectors(rows, opts["precision"]))
     _stage(report, "export", t0)
     report.results = {
         "K": pa.K,
-        "strategy": args.strategy,
+        "strategy": opts["strategy"],
         "pairs_checked": fr.pairs_checked,
         "spurious": len(fr.spurious),
         "missing": len(fr.missing),
     }
     if not fr.faithful:
         report.status = "discrepancy"
-    return report
 
 
-def cmd_certify(args, expects: _Expectations) -> RunReport:
-    report = RunReport(
-        command="certify",
-        inputs={
-            "rays": args.rays,
-            "mode": args.mode,
-            "threads": args.threads,
-            "out_certificate": args.out_certificate,
-        },
-    )
-    t0 = time.perf_counter()
-    cfg = _load_configuration(args.rays)
-    t0 = _stage(report, "ingest", t0)
+def _certify(report: RunReport, cfg: cfgmod.Configuration, expects: _Expectations) -> None:
+    mode = report.inputs["mode"]
     paper_scale = cfg.n_rays == 165
-
-    if args.mode in ("color", "all"):
+    t0 = time.perf_counter()
+    opt = None
+    if mode == "color":
         color = valmod.ks_colorable(cfg)
         t0 = _stage(report, "color", t0)
+    else:
+        # maximization's budget-0 step is the colorability search
+        opt = valmod.maximize_covered_contexts(cfg, threads=report.inputs["threads"])
+        color = opt.colorability
+        t0 = _stage(report, "maximize", t0)
+
+    if mode in ("color", "all"):
         report.results["colorable"] = color.satisfiable
         report.results["color_nodes"] = color.nodes
         if color.witness is not None:
@@ -203,9 +187,7 @@ def cmd_certify(args, expects: _Expectations) -> RunReport:
             report.check("uncolorable", not color.satisfiable,
                          f"colorable={color.satisfiable}")
 
-    if args.mode in ("maximize", "all"):
-        opt = valmod.maximize_covered_contexts(cfg, threads=args.threads)
-        t0 = _stage(report, "maximize", t0)
+    if opt is not None:
         if not valmod.replay_certificate(cfg, opt):
             raise valmod.InconsistentCertificates("certificate replay failed")
         t0 = _stage(report, "replay", t0)
@@ -214,51 +196,65 @@ def cmd_certify(args, expects: _Expectations) -> RunReport:
         report.results["bounds"] = [lo, hi]
         report.results["refuted_subproblems"] = len(opt.certificate)
         report.results["witness_covered"] = valmod.covered_contexts(cfg, opt.witness)
-        if args.out_certificate:
-            _write_atomic(args.out_certificate,
+        if report.inputs["out_certificate"]:
+            _write_atomic(report.inputs["out_certificate"],
                           valmod.certificate_to_text(cfg, opt))
         _stage(report, "certificate", t0)
         if expects.active("best128", paper_scale):
             report.check("best128", opt.best == 128, f"best={opt.best}")
+
+
+# --- commands ---------------------------------------------------------------
+
+
+def cmd_generate(args, expects: _Expectations) -> RunReport:
+    report = RunReport(command="generate",
+                       inputs={"out": args.out, "seed_choice": args.seed_choice})
+    _generate(report, expects)
+    return report
+
+
+def cmd_realify(args, expects: _Expectations) -> RunReport:
+    report = RunReport(command="realify", inputs=dict(
+        rays=args.rays, K=args.K, strategy=args.strategy, seed=args.seed,
+        precision=args.precision, out_phases=args.out_phases, out_vectors=args.out_vectors))
+    _realify(report, _load_configuration(report, args.rays))
+    return report
+
+
+def cmd_certify(args, expects: _Expectations) -> RunReport:
+    report = RunReport(command="certify", inputs=dict(
+        rays=args.rays, mode=args.mode, threads=args.threads,
+        out_certificate=args.out_certificate))
+    _certify(report, _load_configuration(report, args.rays), expects)
     return report
 
 
 def cmd_report(args, expects: _Expectations) -> RunReport:
-    """Full reproduction: generate, then realify, then certify (both modes)."""
+    """Full reproduction: generate, then realify, then certify (both modes),
+    all on the generated configuration; the ray file is written, not read."""
     os.makedirs(args.out_dir, exist_ok=True)
     paths = {
-        "rays": os.path.join(args.out_dir, "rays.txt"),
-        "phases": os.path.join(args.out_dir, "phases.txt"),
-        "vectors": os.path.join(args.out_dir, "vectors.txt"),
-        "certificate": os.path.join(args.out_dir, "certificate.txt"),
+        name: os.path.join(args.out_dir, f"{name}.txt")
+        for name in ("rays", "phases", "vectors", "certificate")
     }
-    gen_args = argparse.Namespace(out=paths["rays"], seed_choice="mub")
-    gen = cmd_generate(gen_args, expects)
-    re_args = argparse.Namespace(
+    gen = RunReport(command="generate", inputs={"out": paths["rays"], "seed_choice": "mub"})
+    cfg = _generate(gen, expects)
+    rea = RunReport(command="realify", inputs=dict(
         rays=paths["rays"], K=args.K, strategy=args.strategy, seed=args.seed,
-        precision=args.precision, out_phases=paths["phases"],
-        out_vectors=paths["vectors"],
-    )
-    rea = cmd_realify(re_args, expects)
-    ce_args = argparse.Namespace(
+        precision=args.precision, out_phases=paths["phases"], out_vectors=paths["vectors"]))
+    _realify(rea, cfg)
+    cer = RunReport(command="certify", inputs=dict(
         rays=paths["rays"], mode="all", threads=args.threads,
-        out_certificate=paths["certificate"],
-    )
-    cer = cmd_certify(ce_args, expects)
+        out_certificate=paths["certificate"]))
+    _certify(cer, cfg, expects)
 
+    steps = {"generate": gen, "realify": rea, "certify": cer}
     report = RunReport(command="report", inputs={"out_dir": args.out_dir})
-    report.results = {
-        "generate": gen.results,
-        "realify": rea.results,
-        "certify": cer.results,
-    }
-    report.checks = gen.checks + rea.checks + cer.checks
-    report.timing = {
-        "generate": gen.timing,
-        "realify": rea.timing,
-        "certify": cer.timing,
-    }
-    if "discrepancy" in (gen.status, rea.status, cer.status):
+    report.results = {name: step.results for name, step in steps.items()}
+    report.checks = [c for step in steps.values() for c in step.checks]
+    report.timing = {name: step.timing for name, step in steps.items()}
+    if any(step.status == "discrepancy" for step in steps.values()):
         report.status = "discrepancy"
     return report
 

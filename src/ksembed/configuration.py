@@ -130,10 +130,15 @@ class Context:
 
 @dataclass(frozen=True)
 class Configuration:
-    """Rays plus their orthogonality edges and 3-element contexts."""
+    """Rays plus their orthogonality edges and 3-element contexts.
+
+    ``edges`` are the id pairs (i < j) with zero Hermitian inner product,
+    ``imaginary_pairs`` those with a nonzero purely imaginary one: the only
+    pairs a phase-adjusted realification can make spuriously orthogonal."""
 
     rays: list[Ray]
     edges: frozenset[tuple[int, int]]
+    imaginary_pairs: frozenset[tuple[int, int]]
     contexts: list[Context]
     adjacency: list[set[int]] = field(repr=False)
 
@@ -157,20 +162,25 @@ def _canonical_sort_key(v: VecC3):
 
 def _assemble(vecs: list[VecC3], strict: bool = True) -> Configuration:
     """Sort canonical vectors into stable ids, scan all pairs for edges and
-    enumerate contexts (with clique validation)."""
+    purely imaginary pairs, and enumerate contexts (with clique validation)."""
     ordered = sorted(vecs, key=_canonical_sort_key)
     rays = [Ray(i, v, v.sq_norm()) for i, v in enumerate(ordered)]
     n = len(rays)
     adjacency: list[set[int]] = [set() for _ in range(n)]
     edges = set()
+    imaginary = set()
     for i in range(n):
         for j in range(i + 1, n):
-            if hermitian_inner(rays[i].vec, rays[j].vec).is_zero():
+            c = hermitian_inner(rays[i].vec, rays[j].vec)
+            if c.is_zero():
                 edges.add((i, j))
                 adjacency[i].add(j)
                 adjacency[j].add(i)
+            elif c.is_purely_imaginary():
+                imaginary.add((i, j))
     contexts = build_contexts(rays, edges, adjacency, strict=strict)
-    return Configuration(rays=rays, edges=frozenset(edges), contexts=contexts,
+    return Configuration(rays=rays, edges=frozenset(edges),
+                         imaginary_pairs=frozenset(imaginary), contexts=contexts,
                          adjacency=adjacency)
 
 
@@ -286,15 +296,16 @@ def configuration_from_vectors(vecs: list[VecC3], strict: bool = True) -> Config
 def subconfiguration(cfg: Configuration, ids: list[int]) -> Configuration:
     """Induced sub-configuration on a subset of ray ids.
 
-    Edges are induced; contexts are the original contexts fully inside the
-    subset.  No clique validation: induced graphs legitimately contain edges
-    outside every triangle.
+    Edges and purely imaginary pairs are induced; contexts are the original
+    contexts fully inside the subset.  No clique validation: induced graphs
+    legitimately contain edges outside every triangle.
     """
     keep = sorted(set(ids))
     remap = {old: new for new, old in enumerate(keep)}
     rays = [Ray(remap[i], cfg.rays[i].vec, cfg.rays[i].sq_norm) for i in keep]
-    edges = frozenset(
-        (remap[i], remap[j]) for (i, j) in cfg.edges if i in remap and j in remap
+    edges, imaginary = (
+        frozenset((remap[i], remap[j]) for i, j in pairs if i in remap and j in remap)
+        for pairs in (cfg.edges, cfg.imaginary_pairs)
     )
     adjacency: list[set[int]] = [set() for _ in keep]
     for i, j in edges:
@@ -305,7 +316,8 @@ def subconfiguration(cfg: Configuration, ids: list[int]) -> Configuration:
         for ctx in cfg.contexts
         if all(r in remap for r in ctx)
     ]
-    return Configuration(rays=rays, edges=edges, contexts=contexts, adjacency=adjacency)
+    return Configuration(rays=rays, edges=edges, imaginary_pairs=imaginary,
+                         contexts=contexts, adjacency=adjacency)
 
 
 # --- ray file format -------------------------------------------------------

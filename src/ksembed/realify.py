@@ -194,19 +194,6 @@ def is_spurious_exact(c: EisensteinInt, dn: int, k: int) -> bool:
     return c.is_purely_imaginary() and dn % k == 0
 
 
-def _imaginary_adjacency(cfg: Configuration) -> list[list[int]]:
-    """For each ray, the earlier rays whose inner product with it is nonzero
-    and purely imaginary: the only pairs the rational criterion constrains."""
-    n = cfg.n_rays
-    out: list[list[int]] = [[] for _ in range(n)]
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = cfg.pair_inner(i, j)
-            if not c.is_zero() and c.is_purely_imaginary():
-                out[j].append(i)
-    return out
-
-
 def rational_phase_search(
     cfg: Configuration,
     k: int = 1009,
@@ -231,12 +218,13 @@ def rational_phase_search(
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     n = cfg.n_rays
-    iadj = _imaginary_adjacency(cfg)
+    # for each ray, the earlier rays it forms a purely imaginary pair with
+    iadj: list[list[int]] = [[] for _ in range(n)]
+    for i, j in sorted(cfg.imaginary_pairs):
+        iadj[j].append(i)
 
     if strategy == "distinct":
         ns = list(range(n))
-        if n > k:
-            _verify_or_exhausted(cfg, iadj, ns, k)
     elif strategy == "backtracking":
         ns = _backtracking_search(iadj, n, k)
     else:
@@ -265,23 +253,21 @@ def _verify_or_exhausted(cfg, iadj, ns, k) -> None:
 
 
 def _backtracking_search(iadj: list[list[int]], n: int, k: int) -> list[int]:
+    """Depth-first search over residues, ray by ray, each ray trying the
+    residues 0..K-1 in order; iterative, so its depth is not bounded by the
+    interpreter's recursion limit."""
     ns: list[int] = []
-
-    def extend(m: int) -> bool:
-        if m == n:
-            return True
-        banned = {ns[j] % k for j in iadj[m]}
-        for r in range(k):
-            if r in banned:
-                continue
+    start = 0  # first residue to try for ray len(ns)
+    while len(ns) < n:
+        banned = {ns[j] for j in iadj[len(ns)]}
+        r = next((r for r in range(start, k) if r not in banned), None)
+        if r is not None:
             ns.append(r)
-            if extend(m + 1):
-                return True
-            ns.pop()
-        return False
-
-    if not extend(0):
-        raise SearchExhausted(f"backtracking exhausted all residues mod {k}")
+            start = 0
+        elif ns:
+            start = ns.pop() + 1
+        else:
+            raise SearchExhausted(f"backtracking exhausted all residues mod {k}")
     return ns
 
 
@@ -345,13 +331,7 @@ def verify_faithful(
 def scan_spurious_zero_phases(cfg: Configuration) -> list[tuple[int, int]]:
     """Pairs spurious under the canonical realification (all phases zero):
     exactly the non-orthogonal pairs with purely imaginary inner product."""
-    out = []
-    for i in range(cfg.n_rays):
-        for j in range(i + 1, cfg.n_rays):
-            c = cfg.pair_inner(i, j)
-            if not c.is_zero() and c.is_purely_imaginary():
-                out.append((i, j))
-    return out
+    return sorted(cfg.imaginary_pairs)
 
 
 def minimal_k_probe(
@@ -435,7 +415,10 @@ def load_phases(text: str) -> PhaseAssignment:
         fields = ln.split()
         if len(fields) != 2:
             raise ValueError(f"bad phase line: {ln!r}")
-        entries[int(fields[0])] = int(fields[1])
+        ray_id = int(fields[0])
+        if ray_id in entries:
+            raise ValueError(f"ray id {ray_id} appears twice in the phase file")
+        entries[ray_id] = int(fields[1])
     if sorted(entries) != list(range(len(entries))):
         raise ValueError("phase file must cover ray ids 0..N-1")
     return PhaseAssignment(K=k, n=tuple(entries[i] for i in range(len(entries))))

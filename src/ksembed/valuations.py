@@ -266,6 +266,7 @@ class OptimizationResult:
     best: int
     witness: Valuation
     certificate: list[RefutationEntry]
+    colorability: ColorabilityResult  # the budget-0 escalation step
     stats: dict = field(default_factory=dict)
 
 
@@ -275,45 +276,46 @@ def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> Optimizat
 
     Witness side: escalate an uncovered budget b = 0, 1, ... until the
     budgeted search is satisfiable; the first witness covers best = C - u
-    contexts (u <= b its uncovered count).  Refutation side: best + 1 is
-    refuted by the subproblem decomposition over every set of at most
-    C - best - 1 contexts allowed to stay uncovered, each an UNSAT budget-0
-    cover check (for the full configuration and best = 128 this is the
-    1 + 130 decomposition).  Subproblems are independent; with threads > 1
+    contexts (u <= b its uncovered count); budget 0 is ks_colorable.
+    Refutation side: best + 1 is refuted by the subproblem decomposition over
+    every set of at most C - best - 1 contexts allowed to stay uncovered,
+    each an UNSAT budget-0 cover check (for the full configuration and
+    best = 128 this is the 1 + 130 decomposition; the empty set is
+    ks_colorable's search).  Subproblems are independent; with threads > 1
     they run in a process pool and are aggregated in subproblem order.
     """
-    if not cfg.contexts:
-        raise ValueError("configuration has no contexts")
+    color = ks_colorable(cfg)
     n_ctx = len(cfg.contexts)
     all_ctx = range(n_ctx)
 
-    witness_mask = None
+    witness = color.witness
     budget = 0
-    escalation_nodes = 0
-    while witness_mask is None:
+    escalation_nodes = color.nodes
+    while witness is None:
+        budget += 1
         if budget > n_ctx:
             raise RuntimeError("budget escalation exceeded the context count")
         mask, stats = _solve(_make_problem(cfg, all_ctx, budget))
         escalation_nodes += stats.nodes
         if mask is not None:
-            witness_mask = mask
-            break
-        budget += 1
+            witness = Valuation.from_mask(mask, cfg.n_rays)
 
-    witness = Valuation.from_mask(witness_mask, cfg.n_rays)
     best = covered_contexts(cfg, witness)
     bad = check_valuation(cfg, witness, ModelKind.REAL_EMBEDDED)
     if bad:
         raise RuntimeError(f"engine returned an inadmissible witness: {bad[:3]}")
 
     # refute best+1 .. n_ctx: every subset of <= n_ctx - best - 1 contexts
-    # may be surrendered, the rest must all be covered
+    # may be surrendered, the rest must all be covered (best < n_ctx only if
+    # colorability is UNSAT, which refutes the empty set)
     max_excluded = n_ctx - best - 1
+    certificate: list[RefutationEntry] = []
+    if max_excluded >= 0:
+        certificate.append(RefutationEntry((), color.nodes, color.propagations))
     subproblems: list[tuple[int, ...]] = []
-    for size in range(max_excluded + 1):
+    for size in range(1, max_excluded + 1):
         subproblems.extend(combinations(range(n_ctx), size))
 
-    certificate: list[RefutationEntry] = []
     args = [
         (_make_problem(cfg, [c for c in all_ctx if c not in set(excl)], 0), excl)
         for excl in subproblems
@@ -335,6 +337,7 @@ def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> Optimizat
         best=best,
         witness=witness,
         certificate=certificate,
+        colorability=color,
         stats={
             "witness_budget": budget,
             "escalation_nodes": escalation_nodes,
@@ -358,12 +361,13 @@ def replay_certificate(cfg: Configuration, result: OptimizationResult) -> bool:
 def global_sum_bounds(cfg: Configuration, result: OptimizationResult) -> tuple[int, int]:
     """The bounds (0, best) on the total valuation over all contexts.
 
-    0 is always feasible (the all-zero assignment).  Consistency with
-    colorability is asserted: an uncolourable configuration must have
-    best < context count, a colourable one best = context count;
-    InconsistentCertificates otherwise.
+    0 is always feasible (the all-zero assignment).  Consistency with the
+    colorability result stored on ``result`` (its budget-0 escalation step)
+    is asserted: an uncolourable configuration must have best < context
+    count, a colourable one best = context count; InconsistentCertificates
+    otherwise.
     """
-    color = ks_colorable(cfg)
+    color = result.colorability
     n_ctx = len(cfg.contexts)
     if not color.satisfiable and result.best >= n_ctx:
         raise InconsistentCertificates(

@@ -1,11 +1,23 @@
 """Command-line behavior: reports, exit codes, artifacts, determinism."""
 
+import hashlib
 import json
 
 import pytest
 
+from ksembed import configuration, valuations
 from ksembed.cli import EXIT_DISCREPANCY, EXIT_ERROR, EXIT_OK, main
 from ksembed.configuration import ingest_rays
+
+# sha256 of the default `report` artifacts, and of its stdout with the output
+# directory masked as "<out_dir>"
+REPORT_GOLDEN = {
+    "rays.txt": "63fe8f81087041d693fc20541c7ebb552746a65fff804fe7a97e2bf3f7a0d24b",
+    "phases.txt": "ace916421de17653c49feb6f4c8493aca2454a9f10f533cbe2b7ed9130ce0488",
+    "vectors.txt": "41672647dad440ae1c3257a25a936d12901a21ee0253718272dd32691efb511d",
+    "certificate.txt": "2646f7dc232668e7ffb039ee79897ddddf5c07d777931c767e69dccae0761f84",
+    "stdout": "e34530d835429ae5c517790e726928cb766bef3c1b1bc1a507e7ad420a0a50c7",
+}
 
 
 def run(capsys, *argv):
@@ -180,3 +192,47 @@ class TestReport:
         names = [c["name"] for c in report["checks"]]
         assert set(names) == {"rays165", "contexts130", "uncolorable", "best128"}
         assert all(c["ok"] for c in report["checks"])
+
+    def test_golden_artifacts_and_stdout(self, capsys, tmp_path):
+        out_dir = tmp_path / "repro"
+        code = main(["report", "--out-dir", str(out_dir)])
+        assert code == EXIT_OK
+        stdout = capsys.readouterr().out.replace(json.dumps(str(out_dir)), '"<out_dir>"')
+        digests = {name: hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+                   for name in REPORT_GOLDEN if name != "stdout"}
+        digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
+        assert digests == REPORT_GOLDEN
+
+    def test_works_on_the_generated_configuration(self, capsys, tmp_path, monkeypatch):
+        ingests = []
+        real_ingest = configuration.ingest_rays
+
+        def counting_ingest(text):
+            ingests.append(text)
+            return real_ingest(text)
+
+        # all-contexts budget-0 solves, outside and inside certificate replay
+        solves = {"search": 0, "replay": 0}
+        phase = ["search"]
+        real_solve, real_replay = valuations._solve, valuations.replay_certificate
+
+        def counting_solve(problem):
+            if problem.budget == 0 and len(problem.must_cover) == len(problem.contexts):
+                solves[phase[0]] += 1
+            return real_solve(problem)
+
+        def replay(cfg, result):
+            phase[0] = "replay"
+            try:
+                return real_replay(cfg, result)
+            finally:
+                phase[0] = "search"
+
+        monkeypatch.setattr(configuration, "ingest_rays", counting_ingest)
+        monkeypatch.setattr(valuations, "_solve", counting_solve)
+        monkeypatch.setattr(valuations, "replay_certificate", replay)
+        code, report = run(capsys, "report", "--out-dir", str(tmp_path / "repro"))
+        assert code == EXIT_OK
+        assert report["results"]["certify"]["colorable"] is False
+        assert ingests == []
+        assert solves == {"search": 1, "replay": 1}

@@ -156,6 +156,19 @@ class TestClosure:
         # regression constant: brute-force pairwise scan over all 13,530 pairs
         assert len(full_config.edges) == 390
 
+    def test_pairs_classified_at_assembly(self, full_config):
+        zero, imaginary = set(), set()
+        for i in range(165):
+            for j in range(i + 1, 165):
+                c = hermitian_inner(full_config.vec(i), full_config.vec(j))
+                if c.is_zero():
+                    zero.add((i, j))
+                elif c.is_purely_imaginary():
+                    imaginary.add((i, j))
+        assert full_config.edges == zero
+        assert full_config.imaginary_pairs == imaginary
+        assert len(imaginary) == 636
+
     def test_mub_rays_are_members(self, full_config):
         vecs = {r.vec for r in full_config.rays}
         for v in mub_seed():
@@ -341,3 +354,11 @@ class TestSubconfiguration:
         assert any(len(c.ray_ids) == 3 for c in sub.contexts)
         for i, j in sub.edges:
             assert hermitian_inner(sub.vec(i), sub.vec(j)).is_zero()
+
+    def test_induced_pairs_match_a_fresh_assembly(self, full_config):
+        ids = list(range(0, 165, 4))
+        sub = subconfiguration(full_config, ids)
+        fresh = configuration_from_vectors([full_config.vec(i) for i in ids], strict=False)
+        assert sub.edges == fresh.edges
+        assert sub.imaginary_pairs == fresh.imaginary_pairs
+        assert sub.imaginary_pairs

@@ -1,5 +1,6 @@
 """Phase search and faithfulness verification, exact and high-precision."""
 
+import hashlib
 import math
 
 import mpmath as mp
@@ -20,6 +21,7 @@ from ksembed.realify import (
     PrecisionDisagreement,
     SearchExhausted,
     ZeroInnerProduct,
+    _backtracking_search,
     forbidden_phase_pair,
     greedy_continuous_phases,
     is_spurious_exact,
@@ -44,13 +46,18 @@ def unvalidated_config(*vecs) -> Configuration:
 
     adjacency = [set() for _ in range(n)]
     edges = set()
+    imaginary = set()
     for i in range(n):
         for j in range(i + 1, n):
-            if hermitian_inner(rays[i].vec, rays[j].vec).is_zero():
+            c = hermitian_inner(rays[i].vec, rays[j].vec)
+            if c.is_zero():
                 edges.add((i, j))
                 adjacency[i].add(j)
                 adjacency[j].add(i)
-    return Configuration(rays=rays, edges=frozenset(edges), contexts=[],
+            elif c.is_purely_imaginary():
+                imaginary.add((i, j))
+    return Configuration(rays=rays, edges=frozenset(edges),
+                         imaginary_pairs=frozenset(imaginary), contexts=[],
                          adjacency=adjacency)
 
 
@@ -224,6 +231,19 @@ class TestRationalSearch:
         assert pa1.n == pa2.n
         assert pa1.n != pa3.n
 
+    def test_backtracking_retries_earlier_rays(self):
+        # ray 3 conflicts with rays 1 and 2 at K = 2, so ray 1 must move to 1
+        assert _backtracking_search([[], [], [0], [1, 2]], 4, 2) == [0, 1, 1, 0]
+
+    def test_backtracking_assignment_pinned(self, full_config):
+        pa = rational_phase_search(full_config, 5, "backtracking")
+        assert hashlib.sha256(repr(pa.n).encode()).hexdigest() == (
+            "ae09d25b2492fb515a85bfae8963758308750ecaea60a4ab29f28fdd90ea2550"
+        )
+
+    def test_backtracking_deeper_than_recursion_limit(self):
+        assert _backtracking_search([[] for _ in range(1500)], 1500, 5) == [0] * 1500
+
     def test_minimal_k_probe_backtracking(self, full_config):
         found = minimal_k_probe(full_config, "backtracking", candidates=(5, 7, 11, 13))
         assert found is not None
@@ -319,3 +339,7 @@ class TestFiles:
     def test_bad_phase_header(self):
         with pytest.raises(ValueError):
             load_phases("1009\n0 0\n")
+
+    def test_repeated_ray_id_rejected(self):
+        with pytest.raises(ValueError, match="ray id 0"):
+            load_phases("K 5\n0 1\n0 2\n1 3\n")

@@ -202,7 +202,8 @@ class TestMaximize:
 class TestGlobalSumBounds:
     def test_inconsistent_best_at_context_count(self, full_config):
         fake = OptimizationResult(
-            best=130, witness=Valuation.zeros(165), certificate=[], stats={}
+            best=130, witness=Valuation.zeros(165), certificate=[],
+            colorability=ks_colorable(full_config), stats={}
         )
         with pytest.raises(InconsistentCertificates):
             global_sum_bounds(full_config, fake)
@@ -210,7 +211,8 @@ class TestGlobalSumBounds:
     def test_inconsistent_low_best_on_colorable(self):
         cfg = single_context()
         fake = OptimizationResult(
-            best=0, witness=Valuation.zeros(3), certificate=[], stats={}
+            best=0, witness=Valuation.zeros(3), certificate=[],
+            colorability=ks_colorable(cfg), stats={}
         )
         with pytest.raises(InconsistentCertificates):
             global_sum_bounds(cfg, fake)
