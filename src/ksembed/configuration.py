@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
-from math import gcd
 
 from .exact import (
     E_ZERO,
@@ -19,10 +18,13 @@ from .exact import (
     OMEGA,
     OMEGA2,
     EisensteinInt,
-    ParallelInput,
+    Flat,
     VecC3,
-    conj_cross,
     eis_gcd,
+    flat_canonical,
+    flat_conj_cross,
+    flat_inner_row,
+    flat_sq_norm,
     hermitian_inner,
 )
 
@@ -59,17 +61,17 @@ def canonicalize(v: VecC3) -> VecC3:
     The first nonzero coordinate of the result is a positive rational
     integer.  Idempotent, and constant on parallel classes.  Integer-only
     implementation: with z0 the first nonzero coordinate and N = norm(z0),
-    the result is (z_j * conj(z0)) / G where G = gcd(N, all coefficients).
+    the result is (z_j * conj(z0)) / G where G = gcd(N, all coefficients)
+    (exact.flat_canonical).
     """
-    z0 = next((z for z in v if not z.is_zero()), None)
-    if z0 is None:
+    return VecC3.from_flat(_canonical_flat(v))
+
+
+def _canonical_flat(v: VecC3) -> Flat:
+    f = v.flat()
+    if not any(f):
         raise ZeroVector("cannot canonicalize the zero vector")
-    n = z0.norm()
-    w = [z * z0.conjugate() for z in v]
-    g = n
-    for z in w:
-        g = gcd(g, gcd(abs(z.a), abs(z.b)))
-    return VecC3(tuple(EisensteinInt(z.a // g, z.b // g) for z in w))  # type: ignore[arg-type]
+    return flat_canonical(f)
 
 
 def is_content_free(v: VecC3) -> bool:
@@ -156,28 +158,27 @@ class Configuration:
         return len(self.adjacency[i])
 
 
-def _canonical_sort_key(v: VecC3):
-    return (v.sq_norm(), tuple((z.a, z.b) for z in v))
-
-
-def _assemble(vecs: list[VecC3], strict: bool = True) -> Configuration:
-    """Sort canonical vectors into stable ids, scan all pairs for edges and
-    purely imaginary pairs, and enumerate contexts (with clique validation)."""
-    ordered = sorted(vecs, key=_canonical_sort_key)
-    rays = [Ray(i, v, v.sq_norm()) for i, v in enumerate(ordered)]
+def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
+    """Sort distinct canonical flat vectors into stable ids (by squared norm,
+    then coefficients), scan all pairs for edges and purely imaginary pairs,
+    and enumerate contexts (with clique validation)."""
+    keyed = sorted((flat_sq_norm(f), f) for f in flats)
+    rays = [Ray(i, VecC3.from_flat(f), sq) for i, (sq, f) in enumerate(keyed)]
+    ordered = [f for _, f in keyed]
     n = len(rays)
     adjacency: list[set[int]] = [set() for _ in range(n)]
     edges = set()
     imaginary = set()
-    for i in range(n):
-        for j in range(i + 1, n):
-            c = hermitian_inner(rays[i].vec, rays[j].vec)
-            if c.is_zero():
-                edges.add((i, j))
-                adjacency[i].add(j)
-                adjacency[j].add(i)
-            elif c.is_purely_imaginary():
-                imaginary.add((i, j))
+    for i in range(n - 1):
+        for j, (a, b) in enumerate(flat_inner_row(ordered[i], ordered[i + 1:]), i + 1):
+            # a + b*w has real part a - b/2: zero when 2a = b
+            if 2 * a == b:
+                if a == 0:
+                    edges.add((i, j))
+                    adjacency[i].add(j)
+                    adjacency[j].add(i)
+                else:
+                    imaginary.add((i, j))
     contexts = build_contexts(rays, edges, adjacency, strict=strict)
     return Configuration(rays=rays, edges=frozenset(edges),
                          imaginary_pairs=frozenset(imaginary), contexts=contexts,
@@ -251,10 +252,10 @@ def closure_generate(
     """
     if not seed:
         raise ZeroVector("empty seed")
-    vecs: list[VecC3] = []
-    seen: set[VecC3] = set()
+    vecs: list[Flat] = []
+    seen: set[Flat] = set()
     for v in seed:
-        c = canonicalize(v)
+        c = _canonical_flat(v)
         if c not in seen:
             seen.add(c)
             vecs.append(c)
@@ -262,14 +263,13 @@ def closure_generate(
     while i < len(vecs):
         u = vecs[i]
         for j in range(i):
-            try:
-                w = conj_cross(u, vecs[j])
-            except ParallelInput:
+            w = flat_conj_cross(u, vecs[j])
+            if not any(w):  # parallel pair
                 continue
-            c = canonicalize(w)
+            c = flat_canonical(w)
             if c in seen:
                 continue
-            if keep_norm_dividing is not None and keep_norm_dividing % c.sq_norm() != 0:
+            if keep_norm_dividing is not None and keep_norm_dividing % flat_sq_norm(c) != 0:
                 continue
             seen.add(c)
             vecs.append(c)
@@ -284,8 +284,8 @@ def closure_generate(
 
 def configuration_from_vectors(vecs: list[VecC3], strict: bool = True) -> Configuration:
     """Canonicalize, deduplicate-check and assemble an explicit ray list."""
-    canon = [canonicalize(v) for v in vecs]
-    seen: dict[VecC3, int] = {}
+    canon = [_canonical_flat(v) for v in vecs]
+    seen: dict[Flat, int] = {}
     for pos, c in enumerate(canon):
         if c in seen:
             raise DuplicateRay(f"rays {seen[c]} and {pos} are the same projective class")

@@ -3,8 +3,10 @@
 Complex ray coordinates live in Z[w] with w = exp(2*pi*i/3), represented as
 a + b*w with arbitrary-precision integer a, b (any a + b*w + c*w^2 input is
 reduced immediately using 1 + w + w^2 = 0).  Realified coordinates live in
-Q(sqrt(3)), represented as p + q*sqrt(3) with exact rationals p, q.  Nothing
-in this module touches floating point.
+Q(sqrt(3)), represented as p + q*sqrt(3) with exact rationals p, q.  Pair
+scans use the plain-int kernel on flat coefficient tuples (flat_inner_row
+and its siblings), which the VecC3 functions wrap.  Nothing in this module
+touches floating point.
 """
 
 from __future__ import annotations
@@ -261,6 +263,16 @@ class VecC3:
 
         return cls((coerce(z1), coerce(z2), coerce(z3)))
 
+    @classmethod
+    def from_flat(cls, f: Flat) -> VecC3:
+        a1, b1, a2, b2, a3, b3 = f
+        return cls((EisensteinInt(a1, b1), EisensteinInt(a2, b2), EisensteinInt(a3, b3)))
+
+    def flat(self) -> Flat:
+        """The six coefficients (a1, b1, a2, b2, a3, b3) of the pair kernel."""
+        z1, z2, z3 = self.coords
+        return (z1.a, z1.b, z2.a, z2.b, z3.a, z3.b)
+
     def __getitem__(self, i: int) -> EisensteinInt:
         return self.coords[i]
 
@@ -295,20 +307,82 @@ class VecR6:
         return iter(self.coords)
 
 
+# --- the pair kernel ---------------------------------------------------------
+#
+# Every scan over ray pairs (closure, assembly, verification) runs on flat
+# int tuples (a1, b1, a2, b2, a3, b3), coordinate k being a_k + b_k*w, so
+# that no dataclass is built per pair.  The VecC3 functions after the kernel
+# are thin wrappers over it: the arithmetic is written once.
+
+Flat = tuple[int, int, int, int, int, int]
+
+
+def flat_inner_row(u: Flat, vs) -> list[tuple[int, int]]:
+    """The Hermitian inner products <u, v> = sum_k conj(u_k) * v_k for every
+    v in ``vs``, each as (A, B) meaning A + B*w.
+
+    Termwise, conj(a + b*w) * (c + d*w) = (ac - bc + bd) + (ad - bc)*w.
+    """
+    a1, b1, a2, b2, a3, b3 = u
+    p1, p2, p3 = a1 - b1, a2 - b2, a3 - b3
+    return [(p1 * c1 + b1 * d1 + p2 * c2 + b2 * d2 + p3 * c3 + b3 * d3,
+             a1 * d1 - b1 * c1 + a2 * d2 - b2 * c2 + a3 * d3 - b3 * c3)
+            for c1, d1, c2, d2, c3, d3 in vs]
+
+
+def flat_sq_norm(u: Flat) -> int:
+    """Hermitian squared norm <u, u> (its w-coefficient is 0)."""
+    return flat_inner_row(u, (u,))[0][0]
+
+
+def flat_cross(u: Flat, v: Flat) -> Flat:
+    """Bilinear cross product (u2 v3 - u3 v2, u3 v1 - u1 v3, u1 v2 - u2 v1),
+    each product by (a + b*w)(c + d*w) = (ac - bd) + (ad + bc - bd)*w."""
+    a1, b1, a2, b2, a3, b3 = u
+    c1, d1, c2, d2, c3, d3 = v
+    return (
+        a2 * c3 - b2 * d3 - a3 * c2 + b3 * d2,
+        a2 * d3 + b2 * c3 - b2 * d3 - a3 * d2 - b3 * c2 + b3 * d2,
+        a3 * c1 - b3 * d1 - a1 * c3 + b1 * d3,
+        a3 * d1 + b3 * c1 - b3 * d1 - a1 * d3 - b1 * c3 + b1 * d3,
+        a1 * c2 - b1 * d2 - a2 * c1 + b2 * d1,
+        a1 * d2 + b1 * c2 - b1 * d2 - a2 * d1 - b2 * c1 + b2 * d1,
+    )
+
+
+def flat_conj_cross(u: Flat, v: Flat) -> Flat:
+    """conj(u x v), by conj(a + b*w) = (a - b) - b*w; zero iff u, v are parallel."""
+    x1, y1, x2, y2, x3, y3 = flat_cross(u, v)
+    return (x1 - y1, -y1, x2 - y2, -y2, x3 - y3, -y3)
+
+
+def flat_canonical(v: Flat) -> Flat:
+    """Projective canonical form of a nonzero vector.
+
+    With z0 = p + q*w its first nonzero coordinate, every coordinate z is
+    replaced by conj(z0) * z (the termwise product of flat_inner_row), which
+    turns z0 into the positive integer norm(z0); the result is then divided
+    by the gcd of its coefficients.
+    """
+    k = 0 if v[0] or v[1] else (2 if v[2] or v[3] else 4)
+    p, q = v[k], v[k + 1]
+    r = p - q
+    w = (r * v[0] + q * v[1], p * v[1] - q * v[0],
+         r * v[2] + q * v[3], p * v[3] - q * v[2],
+         r * v[4] + q * v[5], p * v[5] - q * v[4])
+    g = gcd(*w)  # w[k] = norm(z0) > 0
+    return tuple(x // g for x in w)  # type: ignore[return-value]
+
+
 def hermitian_inner(u: VecC3, v: VecC3) -> EisensteinInt:
     """Hermitian inner product sum_i conj(u_i) * v_i (conjugation on the first
     argument)."""
-    s = E_ZERO
-    for ui, vi in zip(u, v):
-        s = s + ui.conjugate() * vi
-    return s
+    return EisensteinInt(*flat_inner_row(u.flat(), (v.flat(),))[0])
 
 
 def cross(u: VecC3, v: VecC3) -> VecC3:
     """Ordinary bilinear cross product u x v (no conjugation)."""
-    u1, u2, u3 = u.coords
-    v1, v2, v3 = v.coords
-    return VecC3((u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1))
+    return VecC3.from_flat(flat_cross(u.flat(), v.flat()))
 
 
 def conj_cross(u: VecC3, v: VecC3) -> VecC3:
@@ -318,10 +392,10 @@ def conj_cross(u: VecC3, v: VecC3) -> VecC3:
 
     Raises ParallelInput when u x v = 0.
     """
-    w = cross(u, v)
-    if w.is_zero():
+    w = flat_conj_cross(u.flat(), v.flat())
+    if not any(w):
         raise ParallelInput(f"parallel vectors: {u!r}, {v!r}")
-    return VecC3(tuple(z.conjugate() for z in w))  # type: ignore[arg-type]
+    return VecC3.from_flat(w)
 
 
 def phi0(u: VecC3) -> VecR6:

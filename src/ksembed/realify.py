@@ -20,12 +20,13 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from fractions import Fraction
 from math import gcd
 
 import mpmath as mp
 
 from .configuration import Configuration
-from .exact import EisensteinInt
+from .exact import EisensteinInt, flat_inner_row
 
 
 class ZeroInnerProduct(ValueError):
@@ -279,49 +280,75 @@ def verify_faithful(
 ) -> FaithfulnessReport:
     """Check all unordered ray pairs for the faithfulness conditions.
 
-    Orthogonal pairs stay orthogonal for every phase choice (the real dot is
-    Re(e^{i dtheta} * 0)), so ``missing`` can only remain empty; it is kept in
-    the report as the structural assertion.  Non-orthogonal pairs are
-    classified by the exact criterion, and every pair is additionally
-    evaluated at ``float_dps`` decimal digits; the norm-scaled value must
-    agree with the exact verdict against the 10^zero_threshold_exp cutoff,
-    otherwise PrecisionDisagreement is raised.
+    The pass reads only the rays, not ``cfg.edges`` or ``cfg.imaginary_pairs``:
+    it is the independent check of the assembly scan.  Orthogonal pairs stay
+    orthogonal for every phase choice (the real dot is Re(e^{i dtheta} * 0)),
+    so ``missing`` can only remain empty; it is kept in the report as the
+    structural assertion.  Every non-orthogonal pair is classified by the
+    exact criterion (is_spurious_exact) and cross-checked in fixed point:
+
+    - mpmath evaluates, at ``float_dps`` decimal digits, cos and sin of
+      dn*pi/K for each dn mod 2K that occurs, and Re c/|c| and Im c/|c| for
+      each distinct inner product c;
+    - each value is rounded to an integer in units of 2^-bits, with
+      bits = ceil(float_dps * log2(10)) + 8;
+    - a pair's normalized dot Re(e^{i dn pi/K} c)/|c| is then the integer
+      (Re c/|c|)*cos - (Im c/|c|)*sin in units of 2^-2bits, and reads zero
+      when its magnitude is below 10^zero_threshold_exp in those units.
+
+    Every factor has |x| <= 1, so the fixed-point rounding moves the dot by
+    less than 2^(2-bits), to which mpmath's own rounding at ``float_dps``
+    digits adds; at the default 60 digits (bits = 208) both are below
+    10^-59, far under the 10^-50 cutoff.  The float verdict must agree with
+    the exact one on every pair, otherwise PrecisionDisagreement is raised.
     """
     if len(pa.n) != cfg.n_rays:
         raise ValueError(
             f"phase assignment covers {len(pa.n)} rays, configuration has {cfg.n_rays}"
         )
-    k = pa.K
+    k, ns = pa.K, pa.n
+    k2 = 2 * k
+    flats = [ray.vec.flat() for ray in cfg.rays]
+    bits = math.ceil(float_dps * math.log2(10)) + 8
+    # for an integer dot, |dot| < ceil(t) iff |dot| < t: the cutoff is exact
+    threshold = math.ceil(Fraction(10) ** zero_threshold_exp * (1 << (2 * bits)))
     report = FaithfulnessReport()
     with mp.workdps(float_dps):
         sqrt3 = mp.sqrt(3)
-        threshold = mp.mpf(10) ** zero_threshold_exp
-        trig_cache: dict[int, tuple[mp.mpf, mp.mpf]] = {}
 
-        def trig(dn: int) -> tuple[mp.mpf, mp.mpf]:
-            dn %= 2 * k
-            if dn not in trig_cache:
-                theta = mp.pi * dn / k
-                trig_cache[dn] = (mp.cos(theta), mp.sin(theta))
-            return trig_cache[dn]
+        def fixed(x: mp.mpf) -> int:
+            return int(mp.nint(mp.ldexp(x, bits)))
 
-        for i in range(cfg.n_rays):
-            for j in range(i + 1, cfg.n_rays):
-                report.pairs_checked += 1
-                c = cfg.pair_inner(i, j)
-                if c.is_zero():
+        trig: dict[int, tuple[int, int]] = {}   # dn mod 2K -> (cos, sin)
+        units: dict[tuple[int, int], tuple[int, int]] = {}  # c -> (Re, Im) of c/|c|
+        for i in range(cfg.n_rays - 1):
+            ni = ns[i]
+            row = flat_inner_row(flats[i], flats[i + 1:])
+            report.pairs_checked += len(row)
+            for j, c in enumerate(row, i + 1):
+                a, b = c
+                if not (a or b):
                     # real dot of images is Re(e^{i dtheta} * 0) = 0 exactly
                     continue
-                dn = pa.n[j] - pa.n[i]
-                exact_zero = is_spurious_exact(c, dn, k)
-                cth, sth = trig(dn)
-                val = mp.mpf(2 * c.a - c.b) / 2 * cth - sqrt3 * c.b / 2 * sth
-                scaled = val / mp.sqrt(c.norm())
-                if (abs(scaled) < threshold) != exact_zero:
+                dn = (ns[j] - ni) % k2
+                # is_spurious_exact: purely imaginary c and dn = 0 (mod K)
+                exact_zero = 2 * a == b and dn % k == 0
+                cs = trig.get(dn)
+                if cs is None:
+                    theta = mp.pi * dn / k
+                    cs = trig[dn] = (fixed(mp.cos(theta)), fixed(mp.sin(theta)))
+                u = units.get(c)
+                if u is None:
+                    twice_abs = 2 * mp.sqrt(a * a - a * b + b * b)
+                    u = units[c] = (fixed((2 * a - b) / twice_abs),
+                                    fixed(sqrt3 * b / twice_abs))
+                dot = u[0] * cs[0] - u[1] * cs[1]
+                if (-threshold < dot < threshold) != exact_zero:
                     raise PrecisionDisagreement(
                         f"pair ({i}, {j}): exact says "
                         f"{'zero' if exact_zero else 'nonzero'}, "
-                        f"{float_dps}-digit value is {mp.nstr(scaled, 8)}"
+                        f"{float_dps}-digit value is "
+                        f"{mp.nstr(mp.ldexp(dot, -2 * bits), 8)}"
                     )
                 if exact_zero:
                     report.spurious.append((i, j))

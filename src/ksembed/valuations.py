@@ -136,6 +136,7 @@ class SolveStats:
 
 def _solve(problem: _Problem) -> tuple[int | None, SolveStats]:
     """DFS with unit propagation.  Returns (ones mask | None, stats).
+    Iterative, so its depth is not bounded by the recursion limit.
 
     Value order is 1 before 0.  A ray set to 1 zeroes all its neighbors.  A
     must-cover context that goes all-zero consumes budget; past the budget it
@@ -184,26 +185,27 @@ def _solve(problem: _Problem) -> tuple[int | None, SolveStats]:
             if not forced:
                 return ones, zeros, uncovered
 
-    def dfs(ones: int, zeros: int) -> int | None:
-        st = propagate(ones, zeros)
+    # depth-first over an explicit stack of open (ones, zeros) states: the
+    # 0-branch is pushed under the 1-branch, so the 1-subtree is exhausted
+    # first, as in the recursive formulation, and the counts match it
+    stack = [(0, 0)]
+    while stack:
+        st = propagate(*stack.pop())
         if st is None:
-            return None
+            continue
         ones, zeros, _ = st
         stats.nodes += 1
         free = full & ~ones & ~zeros
         if not free:
-            return ones
+            return ones, stats
         for r in order:
             if (free >> r) & 1:
                 break
+        stack.append((ones, zeros | (1 << r)))
         st1 = assign_one(ones, zeros, r)
         if st1 is not None:
-            res = dfs(*st1)
-            if res is not None:
-                return res
-        return dfs(ones, zeros | (1 << r))
-
-    return dfs(0, 0), stats
+            stack.append(st1)
+    return None, stats
 
 
 def _solve_refutation(args: tuple[_Problem, tuple[int, ...]]):
@@ -270,6 +272,12 @@ class OptimizationResult:
     stats: dict = field(default_factory=dict)
 
 
+def _must_cover(n_ctx: int, excluded: tuple[int, ...]) -> list[int]:
+    """The context indices of a refutation subproblem: all but ``excluded``."""
+    skip = set(excluded)
+    return [c for c in range(n_ctx) if c not in skip]
+
+
 def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> OptimizationResult:
     """Maximum number of contexts with sum exactly 1 over REAL_EMBEDDED-
     admissible valuations, certified.
@@ -316,10 +324,7 @@ def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> Optimizat
     for size in range(1, max_excluded + 1):
         subproblems.extend(combinations(range(n_ctx), size))
 
-    args = [
-        (_make_problem(cfg, [c for c in all_ctx if c not in set(excl)], 0), excl)
-        for excl in subproblems
-    ]
+    args = [(_make_problem(cfg, _must_cover(n_ctx, excl), 0), excl) for excl in subproblems]
     if threads > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_solve_refutation, args, chunksize=8))
@@ -351,7 +356,7 @@ def replay_certificate(cfg: Configuration, result: OptimizationResult) -> bool:
     """Re-run every refuted subproblem in isolation; each must be infeasible
     again with identical node counts (the engine is deterministic)."""
     for entry in result.certificate:
-        must = [c for c in range(len(cfg.contexts)) if c not in set(entry.excluded)]
+        must = _must_cover(len(cfg.contexts), entry.excluded)
         mask, stats = _solve(_make_problem(cfg, must, 0))
         if mask is not None or stats.nodes != entry.nodes:
             return False

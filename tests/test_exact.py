@@ -1,6 +1,7 @@
 """Exact arithmetic: ring laws, the realification identity, cross products."""
 
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -21,6 +22,11 @@ from ksembed.exact import (
     cross,
     dot6,
     eis_gcd,
+    flat_canonical,
+    flat_conj_cross,
+    flat_cross,
+    flat_inner_row,
+    flat_sq_norm,
     hermitian_inner,
     permutation_equivalent,
     phi0,
@@ -281,3 +287,73 @@ class TestEisensteinGcd:
         for x in (z, w):
             q = EisRational.divide(x, g)
             assert q.den == 1
+
+
+# --- the flat-int pair kernel, against EisensteinInt arithmetic ------------
+
+# zero coefficients are drawn often, so leading zero coordinates, zero
+# vectors and parallel pairs all occur
+big_coef = st.one_of(st.just(0), st.integers(min_value=-10**30, max_value=10**30))
+big_flat = st.tuples(*[big_coef] * 6)
+big_eis = st.builds(EisensteinInt, big_coef, big_coef)
+
+
+def coords(f):
+    return [EisensteinInt(f[0], f[1]), EisensteinInt(f[2], f[3]), EisensteinInt(f[4], f[5])]
+
+
+def flatten(zs):
+    return tuple(c for z in zs for c in (z.a, z.b))
+
+
+def inner_reference(u, v):
+    s = E_ZERO
+    for x, y in zip(coords(u), coords(v)):
+        s = s + x.conjugate() * y
+    return s
+
+
+def cross_reference(u, v):
+    (u1, u2, u3), (v1, v2, v3) = coords(u), coords(v)
+    return [u2 * v3 - u3 * v2, u3 * v1 - u1 * v3, u1 * v2 - u2 * v1]
+
+
+def canonical_reference(v):
+    zs = coords(v)
+    z0 = next(z for z in zs if not z.is_zero())
+    w = [z * z0.conjugate() for z in zs]
+    g = gcd(z0.norm(), *(abs(c) for z in w for c in (z.a, z.b)))
+    return flatten(EisensteinInt(z.a // g, z.b // g) for z in w)
+
+
+class TestPairKernel:
+    @given(big_flat, st.lists(big_flat, max_size=4))
+    def test_inner_row(self, u, vs):
+        assert flat_inner_row(u, vs) == [
+            (c.a, c.b) for c in (inner_reference(u, v) for v in vs)
+        ]
+
+    @given(big_flat)
+    def test_sq_norm(self, u):
+        assert flat_sq_norm(u) == sum(z.norm() for z in coords(u))
+
+    @given(big_flat, big_flat)
+    def test_cross(self, u, v):
+        ref = cross_reference(u, v)
+        assert flat_cross(u, v) == flatten(ref)
+        assert flat_conj_cross(u, v) == flatten(z.conjugate() for z in ref)
+
+    @given(big_flat.filter(any), big_eis.filter(lambda z: not z.is_zero()))
+    def test_canonical(self, v, s):
+        # a common factor s makes the final gcd division nontrivial
+        scaled = flatten(z * s for z in coords(v))
+        assert flat_canonical(v) == canonical_reference(v)
+        assert flat_canonical(scaled) == canonical_reference(scaled)
+        assert flat_canonical(scaled) == flat_canonical(v)
+
+    @given(big_flat, big_flat)
+    def test_wrappers_agree(self, u, v):
+        x, y = VecC3.from_flat(u), VecC3.from_flat(v)
+        assert x.flat() == u
+        assert hermitian_inner(x, y) == inner_reference(u, v)
+        assert cross(x, y) == VecC3(tuple(cross_reference(u, v)))

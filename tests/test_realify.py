@@ -278,6 +278,17 @@ class TestVerifyFaithful:
         fr = verify_faithful(IMAGINARY_PAIR, pa)
         assert fr.spurious == [(0, 1)]
 
+    def test_low_precision_cross_check_disagrees(self, full_config):
+        # only the last ray is shifted, by dn = K: its purely imaginary
+        # pairs are exactly spurious, but sin(pi) at 15 digits is ~1e-16,
+        # above the 1e-50 cutoff, so the cross-check disagrees on the last
+        # pairs of the scan; at 60 digits it agrees on every pair
+        pa = PhaseAssignment(K=1009, n=(0,) * 164 + (1009,))
+        with pytest.raises(PrecisionDisagreement, match=r", 164\): exact says zero"):
+            verify_faithful(full_config, pa, float_dps=15)
+        fr = verify_faithful(full_config, pa)
+        assert fr.spurious == scan_spurious_zero_phases(full_config)
+
     def test_all_orthogonal_configuration_accepts_zero_phases(self):
         # no non-orthogonal pairs, so the canonical map is already faithful
         cfg = configuration_from_vectors(mub_bases()[0])

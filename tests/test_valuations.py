@@ -16,6 +16,8 @@ from ksembed.valuations import (
     OptimizationResult,
     SizeMismatch,
     Valuation,
+    _Problem,
+    _solve,
     check_valuation,
     covered_contexts,
     certificate_to_text,
@@ -133,6 +135,27 @@ class TestColorability:
         lonely = subconfiguration(full_config, [0, 1])
         with pytest.raises(ValueError):
             ks_colorable(lonely)
+
+
+    def test_search_deeper_than_recursion_limit(self):
+        # 1,200 disjoint contexts branched in id order: every decision sets
+        # the next context's first ray to 1, so the search is 1,200 deep
+        m = 1200
+        adj = [0] * (3 * m)
+        for r in range(3 * m):
+            base = r - r % 3
+            adj[r] = (0b111 << base) & ~(1 << r)
+        problem = _Problem(
+            n=3 * m,
+            adj=tuple(adj),
+            contexts=tuple((3 * c, 3 * c + 1, 3 * c + 2) for c in range(m)),
+            must_cover=tuple(range(m)),
+            budget=0,
+            order=tuple(range(3 * m)),
+        )
+        mask, stats = _solve(problem)
+        assert mask == sum(1 << (3 * c) for c in range(m))
+        assert (stats.nodes, stats.propagations) == (m + 1, 0)
 
 
 class TestMaximize:
