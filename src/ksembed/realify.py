@@ -401,9 +401,10 @@ def phase_apply_export(
     rows: list[tuple[str, ...]] = []
     with mp.workdps(precision + 15):
         sqrt3 = mp.sqrt(3)
+        abs_eps = mp.mpf(10) ** (-(precision + 10))
 
         def fmt(x: mp.mpf) -> str:
-            if mp.almosteq(x, 0, abs_eps=mp.mpf(10) ** (-(precision + 10))):
+            if mp.almosteq(x, 0, abs_eps=abs_eps):
                 return "0"
             s = mp.nstr(x, precision, strip_zeros=True)
             return s[:-2] if s.endswith(".0") else s

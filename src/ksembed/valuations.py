@@ -8,16 +8,18 @@ its sum relaxes to at most 1.
 
 The solver is an in-repo propagation/backtracking engine (no external
 dependencies, so certificates replay from this module alone).  Assignments
-are bitmasks; propagation alternates bulk neighbor-zeroing for value-1
-assignments with a full scan of the must-cover contexts that counts
-all-zero contexts against an uncovered budget and, once the budget is
-saturated, forces the third ray of every two-zero context to 1.
+are bitmasks over rays; the must-cover contexts are bitmasks over their
+positions in the must-cover list, with bit-sliced zero counters (at least
+one, at least two, all three rays zero) updated as each ray is zeroed.
+Setting a ray to 1 zeroes its neighbors in bulk; all-zero contexts count
+against an uncovered budget, and once the budget is saturated the third ray
+of every open two-zero context is forced to 1, lowest position first.
 """
 
 from __future__ import annotations
 
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
 
@@ -142,67 +144,92 @@ def _solve(problem: _Problem) -> tuple[int | None, SolveStats]:
     must-cover context that goes all-zero consumes budget; past the budget it
     is a conflict, and at the budget every open two-zero must-cover context
     forces its third ray to 1.
+
+    A state is (ones, zeros, covered, z1, z2, z3).  The last four are
+    bitmasks over positions p in ``must_cover``: covered has a ray set to 1,
+    and z1, z2, z3 have at least one, at least two, and all three rays
+    zero.  Zeroing a ray adds one to the counters of its contexts, so no
+    step rescans the contexts.  The forcing sweep takes the lowest open
+    two-zero position at or above a floor that moves past each forced
+    context: the order of a scan of ``must_cover`` that forces as it goes
+    (a force that opens an earlier context is taken up by the next sweep),
+    so node and propagation counts, and every certificate, follow that scan.
     """
     adj = problem.adj
-    must = [problem.contexts[ci] for ci in problem.must_cover]
     budget = problem.budget
     order = problem.order
     full = (1 << problem.n) - 1
     stats = SolveStats()
+    member = [0] * problem.n  # per ray: the positions of its contexts
+    cmask = []                # per position: the context's rays
+    for p, ci in enumerate(problem.must_cover):
+        m = 0
+        for r in problem.contexts[ci]:
+            member[r] |= 1 << p
+            m |= 1 << r
+        cmask.append(m)
 
-    def assign_one(ones: int, zeros: int, r: int) -> tuple[int, int] | None:
-        bit = 1 << r
-        if zeros & bit or adj[r] & ones:
+    def zero(st, new: int):
+        # new: rays not yet zero; each bumps the counters of its contexts
+        ones, zeros, covered, z1, z2, z3 = st
+        zeros |= new
+        while new:
+            low = new & -new
+            m = member[low.bit_length() - 1]
+            z3 |= z2 & m
+            z2 |= z1 & m
+            z1 |= m
+            new ^= low
+        return ones, zeros, covered, z1, z2, z3
+
+    def assign_one(st, r: int):
+        ones, zeros = st[0], st[1]
+        if (zeros >> r) & 1 or adj[r] & ones:
             return None
-        return ones | bit, zeros | adj[r]
+        _, zeros, covered, z1, z2, z3 = zero(st, adj[r] & ~zeros)
+        return ones | (1 << r), zeros, covered | member[r], z1, z2, z3
 
-    def propagate(ones: int, zeros: int) -> tuple[int, int, int] | None:
+    def propagate(st):
         while True:
-            uncovered = 0
-            for i, j, k in must:
-                if ((ones >> i) | (ones >> j) | (ones >> k)) & 1:
-                    continue
-                zc = ((zeros >> i) & 1) + ((zeros >> j) & 1) + ((zeros >> k) & 1)
-                if zc == 3:
-                    uncovered += 1
-                    if uncovered > budget:
-                        return None
+            uncovered = (st[5] & ~st[2]).bit_count()  # z3 & ~covered
+            if uncovered > budget:
+                return None
             if uncovered < budget:
-                return ones, zeros, uncovered
-            forced = False
-            for i, j, k in must:
-                if ((ones >> i) | (ones >> j) | (ones >> k)) & 1:
-                    continue
-                zc = ((zeros >> i) & 1) + ((zeros >> j) & 1) + ((zeros >> k) & 1)
-                if zc == 2:
-                    third = i if not (zeros >> i) & 1 else (j if not (zeros >> j) & 1 else k)
-                    st = assign_one(ones, zeros, third)
-                    if st is None:
-                        return None
-                    ones, zeros = st
-                    stats.propagations += 1
-                    forced = True
-            if not forced:
-                return ones, zeros, uncovered
+                return st
+            # one sweep: contexts that open below the floor wait for the next
+            floor = 0
+            while True:
+                _, zeros, covered, _, z2, z3 = st
+                open2 = (z2 & ~z3 & ~covered) >> floor
+                if not open2:
+                    break
+                p = floor + (open2 & -open2).bit_length() - 1
+                st = assign_one(st, (cmask[p] & ~zeros).bit_length() - 1)
+                if st is None:
+                    return None
+                stats.propagations += 1
+                floor = p + 1
+            if not floor:  # nothing forced
+                return st
 
-    # depth-first over an explicit stack of open (ones, zeros) states: the
-    # 0-branch is pushed under the 1-branch, so the 1-subtree is exhausted
-    # first, as in the recursive formulation, and the counts match it
-    stack = [(0, 0)]
+    # depth-first over an explicit stack of open states: the 0-branch is
+    # pushed under the 1-branch, so the 1-subtree is exhausted first, as in
+    # the recursive formulation, and the counts match it
+    stack = [(0, 0, 0, 0, 0, 0)]
     while stack:
-        st = propagate(*stack.pop())
+        st = propagate(stack.pop())
         if st is None:
             continue
-        ones, zeros, _ = st
         stats.nodes += 1
+        ones, zeros = st[0], st[1]
         free = full & ~ones & ~zeros
         if not free:
             return ones, stats
         for r in order:
             if (free >> r) & 1:
                 break
-        stack.append((ones, zeros | (1 << r)))
-        st1 = assign_one(ones, zeros, r)
+        stack.append(zero(st, 1 << r))
+        st1 = assign_one(st, r)
         if st1 is not None:
             stack.append(st1)
     return None, stats
@@ -272,10 +299,12 @@ class OptimizationResult:
     stats: dict = field(default_factory=dict)
 
 
-def _must_cover(n_ctx: int, excluded: tuple[int, ...]) -> list[int]:
-    """The context indices of a refutation subproblem: all but ``excluded``."""
+def _refutation_problem(base: _Problem, excluded: tuple[int, ...]) -> _Problem:
+    """The budget-0 subproblem that covers every context but ``excluded``;
+    ``base`` carries the adjacency and branching order of the configuration."""
     skip = set(excluded)
-    return [c for c in range(n_ctx) if c not in skip]
+    must = tuple(c for c in range(len(base.contexts)) if c not in skip)
+    return replace(base, must_cover=must, budget=0)
 
 
 def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> OptimizationResult:
@@ -294,7 +323,7 @@ def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> Optimizat
     """
     color = ks_colorable(cfg)
     n_ctx = len(cfg.contexts)
-    all_ctx = range(n_ctx)
+    base = _make_problem(cfg, range(n_ctx), budget=0)
 
     witness = color.witness
     budget = 0
@@ -303,7 +332,7 @@ def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> Optimizat
         budget += 1
         if budget > n_ctx:
             raise RuntimeError("budget escalation exceeded the context count")
-        mask, stats = _solve(_make_problem(cfg, all_ctx, budget))
+        mask, stats = _solve(replace(base, budget=budget))
         escalation_nodes += stats.nodes
         if mask is not None:
             witness = Valuation.from_mask(mask, cfg.n_rays)
@@ -324,7 +353,7 @@ def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> Optimizat
     for size in range(1, max_excluded + 1):
         subproblems.extend(combinations(range(n_ctx), size))
 
-    args = [(_make_problem(cfg, _must_cover(n_ctx, excl), 0), excl) for excl in subproblems]
+    args = [(_refutation_problem(base, excl), excl) for excl in subproblems]
     if threads > 1 and len(args) > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
             results = list(pool.map(_solve_refutation, args, chunksize=8))
@@ -355,9 +384,9 @@ def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> Optimizat
 def replay_certificate(cfg: Configuration, result: OptimizationResult) -> bool:
     """Re-run every refuted subproblem in isolation; each must be infeasible
     again with identical node counts (the engine is deterministic)."""
+    base = _make_problem(cfg, range(len(cfg.contexts)), budget=0)
     for entry in result.certificate:
-        must = _must_cover(len(cfg.contexts), entry.excluded)
-        mask, stats = _solve(_make_problem(cfg, must, 0))
+        mask, stats = _solve(_refutation_problem(base, entry.excluded))
         if mask is not None or stats.nodes != entry.nodes:
             return False
     return True

@@ -203,6 +203,18 @@ class TestReport:
         digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
         assert digests == REPORT_GOLDEN
 
+    def test_published_solver_counters(self, full_config):
+        # the counts behind the golden certificate, readable
+        color = valuations.ks_colorable(full_config)
+        assert (color.nodes, color.propagations) == (11, 369)
+        opt = valuations.maximize_covered_contexts(full_config)
+        assert opt.stats == {
+            "witness_budget": 2,
+            "escalation_nodes": 436,
+            "refuted_subproblems": 131,
+            "refutation_nodes": 1499,
+        }
+
     def test_works_on_the_generated_configuration(self, capsys, tmp_path, monkeypatch):
         ingests = []
         real_ingest = configuration.ingest_rays

@@ -4,6 +4,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksembed.configuration import (
     configuration_from_vectors,
@@ -15,6 +17,7 @@ from ksembed.valuations import (
     ModelKind,
     OptimizationResult,
     SizeMismatch,
+    SolveStats,
     Valuation,
     _Problem,
     _solve,
@@ -55,6 +58,135 @@ def brute_force(cfg):
     colorable = bool((admissible & all_exactly_one).any())
     best = int(covered[admissible].max())
     return colorable, best
+
+
+def scan_solve(problem):
+    """Reference engine: the same DFS with propagation by a full scan of the
+    must-cover contexts at every step, forcing as it goes in must_cover
+    order."""
+    adj = problem.adj
+    must = [problem.contexts[ci] for ci in problem.must_cover]
+    budget = problem.budget
+    full = (1 << problem.n) - 1
+    stats = SolveStats()
+
+    def assign_one(ones, zeros, r):
+        bit = 1 << r
+        if zeros & bit or adj[r] & ones:
+            return None
+        return ones | bit, zeros | adj[r]
+
+    def propagate(ones, zeros):
+        while True:
+            uncovered = 0
+            for i, j, k in must:
+                if ((ones >> i) | (ones >> j) | (ones >> k)) & 1:
+                    continue
+                zc = ((zeros >> i) & 1) + ((zeros >> j) & 1) + ((zeros >> k) & 1)
+                if zc == 3:
+                    uncovered += 1
+                    if uncovered > budget:
+                        return None
+            if uncovered < budget:
+                return ones, zeros
+            forced = False
+            for i, j, k in must:
+                if ((ones >> i) | (ones >> j) | (ones >> k)) & 1:
+                    continue
+                zc = ((zeros >> i) & 1) + ((zeros >> j) & 1) + ((zeros >> k) & 1)
+                if zc == 2:
+                    third = i if not (zeros >> i) & 1 else (j if not (zeros >> j) & 1 else k)
+                    st = assign_one(ones, zeros, third)
+                    if st is None:
+                        return None
+                    ones, zeros = st
+                    stats.propagations += 1
+                    forced = True
+            if not forced:
+                return ones, zeros
+
+    stack = [(0, 0)]
+    while stack:
+        st = propagate(*stack.pop())
+        if st is None:
+            continue
+        ones, zeros = st
+        stats.nodes += 1
+        free = full & ~ones & ~zeros
+        if not free:
+            return ones, stats
+        r = next(r for r in problem.order if (free >> r) & 1)
+        stack.append((ones, zeros | (1 << r)))
+        st1 = assign_one(ones, zeros, r)
+        if st1 is not None:
+            stack.append(st1)
+    return None, stats
+
+
+@st.composite
+def small_problems(draw):
+    """Up to 30 rays; contexts are cliques, plus random extra edges; a random
+    must-cover subset in random order, a random branching order, budget 0-3."""
+    n = draw(st.integers(3, 30))
+    rays = st.integers(0, n - 1)
+    contexts = draw(st.lists(
+        st.lists(rays, min_size=3, max_size=3, unique=True).map(tuple),
+        min_size=1, max_size=16))
+    extra = draw(st.lists(st.tuples(rays, rays).filter(lambda e: e[0] != e[1]),
+                          max_size=2 * n))
+    adj = [0] * n
+    for i, j in [(a, b) for ctx in contexts for a in ctx for b in ctx if a != b] + extra:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    must = draw(st.lists(st.integers(0, len(contexts) - 1), unique=True))
+    return _Problem(
+        n=n,
+        adj=tuple(adj),
+        contexts=tuple(contexts),
+        must_cover=tuple(must),
+        budget=draw(st.integers(0, 3)),
+        order=tuple(draw(st.permutations(range(n)))),
+    )
+
+
+def solve_counts(solver, problem):
+    mask, stats = solver(problem)
+    return mask, stats.nodes, stats.propagations
+
+
+class TestEngineAgainstScan:
+    @given(small_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_same_search_as_full_scan(self, problem):
+        assert solve_counts(_solve, problem) == solve_counts(scan_solve, problem)
+
+    def test_force_that_opens_an_earlier_context(self):
+        # must_cover positions: Q = (3, 4, 5) at 0, P = (0, 1, 2) at 1,
+        # R = (6, 7, 8) at 2, S = (9, 10, 11) at 3.  Ray 12, branched first,
+        # zeroes 0, 1, 3, 6, 7, 9, so P and R are open two-zero contexts.
+        # Forcing 2 (P) zeroes 4 and opens Q below the sweep; the sweep goes
+        # on to force 8 (R), which zeroes 5 (Q is now all-zero) and 10, and
+        # then 11 (S).  Only the next sweep sees Q, over budget: 3 forces.
+        # Taking Q right after P would force 5, zero 8 and stop at 2 forces.
+        contexts = ((3, 4, 5), (0, 1, 2), (6, 7, 8), (9, 10, 11))
+        edges = [(a, b) for ctx in contexts for a in ctx for b in ctx if a < b]
+        edges += [(2, 4), (5, 8), (8, 10)] + [(12, r) for r in (0, 1, 3, 6, 7, 9)]
+        adj = [0] * 13
+        for i, j in edges:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        problem = _Problem(
+            n=13,
+            adj=tuple(adj),
+            contexts=contexts,
+            must_cover=(0, 1, 2, 3),
+            budget=0,
+            order=(12,) + tuple(range(12)),
+        )
+        # the 12 = 0 branch then covers every context with 0, 3, 6, 9 and
+        # no forcing: 6 nodes, and the 3 forces of the failed 12 = 1 branch
+        assert solve_counts(scan_solve, problem) == (585, 6, 3)
+        assert solve_counts(_solve, problem) == (585, 6, 3)
 
 
 class TestCheckValuation:
