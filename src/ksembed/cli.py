@@ -174,7 +174,7 @@ def _certify(report: RunReport, cfg: cfgmod.Configuration, expects: _Expectation
         t0 = _stage(report, "color", t0)
     else:
         # maximization's budget-0 step is the colorability search
-        opt = valmod.maximize_covered_contexts(cfg, threads=report.inputs["threads"])
+        opt = valmod.maximize_covered_contexts(cfg)
         color = opt.colorability
         t0 = _stage(report, "maximize", t0)
 
@@ -224,8 +224,7 @@ def cmd_realify(args, expects: _Expectations) -> RunReport:
 
 def cmd_certify(args, expects: _Expectations) -> RunReport:
     report = RunReport(command="certify", inputs=dict(
-        rays=args.rays, mode=args.mode, threads=args.threads,
-        out_certificate=args.out_certificate))
+        rays=args.rays, mode=args.mode, out_certificate=args.out_certificate))
     _certify(report, _load_configuration(report, args.rays), expects)
     return report
 
@@ -241,12 +240,11 @@ def cmd_report(args, expects: _Expectations) -> RunReport:
     gen = RunReport(command="generate", inputs={"out": paths["rays"], "seed_choice": "mub"})
     cfg = _generate(gen, expects)
     rea = RunReport(command="realify", inputs=dict(
-        rays=paths["rays"], K=args.K, strategy=args.strategy, seed=args.seed,
-        precision=args.precision, out_phases=paths["phases"], out_vectors=paths["vectors"]))
+        K=args.K, strategy=args.strategy, seed=args.seed, precision=args.precision,
+        out_phases=paths["phases"], out_vectors=paths["vectors"]))
     _realify(rea, cfg)
     cer = RunReport(command="certify", inputs=dict(
-        rays=paths["rays"], mode="all", threads=args.threads,
-        out_certificate=paths["certificate"]))
+        mode="all", out_certificate=paths["certificate"]))
     _certify(cer, cfg, expects)
 
     steps = {"generate": gen, "realify": rea, "certify": cer}
@@ -301,8 +299,6 @@ def build_parser() -> argparse.ArgumentParser:
                                        "with replayable certificates")
     c.add_argument("--rays", required=True, help="ray file to ingest")
     c.add_argument("--mode", choices=("color", "maximize", "all"), default="all")
-    c.add_argument("--threads", type=int, default=1,
-                   help="parallel refutation subproblems (default sequential)")
     c.add_argument("--out-certificate", default=None, help="certificate file to write")
     add_expect_flags(c)
 
@@ -313,7 +309,6 @@ def build_parser() -> argparse.ArgumentParser:
     a.add_argument("--strategy", choices=remod.STRATEGIES, default="distinct")
     a.add_argument("--seed", type=int, default=0)
     a.add_argument("--precision", type=int, default=20)
-    a.add_argument("--threads", type=int, default=1)
     add_expect_flags(a)
 
     return parser

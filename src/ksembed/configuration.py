@@ -188,7 +188,7 @@ def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
 def build_contexts(
     rays: list[Ray],
     edges: set[tuple[int, int]],
-    adjacency: list[set[int]] | None = None,
+    adjacency: list[set[int]],
     strict: bool = True,
 ) -> list[Context]:
     """All triangles of the orthogonality graph, as sorted id triples.
@@ -201,11 +201,6 @@ def build_contexts(
     uncompleted orthogonal pairs are legitimate.
     """
     n = len(rays)
-    if adjacency is None:
-        adjacency = [set() for _ in range(n)]
-        for i, j in edges:
-            adjacency[i].add(j)
-            adjacency[j].add(i)
     triangles: list[Context] = []
     covered_edges: set[tuple[int, int]] = set()
     for i, j in sorted(edges):

@@ -209,7 +209,8 @@ def rational_phase_search(
     - "distinct": n_k = k, valid whenever K exceeds the ray count;
     - "backtracking": ordered depth-first search over residues with
       forbidden-residue pruning (useful for probing small K);
-    - "greedy-random": seeded random residue per ray among the allowed ones.
+    - "greedy-random": seeded random residue per ray among the allowed ones,
+      in time and memory independent of K.
 
     Every output is verified before return.  Raises SearchExhausted when no
     assignment exists for this K (only possible for small K), InvalidK when
@@ -232,13 +233,18 @@ def rational_phase_search(
         rng = random.Random(rng_seed)
         ns = []
         for m in range(n):
-            banned = {ns[j] % k for j in iadj[m]}
-            allowed = [r for r in range(k) if r not in banned]
-            if not allowed:
+            banned = sorted({ns[j] for j in iadj[m]})
+            if len(banned) == k:
                 raise SearchExhausted(
                     f"greedy-random: ray {m} has no free residue mod {k}"
                 )
-            ns.append(rng.choice(allowed))
+            # rng.choice(free residues) without listing them, by the same draw
+            r = rng.randrange(k - len(banned))
+            for b in banned:
+                if b > r:
+                    break
+                r += 1
+            ns.append(r)
 
     _verify_or_exhausted(cfg, iadj, ns, k)
     return PhaseAssignment(K=k, n=tuple(ns))

@@ -18,7 +18,6 @@ of every open two-zero context is forced to 1, lowest position first.
 
 from __future__ import annotations
 
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from enum import Enum
 from itertools import combinations
@@ -102,7 +101,7 @@ def covered_contexts(cfg: Configuration, val: Valuation) -> int:
 
 @dataclass(frozen=True)
 class _Problem:
-    """Plain solver payload: picklable for the parallel refutation path."""
+    """One search instance, in plain ints and tuples: what _solve reads."""
 
     n: int
     adj: tuple[int, ...]              # neighbor bitmask per ray
@@ -235,13 +234,6 @@ def _solve(problem: _Problem) -> tuple[int | None, SolveStats]:
     return None, stats
 
 
-def _solve_refutation(args: tuple[_Problem, tuple[int, ...]]):
-    # module-level worker for the process pool
-    problem, excluded = args
-    mask, stats = _solve(problem)
-    return excluded, mask, stats.nodes, stats.propagations
-
-
 # --- colorability ----------------------------------------------------------
 
 
@@ -307,7 +299,7 @@ def _refutation_problem(base: _Problem, excluded: tuple[int, ...]) -> _Problem:
     return replace(base, must_cover=must, budget=0)
 
 
-def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> OptimizationResult:
+def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     """Maximum number of contexts with sum exactly 1 over REAL_EMBEDDED-
     admissible valuations, certified.
 
@@ -318,8 +310,8 @@ def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> Optimizat
     every set of at most C - best - 1 contexts allowed to stay uncovered,
     each an UNSAT budget-0 cover check (for the full configuration and
     best = 128 this is the 1 + 130 decomposition; the empty set is
-    ks_colorable's search).  Subproblems are independent; with threads > 1
-    they run in a process pool and are aggregated in subproblem order.
+    ks_colorable's search).  Subproblems are solved one after another, in
+    subproblem order; a satisfiable one raises InconsistentCertificates.
     """
     color = ks_colorable(cfg)
     n_ctx = len(cfg.contexts)
@@ -349,23 +341,15 @@ def maximize_covered_contexts(cfg: Configuration, threads: int = 1) -> Optimizat
     certificate: list[RefutationEntry] = []
     if max_excluded >= 0:
         certificate.append(RefutationEntry((), color.nodes, color.propagations))
-    subproblems: list[tuple[int, ...]] = []
     for size in range(1, max_excluded + 1):
-        subproblems.extend(combinations(range(n_ctx), size))
-
-    args = [(_refutation_problem(base, excl), excl) for excl in subproblems]
-    if threads > 1 and len(args) > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(_solve_refutation, args, chunksize=8))
-    else:
-        results = [_solve_refutation(a) for a in args]
-    for excluded, mask, nodes, props in results:
-        if mask is not None:
-            raise InconsistentCertificates(
-                f"subproblem excluding {excluded} is satisfiable, but the "
-                f"witness search says best = {best}"
-            )
-        certificate.append(RefutationEntry(excluded, nodes, props))
+        for excluded in combinations(range(n_ctx), size):
+            mask, stats = _solve(_refutation_problem(base, excluded))
+            if mask is not None:
+                raise InconsistentCertificates(
+                    f"subproblem excluding {excluded} is satisfiable, but the "
+                    f"witness search says best = {best}"
+                )
+            certificate.append(RefutationEntry(excluded, stats.nodes, stats.propagations))
 
     return OptimizationResult(
         best=best,

@@ -166,16 +166,6 @@ class TestCertify:
         assert code == EXIT_OK
         assert report["results"]["best"] == 1
 
-    def test_threads_flag_gives_same_report(self, capsys, rays_file):
-        code1 = main(["certify", "--rays", rays_file, "--mode", "maximize"])
-        out1 = capsys.readouterr().out
-        code2 = main(["certify", "--rays", rays_file, "--mode", "maximize",
-                      "--threads", "2"])
-        out2 = capsys.readouterr().out
-        assert code1 == code2 == EXIT_OK
-        r1, r2 = json.loads(out1), json.loads(out2)
-        assert r1["results"] == r2["results"]
-
 
 class TestReport:
     def test_full_reproduction(self, capsys, tmp_path):

@@ -2,6 +2,8 @@
 
 import hashlib
 import math
+import random
+import time
 
 import mpmath as mp
 import pytest
@@ -230,6 +232,36 @@ class TestRationalSearch:
         pa3 = rational_phase_search(full_config, 1009, "greedy-random", rng_seed=6)
         assert pa1.n == pa2.n
         assert pa1.n != pa3.n
+
+    def test_greedy_random_draws_as_list_choice(self, full_config):
+        # reference: rng.choice over the listed free residues of each ray
+        iadj = [[] for _ in range(full_config.n_rays)]
+        for i, j in sorted(full_config.imaginary_pairs):
+            iadj[j].append(i)
+        for k in (5, 7, 11, 13, 1009, 10007):
+            for seed in range(3):
+                rng = random.Random(seed)
+                ref = []
+                for m in range(full_config.n_rays):
+                    banned = {ref[j] % k for j in iadj[m]}
+                    allowed = [r for r in range(k) if r not in banned]
+                    if not allowed:
+                        ref = None
+                        break
+                    ref.append(rng.choice(allowed))
+                if ref is None:
+                    with pytest.raises(SearchExhausted):
+                        rational_phase_search(full_config, k, "greedy-random", rng_seed=seed)
+                else:
+                    pa = rational_phase_search(full_config, k, "greedy-random", rng_seed=seed)
+                    assert pa.n == tuple(ref)
+
+    def test_greedy_random_huge_k(self, full_config):
+        # K = 2^31 - 1 is prime; no step may take time or memory of order K
+        t0 = time.perf_counter()
+        pa = rational_phase_search(full_config, 2**31 - 1, "greedy-random", rng_seed=1)
+        assert time.perf_counter() - t0 < 1.0
+        assert all(0 <= n < 2**31 - 1 for n in pa.n)
 
     def test_backtracking_retries_earlier_rays(self):
         # ray 3 conflicts with rays 1 and 2 at K = 2, so ray 1 must move to 1

@@ -337,13 +337,6 @@ class TestMaximize:
         assert ids == opt.witness.ones()
         assert sum(1 for ln in lines if ln.startswith("refuted ")) == 131
 
-    def test_parallel_refutation_matches_sequential(self, full_config):
-        seq = maximize_covered_contexts(full_config, threads=1)
-        par = maximize_covered_contexts(full_config, threads=2)
-        assert seq.best == par.best
-        assert seq.certificate == par.certificate
-        assert seq.witness == par.witness
-
     def test_agreement_with_colorability(self, full_config):
         # UNSAT <=> best < context count
         opt = maximize_covered_contexts(full_config)
@@ -397,3 +390,45 @@ class TestOracleEquivalence:
             assert replay_certificate(sub, opt)
             checked += 1
         assert checked == 50
+
+
+def milp_best(cfg):
+    """Maximum covered contexts by scipy's HiGHS MILP: binary x_r per ray and
+    y_c per context, x_i + x_j <= 1 on every edge, y_c <= sum of x_r over the
+    rays of c, maximize the sum of y_c."""
+    optimize = pytest.importorskip("scipy.optimize")
+    n, m, n_edges = cfg.n_rays, len(cfg.contexts), len(cfg.edges)
+    a = np.zeros((n_edges + m, n + m))
+    for row, (i, j) in enumerate(sorted(cfg.edges)):
+        a[row, [i, j]] = 1
+    for c, ctx in enumerate(cfg.contexts):
+        a[n_edges + c, n + c] = 1
+        a[n_edges + c, list(ctx.ray_ids)] = -1
+    upper = np.concatenate([np.ones(n_edges), np.zeros(m)])
+    res = optimize.milp(
+        np.concatenate([np.zeros(n), -np.ones(m)]),
+        integrality=np.ones(n + m),
+        bounds=optimize.Bounds(0, 1),
+        constraints=optimize.LinearConstraint(a, -np.inf, upper),
+    )
+    assert res.status == 0, res.message
+    return round(-res.fun)
+
+
+class TestHighsOracle:
+    """A floating-point MILP cross-checks the exact certified optimum."""
+
+    def test_published_configuration(self, full_config):
+        assert milp_best(full_config) == maximize_covered_contexts(full_config).best == 128
+
+    def test_seeded_subconfigurations(self, full_config):
+        # unions of sampled contexts; the larger ones are not colourable
+        rng = random.Random(20251018)
+        uncolourable = 0
+        for n_sampled in (20, 35, 50, 55, 60, 65):
+            sampled = rng.sample(full_config.contexts, n_sampled)
+            sub = subconfiguration(full_config, sorted({r for c in sampled for r in c.ray_ids}))
+            opt = maximize_covered_contexts(sub)
+            assert milp_best(sub) == opt.best
+            uncolourable += opt.best < len(sub.contexts)
+        assert uncolourable >= 2
