@@ -32,8 +32,6 @@ from .configuration import (
 from .realify import (
     FaithfulnessReport,
     PhaseAssignment,
-    forbidden_phase_pair,
-    greedy_continuous_phases,
     is_spurious_exact,
     minimal_k_probe,
     phase_apply_export,

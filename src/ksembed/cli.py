@@ -330,7 +330,7 @@ def main(argv: list[str] | None = None) -> int:
     except (cfgmod.ParseError, cfgmod.DivergenceGuard, cfgmod.DuplicateRay,
             cfgmod.NonTriangleClique, cfgmod.ZeroVector,
             remod.InvalidK, remod.SearchExhausted, remod.PrecisionDisagreement,
-            valmod.InconsistentCertificates, valmod.SizeMismatch,
+            valmod.InconsistentCertificates, valmod.SizeMismatch, valmod.EngineError,
             OSError, ValueError) as exc:
         error = RunReport(command=args.command, inputs={}, status="error",
                           results={"error": f"{type(exc).__name__}: {exc}"})

@@ -4,9 +4,9 @@ The canonical coordinate-wise map preserves complex orthogonality for every
 phase choice, but non-orthogonal pairs can collapse onto spurious real
 orthogonality.  For a pair with inner product c != 0 the real dot product of
 the images is Re(e^{i(theta_l - theta_k)} c), so each pair forbids at most
-two phase differences.  This module provides the continuous greedy
-construction, the rational search theta_k = n_k*pi/K, and exact plus
-high-precision verification that an assignment is faithful.
+two phase differences.  This module provides the rational search
+theta_k = n_k*pi/K and exact plus high-precision verification that an
+assignment is faithful.
 
 The exact zero test rests on an algebraic fact: Re(e^{i*dn*pi/K} c) = 0 iff
 e^{2i*dn*pi/K} = -conj(c)/c.  The left side is a K-th root of unity; the
@@ -85,104 +85,6 @@ class FaithfulnessReport:
     @property
     def faithful(self) -> bool:
         return not self.spurious and not self.missing
-
-
-@dataclass(frozen=True)
-class ForbiddenPhases:
-    """The two phases of ray l excluded by a fixed theta_k and inner product
-    c != 0: theta_l = theta_k - arg(c) + pi/2 (mod pi), reported as the two
-    representatives mod 2*pi."""
-
-    c: EisensteinInt
-    theta_k: float
-    angles: tuple[float, float]
-
-    def contains(self, theta: float, margin: float = 1e-12) -> bool:
-        return any(_circle_dist(theta, a) <= margin for a in self.angles)
-
-
-def _circle_dist(x: float, y: float) -> float:
-    d = abs(x - y) % (2 * math.pi)
-    return min(d, 2 * math.pi - d)
-
-
-def _arg(c: EisensteinInt) -> float:
-    re = c.a - c.b / 2
-    im = c.b * math.sqrt(3) / 2
-    return math.atan2(im, re)
-
-
-def forbidden_phase_pair(c: EisensteinInt, theta_k: float = 0.0) -> ForbiddenPhases:
-    """The two forbidden values of theta_l for a pair with inner product c.
-
-    Raises ZeroInnerProduct when c = 0 (orthogonal pairs forbid nothing).
-    """
-    if c.is_zero():
-        raise ZeroInnerProduct("orthogonal pair has no forbidden phases")
-    phi = _arg(c)
-    a0 = (theta_k - phi + math.pi / 2) % (2 * math.pi)
-    a1 = (theta_k - phi + 3 * math.pi / 2) % (2 * math.pi)
-    return ForbiddenPhases(c=c, theta_k=theta_k, angles=(a0, a1))
-
-
-def greedy_continuous_phases(
-    cfg: Configuration,
-    rng_seed: int = 0,
-    margin: float = 1e-6,
-) -> list[float]:
-    """Inductive continuous phase choice: theta_0 = 0, each later theta drawn
-    uniformly from the circle minus a ``margin`` neighbourhood of the finite
-    forbidden set accumulated against earlier rays.
-
-    The forbidden set for ray m holds at most 2m points, so for margin below
-    pi/(2*deg) a valid sample always exists; the margin halves automatically
-    if rejection sampling stalls.  The returned phases pass a floating-point
-    faithfulness check: every non-orthogonal pair keeps a normalized dot
-    product above 1e-8.
-    """
-    rng = random.Random(rng_seed)
-    n = cfg.n_rays
-    thetas: list[float] = [0.0]
-    for m in range(1, n):
-        forbidden: list[float] = []
-        for k in range(m):
-            c = cfg.pair_inner(k, m)
-            if c.is_zero():
-                continue
-            forbidden.extend(forbidden_phase_pair(c, thetas[k]).angles)
-        eps = margin
-        while True:
-            for _ in range(200):
-                theta = rng.uniform(0.0, 2 * math.pi)
-                if all(_circle_dist(theta, f) > eps for f in forbidden):
-                    break
-            else:
-                eps /= 2
-                continue
-            break
-        thetas.append(theta)
-    _float_faithfulness_check(cfg, thetas)
-    return thetas
-
-
-def _float_faithfulness_check(cfg: Configuration, thetas: list[float],
-                              min_dot: float = 1e-8) -> None:
-    sqrt3 = math.sqrt(3)
-    for i in range(cfg.n_rays):
-        for j in range(i + 1, cfg.n_rays):
-            c = cfg.pair_inner(i, j)
-            if c.is_zero():
-                continue
-            re = c.a - c.b / 2
-            im = c.b * sqrt3 / 2
-            dth = thetas[j] - thetas[i]
-            val = re * math.cos(dth) - im * math.sin(dth)
-            scale = math.sqrt(cfg.rays[i].sq_norm * cfg.rays[j].sq_norm)
-            if abs(val) / scale <= min_dot:
-                raise RuntimeError(
-                    f"continuous phases too close to spurious orthogonality "
-                    f"on pair ({i}, {j}): |dot| = {abs(val) / scale:.3e}"
-                )
 
 
 def is_spurious_exact(c: EisensteinInt, dn: int, k: int) -> bool:

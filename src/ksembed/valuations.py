@@ -8,12 +8,14 @@ its sum relaxes to at most 1.
 
 The solver is an in-repo propagation/backtracking engine (no external
 dependencies, so certificates replay from this module alone).  Assignments
-are bitmasks over rays; the must-cover contexts are bitmasks over their
-positions in the must-cover list, with bit-sliced zero counters (at least
-one, at least two, all three rays zero) updated as each ray is zeroed.
-Setting a ray to 1 zeroes its neighbors in bulk; all-zero contexts count
+are bitmasks over rays, relabelled by branching rank so the branch ray is
+the lowest free bit.  Contexts are bitmasks over their indices, one per
+slot: the contexts whose first, second or third ray is zero.  Neighbor
+tables, built once per configuration, turn setting a ray to 1 (which zeroes
+its neighbors) into one OR per mask, with no loop over the neighbors.  The
+contexts to cover are a set of indices; all-zero contexts among them count
 against an uncovered budget, and once the budget is saturated the third ray
-of every open two-zero context is forced to 1, lowest position first.
+of every open two-zero context is forced to 1, lowest index first.
 """
 
 from __future__ import annotations
@@ -31,6 +33,10 @@ class SizeMismatch(ValueError):
 
 class InconsistentCertificates(RuntimeError):
     """Optimum and colorability certificates contradict each other."""
+
+
+class EngineError(RuntimeError):
+    """The search engine failed one of its own checks."""
 
 
 class ModelKind(Enum):
@@ -100,8 +106,67 @@ def covered_contexts(cfg: Configuration, val: Valuation) -> int:
 
 
 @dataclass(frozen=True)
+class _Tables:
+    """A configuration as _solve reads it: ray ``order[i]`` is bit i (rays
+    relabelled by branching rank), contexts keep their indices.
+
+    ``slot[k][r]`` holds the contexts whose k-th ray is r, ``near[k][r]`` the
+    OR of ``slot[k][s]`` over the neighbors s of r (the k-th slots zeroed
+    when r goes to 1), and ``cover[r]`` the contexts of r.
+    """
+
+    source: tuple                     # the (adj, contexts, order) described
+    adj: tuple[int, ...]
+    rays: tuple[tuple[int, int, int], ...]
+    slot: tuple[tuple[int, ...], ...]
+    near: tuple[tuple[int, ...], ...]
+    cover: tuple[int, ...]
+
+
+def _build_tables(adj, contexts, order) -> _Tables:
+    rank = [0] * len(adj)
+    for i, r in enumerate(order):
+        rank[r] = i
+    rays = tuple(tuple(rank[r] for r in ctx) for ctx in contexts)
+    slot = tuple([0] * len(adj) for _ in range(3))
+    for c, ctx in enumerate(rays):
+        for k, r in enumerate(ctx):
+            slot[k][r] |= 1 << c
+    s0, s1, s2 = slot
+    radj, n0, n1, n2 = [], [], [], []
+    for r in order:
+        m = adj[r]
+        out = a = b = c = 0
+        while m:
+            top = m.bit_length() - 1
+            s = rank[top]
+            out |= 1 << s
+            a |= s0[s]
+            b |= s1[s]
+            c |= s2[s]
+            m ^= 1 << top
+        radj.append(out)
+        n0.append(a)
+        n1.append(b)
+        n2.append(c)
+    return _Tables(
+        source=(adj, contexts, order),
+        adj=tuple(radj),
+        rays=rays,
+        slot=tuple(map(tuple, slot)),
+        near=(tuple(n0), tuple(n1), tuple(n2)),
+        cover=tuple(a | b | c for a, b, c in zip(s0, s1, s2)),
+    )
+
+
+@dataclass(frozen=True)
 class _Problem:
-    """One search instance, in plain ints and tuples: what _solve reads."""
+    """One search instance, in plain ints and tuples: what _solve reads.
+
+    ``must_cover`` is a set of context indices, stored sorted.  ``tables``
+    is built once from adj, contexts and order, and ``dataclasses.replace``
+    carries it to every subproblem that keeps those three.
+    """
 
     n: int
     adj: tuple[int, ...]              # neighbor bitmask per ray
@@ -109,6 +174,13 @@ class _Problem:
     must_cover: tuple[int, ...]       # context indices forced to sum to 1
     budget: int                       # must-cover contexts allowed to go all-zero
     order: tuple[int, ...]            # branching order
+    tables: _Tables | None = field(default=None, compare=False, repr=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "must_cover", tuple(sorted(set(self.must_cover))))
+        source = (self.adj, self.contexts, self.order)
+        if self.tables is None or any(a is not b for a, b in zip(self.tables.source, source)):
+            object.__setattr__(self, "tables", _build_tables(*source))
 
 
 def _make_problem(cfg: Configuration, must_cover, budget: int) -> _Problem:
@@ -123,7 +195,7 @@ def _make_problem(cfg: Configuration, must_cover, budget: int) -> _Problem:
         n=n,
         adj=tuple(adj),
         contexts=tuple(tuple(ctx.ray_ids) for ctx in cfg.contexts),
-        must_cover=tuple(sorted(must_cover)),
+        must_cover=must_cover,
         budget=budget,
         order=tuple(order),
     )
@@ -144,94 +216,79 @@ def _solve(problem: _Problem) -> tuple[int | None, SolveStats]:
     is a conflict, and at the budget every open two-zero must-cover context
     forces its third ray to 1.
 
-    A state is (ones, zeros, covered, z1, z2, z3).  The last four are
-    bitmasks over positions p in ``must_cover``: covered has a ray set to 1,
-    and z1, z2, z3 have at least one, at least two, and all three rays
-    zero.  Zeroing a ray adds one to the counters of its contexts, so no
-    step rescans the contexts.  The forcing sweep takes the lowest open
-    two-zero position at or above a floor that moves past each forced
-    context: the order of a scan of ``must_cover`` that forces as it goes
-    (a force that opens an earlier context is taken up by the next sweep),
-    so node and propagation counts, and every certificate, follow that scan.
+    A state is (ones, zeros, covered, z0, z1, z2): ones and zeros over rays
+    in rank order, the rest over context indices.  covered has a ray set to 1
+    (contexts outside ``must_cover`` start there), and zk has its k-th ray
+    zero, so z0 & z1 & z2 is all-zero and z0 ^ z1 ^ z2 ^ (z0 | z1 | z2)
+    exactly two-zero.  Setting r to 0 ORs ``slot[k][r]`` into zk; setting it
+    to 1 ORs adj[r] into zeros and ``near[k][r]`` into zk, with no loop over
+    the neighbors.  The branch ray is the lowest free bit.  The forcing
+    sweep takes the lowest open two-zero context at or above a floor that
+    moves past each forced context: the order of a scan of ``must_cover``
+    that forces as it goes (a force that opens an earlier context is taken
+    up by the next sweep), so node and propagation counts, and every
+    certificate, follow that scan.
     """
-    adj = problem.adj
+    t = problem.tables
+    adj, rays, cover = t.adj, t.rays, t.cover
+    s0, s1, s2 = t.slot
+    n0, n1, n2 = t.near
     budget = problem.budget
-    order = problem.order
     full = (1 << problem.n) - 1
-    stats = SolveStats()
-    member = [0] * problem.n  # per ray: the positions of its contexts
-    cmask = []                # per position: the context's rays
-    for p, ci in enumerate(problem.must_cover):
-        m = 0
-        for r in problem.contexts[ci]:
-            member[r] |= 1 << p
-            m |= 1 << r
-        cmask.append(m)
-
-    def zero(st, new: int):
-        # new: rays not yet zero; each bumps the counters of its contexts
-        ones, zeros, covered, z1, z2, z3 = st
-        zeros |= new
-        while new:
-            low = new & -new
-            m = member[low.bit_length() - 1]
-            z3 |= z2 & m
-            z2 |= z1 & m
-            z1 |= m
-            new ^= low
-        return ones, zeros, covered, z1, z2, z3
-
-    def assign_one(st, r: int):
-        ones, zeros = st[0], st[1]
-        if (zeros >> r) & 1 or adj[r] & ones:
-            return None
-        _, zeros, covered, z1, z2, z3 = zero(st, adj[r] & ~zeros)
-        return ones | (1 << r), zeros, covered | member[r], z1, z2, z3
-
-    def propagate(st):
-        while True:
-            uncovered = (st[5] & ~st[2]).bit_count()  # z3 & ~covered
-            if uncovered > budget:
-                return None
-            if uncovered < budget:
-                return st
-            # one sweep: contexts that open below the floor wait for the next
-            floor = 0
-            while True:
-                _, zeros, covered, _, z2, z3 = st
-                open2 = (z2 & ~z3 & ~covered) >> floor
-                if not open2:
-                    break
-                p = floor + (open2 & -open2).bit_length() - 1
-                st = assign_one(st, (cmask[p] & ~zeros).bit_length() - 1)
-                if st is None:
-                    return None
-                stats.propagations += 1
-                floor = p + 1
-            if not floor:  # nothing forced
-                return st
-
+    covered = (1 << len(rays)) - 1
+    for c in problem.must_cover:
+        covered &= ~(1 << c)
+    nodes = propagations = 0
     # depth-first over an explicit stack of open states: the 0-branch is
     # pushed under the 1-branch, so the 1-subtree is exhausted first, as in
     # the recursive formulation, and the counts match it
-    stack = [(0, 0, 0, 0, 0, 0)]
+    stack = [(0, 0, covered, 0, 0, 0)]
     while stack:
-        st = propagate(stack.pop())
-        if st is None:
+        ones, zeros, covered, z0, z1, z2 = stack.pop()
+        while True:  # propagate
+            uncovered = (z0 & z1 & z2 & ~covered).bit_count()
+            if uncovered != budget:  # over it a conflict, under it no force
+                break
+            # one sweep: contexts that open below the floor wait for the next
+            floor = 0
+            while True:
+                open2 = ((z0 ^ z1 ^ z2 ^ (z0 | z1 | z2)) & ~covered) >> floor
+                if not open2:
+                    break
+                c = floor + (open2 & -open2).bit_length() - 1
+                i, j, k = rays[c]
+                r = k if (z0 >> c) & (z1 >> c) & 1 else j if (z0 >> c) & 1 else i
+                # r is free (its slot is not zero and c is open), so only a
+                # neighbor set to 1 blocks it: a conflict, as over budget
+                if adj[r] & ones:
+                    uncovered = budget + 1
+                    break
+                ones |= 1 << r
+                zeros |= adj[r]
+                covered |= cover[r]
+                z0 |= n0[r]
+                z1 |= n1[r]
+                z2 |= n2[r]
+                propagations += 1
+                floor = c + 1
+            if uncovered > budget or not floor:
+                break
+        if uncovered > budget:
             continue
-        stats.nodes += 1
-        ones, zeros = st[0], st[1]
+        nodes += 1
         free = full & ~ones & ~zeros
         if not free:
-            return ones, stats
-        for r in order:
-            if (free >> r) & 1:
-                break
-        stack.append(zero(st, 1 << r))
-        st1 = assign_one(st, r)
-        if st1 is not None:
-            stack.append(st1)
-    return None, stats
+            mask = 0
+            for i, ray in enumerate(problem.order):
+                mask |= (ones >> i & 1) << ray
+            return mask, SolveStats(nodes, propagations)
+        bit = free & -free
+        r = bit.bit_length() - 1
+        stack.append((ones, zeros | bit, covered, z0 | s0[r], z1 | s1[r], z2 | s2[r]))
+        if not adj[r] & ones:
+            stack.append((ones | bit, zeros | adj[r], covered | cover[r],
+                          z0 | n0[r], z1 | n1[r], z2 | n2[r]))
+    return None, SolveStats(nodes, propagations)
 
 
 # --- colorability ----------------------------------------------------------
@@ -264,7 +321,7 @@ def ks_colorable(cfg: Configuration) -> ColorabilityResult:
     witness = Valuation.from_mask(mask, cfg.n_rays)
     bad = check_valuation(cfg, witness, ModelKind.COMPLEX_MAXIMAL)
     if bad:
-        raise RuntimeError(f"engine returned an inadmissible witness: {bad[:3]}")
+        raise EngineError(f"engine returned an inadmissible witness: {bad[:3]}")
     return ColorabilityResult(True, witness, stats.nodes, stats.propagations)
 
 
@@ -293,10 +350,9 @@ class OptimizationResult:
 
 def _refutation_problem(base: _Problem, excluded: tuple[int, ...]) -> _Problem:
     """The budget-0 subproblem that covers every context but ``excluded``;
-    ``base`` carries the adjacency and branching order of the configuration."""
-    skip = set(excluded)
-    must = tuple(c for c in range(len(base.contexts)) if c not in skip)
-    return replace(base, must_cover=must, budget=0)
+    ``base`` carries the tables of the configuration."""
+    return replace(base, must_cover=set(range(len(base.contexts))).difference(excluded),
+                   budget=0)
 
 
 def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
@@ -323,7 +379,7 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     while witness is None:
         budget += 1
         if budget > n_ctx:
-            raise RuntimeError("budget escalation exceeded the context count")
+            raise EngineError("budget escalation exceeded the context count")
         mask, stats = _solve(replace(base, budget=budget))
         escalation_nodes += stats.nodes
         if mask is not None:
@@ -332,7 +388,7 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     best = covered_contexts(cfg, witness)
     bad = check_valuation(cfg, witness, ModelKind.REAL_EMBEDDED)
     if bad:
-        raise RuntimeError(f"engine returned an inadmissible witness: {bad[:3]}")
+        raise EngineError(f"engine returned an inadmissible witness: {bad[:3]}")
 
     # refute best+1 .. n_ctx: every subset of <= n_ctx - best - 1 contexts
     # may be surrendered, the rest must all be covered (best < n_ctx only if

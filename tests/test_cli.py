@@ -166,6 +166,28 @@ class TestCertify:
         assert code == EXIT_OK
         assert report["results"]["best"] == 1
 
+    @pytest.mark.parametrize("mode, fake, message", [
+        # an all-ones witness breaks exclusivity
+        ("color", lambda p: ((1 << p.n) - 1, valuations.SolveStats()),
+         "inadmissible witness"),
+        ("maximize", lambda p: (None if p.budget == 0 else (1 << p.n) - 1,
+                                valuations.SolveStats()),
+         "inadmissible witness"),
+        # nothing is ever satisfiable: escalation passes the context count
+        ("maximize", lambda p: (None, valuations.SolveStats()),
+         "exceeded the context count"),
+    ])
+    def test_engine_error_is_a_json_status(self, capsys, tmp_path, monkeypatch,
+                                           mode, fake, message):
+        toy = tmp_path / "toy.txt"
+        toy.write_text("1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n")
+        monkeypatch.setattr(valuations, "_solve", fake)
+        code, report = run(capsys, "certify", "--rays", str(toy), "--mode", mode)
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert report["results"]["error"].startswith("EngineError: ")
+        assert message in report["results"]["error"]
+
 
 class TestReport:
     def test_full_reproduction(self, capsys, tmp_path):

@@ -1,7 +1,6 @@
 """Phase search and faithfulness verification, exact and high-precision."""
 
 import hashlib
-import math
 import random
 import time
 
@@ -24,8 +23,6 @@ from ksembed.realify import (
     SearchExhausted,
     ZeroInnerProduct,
     _backtracking_search,
-    forbidden_phase_pair,
-    greedy_continuous_phases,
     is_spurious_exact,
     load_phases,
     minimal_k_probe,
@@ -36,8 +33,6 @@ from ksembed.realify import (
     scan_spurious_zero_phases,
     verify_faithful,
 )
-
-TAU = 2 * math.pi
 
 
 def unvalidated_config(*vecs) -> Configuration:
@@ -66,76 +61,6 @@ def unvalidated_config(*vecs) -> Configuration:
 IMAGINARY_PAIR = unvalidated_config(
     VecC3.make(1, 1, 0), VecC3.make(1, 2 * OMEGA, 0)
 )  # inner product 1 + 2w = i*sqrt(3)
-
-
-class TestForbiddenPhases:
-    def test_real_positive_inner_product(self):
-        fp = forbidden_phase_pair(EisensteinInt(1, 0), theta_k=0.0)
-        assert sorted(fp.angles) == pytest.approx([math.pi / 2, 3 * math.pi / 2])
-
-    def test_purely_imaginary_inner_product(self):
-        fp = forbidden_phase_pair(EisensteinInt(1, 2), theta_k=0.0)
-        assert sorted(fp.angles) == pytest.approx([0.0, math.pi], abs=1e-12)
-
-    def test_sign_flip_same_set(self):
-        plus = forbidden_phase_pair(EisensteinInt(1, 0), 0.0)
-        minus = forbidden_phase_pair(EisensteinInt(-1, 0), 0.0)
-        assert sorted(plus.angles) == pytest.approx(sorted(minus.angles))
-
-    def test_theta_k_offset(self):
-        base = forbidden_phase_pair(EisensteinInt(1, 0), 0.0)
-        shifted = forbidden_phase_pair(EisensteinInt(1, 0), 0.3)
-        assert sorted((a - 0.3) % TAU for a in shifted.angles) == pytest.approx(
-            sorted(base.angles)
-        )
-
-    def test_zero_inner_product_rejected(self):
-        with pytest.raises(ZeroInnerProduct):
-            forbidden_phase_pair(EisensteinInt(0, 0), 0.0)
-
-    def test_contains_membership(self):
-        fp = forbidden_phase_pair(EisensteinInt(1, 0), 0.0)
-        assert fp.contains(math.pi / 2)
-        assert fp.contains(3 * math.pi / 2 + 1e-15, margin=1e-12)
-        assert not fp.contains(0.0)
-
-
-class TestGreedyContinuous:
-    def test_orthogonal_configuration_keeps_zero_phases_viable(self):
-        cfg = configuration_from_vectors(mub_bases()[0])
-        thetas = greedy_continuous_phases(cfg, rng_seed=1)
-        assert thetas[0] == 0.0
-        assert len(thetas) == 3
-
-    def test_avoids_forbidden_values(self):
-        cfg = unvalidated_config(VecC3.make(1, 0, 0), VecC3.make(1, 1, 0))
-        # c = 1: theta_2 must avoid {pi/2, 3pi/2}
-        for seed in range(5):
-            thetas = greedy_continuous_phases(cfg, rng_seed=seed)
-            for bad in (math.pi / 2, 3 * math.pi / 2):
-                assert abs(thetas[1] - bad) > 1e-6
-
-    def test_full_configuration_floating_faithful(self, full_config):
-        thetas = greedy_continuous_phases(full_config, rng_seed=7)
-        assert len(thetas) == 165
-        # the helper raises if any normalized |dot| <= 1e-8; recheck the
-        # minimum here independently
-        sqrt3 = math.sqrt(3)
-        min_dot = float("inf")
-        for i in range(165):
-            for j in range(i + 1, 165):
-                c = full_config.pair_inner(i, j)
-                if c.is_zero():
-                    continue
-                re = c.a - c.b / 2
-                im = c.b * sqrt3 / 2
-                dth = thetas[j] - thetas[i]
-                val = abs(re * math.cos(dth) - im * math.sin(dth))
-                scale = math.sqrt(
-                    full_config.rays[i].sq_norm * full_config.rays[j].sq_norm
-                )
-                min_dot = min(min_dot, val / scale)
-        assert min_dot > 1e-8
 
 
 class TestSpuriousExact:

@@ -1,14 +1,18 @@
 """Valuation checking, colorability, certified maximization, oracle equivalence."""
 
 import random
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ksembed import valuations
 from ksembed.configuration import (
     configuration_from_vectors,
+    ingest_rays,
     mub_bases,
     subconfiguration,
 )
@@ -20,6 +24,7 @@ from ksembed.valuations import (
     SolveStats,
     Valuation,
     _Problem,
+    _make_problem,
     _solve,
     check_valuation,
     covered_contexts,
@@ -189,6 +194,50 @@ class TestEngineAgainstScan:
         assert solve_counts(_solve, problem) == (585, 6, 3)
 
 
+class TestEngineProblem:
+    def test_must_cover_is_a_set(self, full_config):
+        base = _make_problem(full_config, range(130), budget=0)
+        rng = random.Random(6)
+        for must, budget in ((range(130), 2), (sorted(rng.sample(range(130), 100)), 0)):
+            shuffled = list(must)
+            rng.shuffle(shuffled)
+            # hand-built, so it builds its own tables
+            permuted = _Problem(n=base.n, adj=base.adj, contexts=base.contexts,
+                                must_cover=shuffled + shuffled[:5], budget=budget,
+                                order=base.order)
+            assert permuted.must_cover == tuple(must)
+            assert solve_counts(_solve, permuted) == solve_counts(
+                _solve, replace(base, must_cover=must, budget=budget))
+
+    def test_tables_built_once_per_problem(self, full_config, monkeypatch):
+        calls = {"problems": 0, "tables": 0, "solves": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(valuations, "_make_problem",
+                            counting("problems", valuations._make_problem))
+        monkeypatch.setattr(valuations, "_build_tables",
+                            counting("tables", valuations._build_tables))
+        monkeypatch.setattr(valuations, "_solve", counting("solves", valuations._solve))
+        opt = maximize_covered_contexts(full_config)
+        assert replay_certificate(full_config, opt)
+        # colourability, escalation to budget 2, 130 + 131 refutations
+        assert calls["solves"] == 264
+        assert 0 < calls["tables"] <= calls["problems"]
+
+    def test_replacing_the_rays_rebuilds_the_tables(self, full_config):
+        base = _make_problem(full_config, range(130), budget=0)
+        reordered = replace(base, order=base.order[::-1])
+        assert reordered.tables is not base.tables
+        fresh = _Problem(n=base.n, adj=base.adj, contexts=base.contexts,
+                         must_cover=range(130), budget=0, order=base.order[::-1])
+        assert solve_counts(_solve, reordered) == solve_counts(_solve, fresh)
+
+
 class TestCheckValuation:
     def test_all_zero_real_embedded_admissible(self, full_config):
         violations = check_valuation(
@@ -262,6 +311,15 @@ class TestColorability:
         r1 = ks_colorable(full_config)
         r2 = ks_colorable(full_config)
         assert (r1.nodes, r1.propagations) == (r2.nodes, r2.propagations)
+
+    def test_stress_configuration_unsat(self):
+        # the 741-ray, 490-context closure at norm bound 18, as committed for
+        # the benchmark
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rays741.txt"
+        cfg = ingest_rays(path.read_text())
+        assert (cfg.n_rays, len(cfg.contexts)) == (741, 490)
+        res = ks_colorable(cfg)
+        assert (res.satisfiable, res.nodes, res.propagations) == (False, 11, 865)
 
     def test_contextless_configuration_rejected(self, full_config):
         lonely = subconfiguration(full_config, [0, 1])
