@@ -4,7 +4,6 @@ configuration built from four mutually unbiased bases."""
 
 from .exact import (
     EisensteinInt,
-    EisRational,
     QuadReal,
     VecC3,
     VecR6,

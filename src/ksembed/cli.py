@@ -7,13 +7,14 @@ code: 0 ok, 2 discrepancy (a paper-anchored expectation failed), 1 error.
 The paper-anchored expectations are named checks, individually switchable
 with --expect/--no-expect so the tool stays useful on other configurations:
 
-  rays165       generated/ingested configuration has 165 rays
+  rays165       generated configuration has 165 rays
   contexts130   ... and 130 contexts
   uncolorable   colorability search returns UNSAT
   best128       maximum number of covered contexts is 128
 
 By default a check runs only at the paper's scale (generate from the MUB
-seed, certify on a 165-ray configuration).
+seed, certify on a 165-ray configuration).  Forcing on a check that the
+command, or certify's mode, never evaluates (CHECKS_RUN) is an error.
 """
 
 from __future__ import annotations
@@ -30,6 +31,16 @@ from . import realify as remod
 from . import valuations as valmod
 
 KNOWN_CHECKS = ("rays165", "contexts130", "uncolorable", "best128")
+
+#: the checks each command, and each certify mode, evaluates
+CHECKS_RUN = {
+    "generate": ("rays165", "contexts130"),
+    "realify": (),
+    "certify --mode color": ("uncolorable",),
+    "certify --mode maximize": ("best128",),
+    "certify --mode all": ("uncolorable", "best128"),
+    "report": KNOWN_CHECKS,
+}
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -50,7 +61,7 @@ class RunReport:
         if not ok:
             self.status = "discrepancy"
 
-    def to_json(self, include_timing: bool = False) -> str:
+    def to_json(self) -> str:
         payload = {
             "command": self.command,
             "inputs": self.inputs,
@@ -58,8 +69,6 @@ class RunReport:
             "checks": self.checks,
             "status": self.status,
         }
-        if include_timing:
-            payload["timing"] = self.timing
         return json.dumps(payload, indent=2, sort_keys=True)
 
     @property
@@ -70,10 +79,16 @@ class RunReport:
 class _Expectations:
     """Resolve which named checks are active for this run."""
 
-    def __init__(self, forced_on: list[str], forced_off: list[str]):
+    def __init__(self, forced_on: list[str], forced_off: list[str], run_by: str):
         for name in forced_on + forced_off:
             if name not in KNOWN_CHECKS:
                 raise ValueError(f"unknown check {name!r}; known: {KNOWN_CHECKS}")
+        evaluated = CHECKS_RUN[run_by]
+        skipped = [name for name in forced_on if name not in evaluated]
+        if skipped:
+            raise ValueError(f"{run_by} never evaluates forced check(s) "
+                             f"{', '.join(skipped)}; it evaluates: "
+                             f"{', '.join(evaluated) or 'none'}")
         self.on = set(forced_on)
         self.off = set(forced_off)
 
@@ -325,7 +340,8 @@ COMMANDS = {
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        expects = _Expectations(args.expect, args.no_expect)
+        run_by = args.command + (f" --mode {args.mode}" if args.command == "certify" else "")
+        expects = _Expectations(args.expect, args.no_expect, run_by)
         report = COMMANDS[args.command](args, expects)
     except (cfgmod.ParseError, cfgmod.DivergenceGuard, cfgmod.DuplicateRay,
             cfgmod.NonTriangleClique, cfgmod.ZeroVector,

@@ -20,7 +20,6 @@ from .exact import (
     EisensteinInt,
     Flat,
     VecC3,
-    eis_gcd,
     flat_canonical,
     flat_conj_cross,
     flat_inner_row,
@@ -72,14 +71,6 @@ def _canonical_flat(v: VecC3) -> Flat:
     if not any(f):
         raise ZeroVector("cannot canonicalize the zero vector")
     return flat_canonical(f)
-
-
-def is_content_free(v: VecC3) -> bool:
-    """True iff the coordinates have no common Z[w] divisor of norm > 1."""
-    g = E_ZERO
-    for z in v:
-        g = eis_gcd(g, z)
-    return g.is_unit()
 
 
 def mub_bases() -> list[list[VecC3]]:
@@ -382,16 +373,3 @@ def ingest_rays(text: str) -> Configuration:
             )
     return cfg
 
-
-def export_edges(cfg: Configuration) -> str:
-    """Edge report: one sorted id pair per line."""
-    lines = [f"# {len(cfg.edges)} edges"]
-    lines += [f"{i} {j}" for i, j in sorted(cfg.edges)]
-    return "\n".join(lines) + "\n"
-
-
-def export_contexts(cfg: Configuration) -> str:
-    """Context report: one sorted id triple per line."""
-    lines = [f"# {len(cfg.contexts)} contexts"]
-    lines += [" ".join(map(str, ctx.ray_ids)) for ctx in cfg.contexts]
-    return "\n".join(lines) + "\n"

@@ -64,9 +64,6 @@ class EisensteinInt:
     def is_zero(self) -> bool:
         return self.a == 0 and self.b == 0
 
-    def is_unit(self) -> bool:
-        return self.norm() == 1
-
     def re_im(self) -> tuple[QuadReal, QuadReal]:
         """Exact real and imaginary parts: (a - b/2, (b/2)*sqrt(3))."""
         return (
@@ -113,82 +110,6 @@ def re_im(a: int, b: int, c: int) -> tuple[QuadReal, QuadReal]:
     """
     re, im = EisensteinInt.from_triple(a, b, c).re_im()
     return re, im
-
-
-def eis_divmod(z: EisensteinInt, w: EisensteinInt) -> tuple[EisensteinInt, EisensteinInt]:
-    """Euclidean division in Z[w]: z = q*w + r with norm(r) < norm(w).
-
-    Uses nearest-integer rounding of the exact quotient coordinates; Z[w] is
-    norm-Euclidean so the remainder bound always holds.
-    """
-    n = w.norm()
-    if n == 0:
-        raise ZeroDivisionError("division by zero in Z[w]")
-    t = z * w.conjugate()
-
-    def round_div(x: int, d: int) -> int:
-        # nearest integer, ties toward +infinity; any tie rule works here
-        return (2 * x + d) // (2 * d)
-
-    q = EisensteinInt(round_div(t.a, n), round_div(t.b, n))
-    r = z - q * w
-    return q, r
-
-
-def eis_gcd(z: EisensteinInt, w: EisensteinInt) -> EisensteinInt:
-    """A greatest common divisor in Z[w] (unique up to the six units)."""
-    while not w.is_zero():
-        _, r = eis_divmod(z, w)
-        z, w = w, r
-    return z
-
-
-@dataclass(frozen=True, slots=True)
-class EisRational:
-    """An element of Q(w) written as num / den with num in Z[w] and den a
-    positive integer; kept reduced so gcd(num.a, num.b, den) = 1."""
-
-    num: EisensteinInt
-    den: int
-
-    @classmethod
-    def make(cls, num: EisensteinInt, den: int) -> EisRational:
-        if den == 0:
-            raise ZeroDivisionError("EisRational with zero denominator")
-        if den < 0:
-            num, den = -num, -den
-        g = gcd(gcd(abs(num.a), abs(num.b)), den)
-        if g > 1:
-            num = EisensteinInt(num.a // g, num.b // g)
-            den //= g
-        return cls(num, den)
-
-    @classmethod
-    def divide(cls, z: EisensteinInt, w: EisensteinInt) -> EisRational:
-        """Exact quotient z / w in Q(w), via z*conj(w) / norm(w)."""
-        n = w.norm()
-        if n == 0:
-            raise ZeroDivisionError("division by zero in Q(w)")
-        return cls.make(z * w.conjugate(), n)
-
-    def __add__(self, other: EisRational) -> EisRational:
-        return EisRational.make(
-            self.num * other.den + other.num * self.den, self.den * other.den
-        )
-
-    def __mul__(self, other: EisRational | EisensteinInt | int) -> EisRational:
-        if isinstance(other, EisRational):
-            return EisRational.make(self.num * other.num, self.den * other.den)
-        return EisRational.make(self.num * other, self.den)
-
-    def __neg__(self) -> EisRational:
-        return EisRational(-self.num, self.den)
-
-    def is_zero(self) -> bool:
-        return self.num.is_zero()
-
-    def __repr__(self) -> str:
-        return f"EisRational({self.num!r}, {self.den})"
 
 
 @dataclass(frozen=True, slots=True)

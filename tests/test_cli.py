@@ -84,6 +84,38 @@ class TestGenerate:
         assert not target.parent.exists()
 
 
+class TestForcedChecks:
+    @pytest.mark.parametrize("argv, skipped", [
+        (["generate", "--seed-choice", "basis-only", "--expect", "uncolorable"],
+         ["uncolorable"]),
+        (["realify", "--expect", "rays165"], ["rays165"]),
+        (["certify", "--mode", "color", "--expect", "best128", "--expect", "rays165"],
+         ["best128", "rays165"]),
+        (["certify", "--mode", "maximize", "--expect", "uncolorable"], ["uncolorable"]),
+        (["certify", "--mode", "all", "--expect", "contexts130"], ["contexts130"]),
+    ])
+    def test_check_the_command_never_evaluates_is_an_error(self, capsys, tmp_path,
+                                                           argv, skipped):
+        toy = tmp_path / "toy.txt"
+        toy.write_text("1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n")
+        out = tmp_path / "rays.txt"
+        source = ["--out", str(out)] if argv[0] == "generate" else ["--rays", str(toy)]
+        code, report = run(capsys, argv[0], *source, *argv[1:])
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        for name in skipped:
+            assert name in report["results"]["error"]
+        assert not out.exists()
+
+    def test_evaluated_check_forced_on_toy_input(self, capsys, tmp_path):
+        toy = tmp_path / "toy.txt"
+        toy.write_text("1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n")
+        code, report = run(capsys, "certify", "--rays", str(toy), "--mode", "maximize",
+                           "--expect", "best128")
+        assert code == EXIT_DISCREPANCY
+        assert [c["name"] for c in report["checks"]] == ["best128"]
+
+
 class TestRealify:
     def test_default_run(self, capsys, rays_file, tmp_path):
         phases = tmp_path / "phases.txt"

@@ -2,6 +2,8 @@
 
 import random
 import warnings
+from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given
@@ -16,11 +18,8 @@ from ksembed.configuration import (
     canonicalize,
     closure_generate,
     configuration_from_vectors,
-    export_contexts,
-    export_edges,
     export_rays,
     ingest_rays,
-    is_content_free,
     is_unbiased,
     mub_bases,
     mub_seed,
@@ -31,7 +30,6 @@ from ksembed.exact import (
     OMEGA,
     OMEGA2,
     EisensteinInt,
-    EisRational,
     VecC3,
     cross,
     hermitian_inner,
@@ -48,13 +46,13 @@ nonzero_vec = st.builds(
 
 def canonicalize_reference(v: VecC3) -> VecC3:
     """Independent reimplementation via Q(w) arithmetic: divide every
-    coordinate by the first nonzero one, then clear the common denominator."""
+    coordinate by the first nonzero one, z / z0 = z * conj(z0) / norm(z0)
+    with Fraction coefficients, then clear the common denominator."""
     z0 = next(z for z in v if not z.is_zero())
-    quotients = [EisRational.divide(z, z0) for z in v]
-    from math import lcm
-
-    denom = lcm(*(q.den for q in quotients))
-    return VecC3(tuple(q.num * (denom // q.den) for q in quotients))
+    n = z0.norm()
+    quotients = [(Fraction(p.a, n), Fraction(p.b, n)) for p in (z * z0.conjugate() for z in v)]
+    denom = lcm(*(x.denominator for q in quotients for x in q))
+    return VecC3(tuple(EisensteinInt(int(a * denom), int(b * denom)) for a, b in quotients))
 
 
 class TestCanonicalize:
@@ -175,7 +173,12 @@ class TestClosure:
             assert v in vecs
 
     def test_all_rays_content_free(self, full_config):
-        assert all(is_content_free(r.vec) for r in full_config.rays)
+        # every squared norm divides 6, so 1 - w is the only prime of Z[w]
+        # that could divide all three coordinates, and 1 - w divides z iff
+        # 3 divides norm(z)
+        for r in full_config.rays:
+            assert 6 % r.sq_norm == 0
+            assert any(z.norm() % 3 for z in r.vec)
 
     def test_published_coefficient_alphabet(self, full_config):
         def ok(z):
@@ -334,14 +337,6 @@ class TestRayFiles:
             warnings.simplefilter("error")
             cfg = ingest_rays("1,0 3,0 0,0\n")
         assert cfg.n_rays == 1
-
-    def test_reports_sorted(self, full_config):
-        edges = export_edges(full_config)
-        ctxs = export_contexts(full_config)
-        assert edges.splitlines()[0] == "# 390 edges"
-        assert ctxs.splitlines()[0] == "# 130 contexts"
-        pairs = [tuple(map(int, ln.split())) for ln in edges.splitlines()[1:]]
-        assert pairs == sorted(pairs)
 
 
 class TestSubconfiguration:

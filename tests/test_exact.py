@@ -8,20 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksembed.exact import (
-    E_ONE,
     E_ZERO,
     EISENSTEIN_UNITS,
     OMEGA,
     OMEGA2,
     EisensteinInt,
-    EisRational,
     ParallelInput,
     QuadReal,
     VecC3,
     conj_cross,
     cross,
     dot6,
-    eis_gcd,
     flat_canonical,
     flat_conj_cross,
     flat_cross,
@@ -239,54 +236,6 @@ class TestPermutationEquivalence:
             xs = VecR6(tuple(x[sigma[i]] for i in range(6)))
             ys = VecR6(tuple(y[sigma[i]] for i in range(6)))
             assert dot6(xs, ys) == expected
-
-
-class TestEisRational:
-    def test_reduced_form(self):
-        r = EisRational.make(EisensteinInt(2, 4), 6)
-        assert r.num == EisensteinInt(1, 2) and r.den == 3
-
-    def test_negative_denominator_normalized(self):
-        r = EisRational.make(EisensteinInt(1, 0), -2)
-        assert r.num == EisensteinInt(-1, 0) and r.den == 2
-
-    def test_exact_division(self):
-        z = EisensteinInt(1, 2)
-        r = EisRational.divide(z, z)
-        assert r.num == E_ONE and r.den == 1
-
-    def test_division_by_omega(self):
-        # 1/w = w^2 since w^3 = 1
-        r = EisRational.divide(E_ONE, OMEGA)
-        assert r.num == OMEGA2 and r.den == 1
-
-    def test_zero_denominator(self):
-        with pytest.raises(ZeroDivisionError):
-            EisRational.make(E_ONE, 0)
-
-    @given(eis, st.integers(min_value=1, max_value=40))
-    def test_always_reduced(self, num, den):
-        from math import gcd
-        r = EisRational.make(num, den)
-        assert r.den > 0
-        assert gcd(gcd(abs(r.num.a), abs(r.num.b)), r.den) == 1
-
-
-class TestEisensteinGcd:
-    def test_three_and_sqrt_minus_three_share_a_prime(self):
-        # 3 ramifies: both 3 and 1+2w are divisible by (1 - w)
-        g = eis_gcd(EisensteinInt(3, 0), EisensteinInt(1, 2))
-        assert g.norm() == 3
-
-    @given(eis, eis)
-    def test_gcd_divides_both(self, z, w):
-        g = eis_gcd(z, w)
-        if g.is_zero():
-            assert z.is_zero() and w.is_zero()
-            return
-        for x in (z, w):
-            q = EisRational.divide(x, g)
-            assert q.den == 1
 
 
 # --- the flat-int pair kernel, against EisensteinInt arithmetic ------------
