@@ -180,6 +180,9 @@ class TestCertify:
         text = cert.read_text()
         assert "best 128" in text
         assert text.count("refuted ") == 131
+        # the ingest path writes the same certificate as `report`
+        digest = hashlib.sha256(cert.read_bytes()).hexdigest()
+        assert digest == REPORT_GOLDEN["certificate.txt"]
 
     def test_toy_single_context_color(self, capsys, tmp_path):
         toy = tmp_path / "toy.txt"
@@ -200,13 +203,14 @@ class TestCertify:
 
     @pytest.mark.parametrize("mode, fake, message", [
         # an all-ones witness breaks exclusivity
-        ("color", lambda p: ((1 << p.n) - 1, valuations.SolveStats()),
+        ("color", lambda p, must, budget: ((1 << len(p.adj)) - 1,
+                                           valuations.SolveStats()),
          "inadmissible witness"),
-        ("maximize", lambda p: (None if p.budget == 0 else (1 << p.n) - 1,
-                                valuations.SolveStats()),
+        ("maximize", lambda p, must, budget: (
+            None if budget == 0 else (1 << len(p.adj)) - 1, valuations.SolveStats()),
          "inadmissible witness"),
         # nothing is ever satisfiable: escalation passes the context count
-        ("maximize", lambda p: (None, valuations.SolveStats()),
+        ("maximize", lambda p, must, budget: (None, valuations.SolveStats()),
          "exceeded the context count"),
     ])
     def test_engine_error_is_a_json_status(self, capsys, tmp_path, monkeypatch,
@@ -272,10 +276,10 @@ class TestReport:
         phase = ["search"]
         real_solve, real_replay = valuations._solve, valuations.replay_certificate
 
-        def counting_solve(problem):
-            if problem.budget == 0 and len(problem.must_cover) == len(problem.contexts):
+        def counting_solve(problem, must_cover, budget):
+            if budget == 0 and len(must_cover) == len(problem.rays):
                 solves[phase[0]] += 1
-            return real_solve(problem)
+            return real_solve(problem, must_cover, budget)
 
         def replay(cfg, result):
             phase[0] = "replay"

@@ -23,7 +23,7 @@ from ksembed.valuations import (
     SizeMismatch,
     SolveStats,
     Valuation,
-    _Problem,
+    _build_tables,
     _make_problem,
     _solve,
     check_valuation,
@@ -65,14 +65,12 @@ def brute_force(cfg):
     return colorable, best
 
 
-def scan_solve(problem):
-    """Reference engine: the same DFS with propagation by a full scan of the
-    must-cover contexts at every step, forcing as it goes in must_cover
-    order."""
-    adj = problem.adj
-    must = [problem.contexts[ci] for ci in problem.must_cover]
-    budget = problem.budget
-    full = (1 << problem.n) - 1
+def scan_solve(adj, contexts, order, must_cover, budget):
+    """Reference engine: the same DFS, by ray id, with propagation by a full
+    scan of the must-cover contexts at every step, forcing as it goes in
+    must_cover order."""
+    must = [contexts[ci] for ci in must_cover]
+    full = (1 << len(adj)) - 1
     stats = SolveStats()
 
     def assign_one(ones, zeros, r):
@@ -120,7 +118,7 @@ def scan_solve(problem):
         free = full & ~ones & ~zeros
         if not free:
             return ones, stats
-        r = next(r for r in problem.order if (free >> r) & 1)
+        r = next(r for r in order if (free >> r) & 1)
         stack.append((ones, zeros | (1 << r)))
         st1 = assign_one(ones, zeros, r)
         if st1 is not None:
@@ -131,7 +129,9 @@ def scan_solve(problem):
 @st.composite
 def small_problems(draw):
     """Up to 30 rays; contexts are cliques, plus random extra edges; a random
-    must-cover subset in random order, a random branching order, budget 0-3."""
+    branching order, a random must-cover subset, budget 0-3.  Returns the
+    instance by ray id, must_cover sorted and unique, the same contexts
+    shuffled with duplicates, and the budget."""
     n = draw(st.integers(3, 30))
     rays = st.integers(0, n - 1)
     contexts = draw(st.lists(
@@ -144,26 +144,25 @@ def small_problems(draw):
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     must = draw(st.lists(st.integers(0, len(contexts) - 1), unique=True))
-    return _Problem(
-        n=n,
-        adj=tuple(adj),
-        contexts=tuple(contexts),
-        must_cover=tuple(must),
-        budget=draw(st.integers(0, 3)),
-        order=tuple(draw(st.permutations(range(n)))),
-    )
+    repeated = draw(st.lists(st.sampled_from(must), max_size=len(must))) if must else []
+    shuffled = draw(st.permutations(must + repeated))
+    order = tuple(draw(st.permutations(range(n))))
+    instance = (tuple(adj), tuple(contexts), order)
+    return instance, sorted(must), shuffled, draw(st.integers(0, 3))
 
 
-def solve_counts(solver, problem):
-    mask, stats = solver(problem)
+def solve_counts(solver, *args):
+    mask, stats = solver(*args)
     return mask, stats.nodes, stats.propagations
 
 
 class TestEngineAgainstScan:
     @given(small_problems())
     @settings(max_examples=300, deadline=None)
-    def test_same_search_as_full_scan(self, problem):
-        assert solve_counts(_solve, problem) == solve_counts(scan_solve, problem)
+    def test_same_search_as_full_scan(self, drawn):
+        instance, must, shuffled, budget = drawn
+        assert solve_counts(_solve, _build_tables(*instance), shuffled, budget) == \
+            solve_counts(scan_solve, *instance, must, budget)
 
     def test_force_that_opens_an_earlier_context(self):
         # must_cover positions: Q = (3, 4, 5) at 0, P = (0, 1, 2) at 1,
@@ -180,34 +179,23 @@ class TestEngineAgainstScan:
         for i, j in edges:
             adj[i] |= 1 << j
             adj[j] |= 1 << i
-        problem = _Problem(
-            n=13,
-            adj=tuple(adj),
-            contexts=contexts,
-            must_cover=(0, 1, 2, 3),
-            budget=0,
-            order=(12,) + tuple(range(12)),
-        )
+        order = (12,) + tuple(range(12))
         # the 12 = 0 branch then covers every context with 0, 3, 6, 9 and
         # no forcing: 6 nodes, and the 3 forces of the failed 12 = 1 branch
-        assert solve_counts(scan_solve, problem) == (585, 6, 3)
-        assert solve_counts(_solve, problem) == (585, 6, 3)
+        assert solve_counts(scan_solve, adj, contexts, order, range(4), 0) == (585, 6, 3)
+        assert solve_counts(_solve, _build_tables(adj, contexts, order),
+                            range(4), 0) == (585, 6, 3)
 
 
 class TestEngineProblem:
     def test_must_cover_is_a_set(self, full_config):
-        base = _make_problem(full_config, range(130), budget=0)
+        problem = _make_problem(full_config)
         rng = random.Random(6)
         for must, budget in ((range(130), 2), (sorted(rng.sample(range(130), 100)), 0)):
             shuffled = list(must)
             rng.shuffle(shuffled)
-            # hand-built, so it builds its own tables
-            permuted = _Problem(n=base.n, adj=base.adj, contexts=base.contexts,
-                                must_cover=shuffled + shuffled[:5], budget=budget,
-                                order=base.order)
-            assert permuted.must_cover == tuple(must)
-            assert solve_counts(_solve, permuted) == solve_counts(
-                _solve, replace(base, must_cover=must, budget=budget))
+            assert solve_counts(_solve, problem, shuffled + shuffled[:5], budget) == \
+                solve_counts(_solve, problem, must, budget)
 
     def test_tables_built_once_per_problem(self, full_config, monkeypatch):
         calls = {"problems": 0, "tables": 0, "solves": 0}
@@ -225,17 +213,9 @@ class TestEngineProblem:
         monkeypatch.setattr(valuations, "_solve", counting("solves", valuations._solve))
         opt = maximize_covered_contexts(full_config)
         assert replay_certificate(full_config, opt)
+        # one problem each for ks_colorable, maximization and replay;
         # colourability, escalation to budget 2, 130 + 131 refutations
-        assert calls["solves"] == 264
-        assert 0 < calls["tables"] <= calls["problems"]
-
-    def test_replacing_the_rays_rebuilds_the_tables(self, full_config):
-        base = _make_problem(full_config, range(130), budget=0)
-        reordered = replace(base, order=base.order[::-1])
-        assert reordered.tables is not base.tables
-        fresh = _Problem(n=base.n, adj=base.adj, contexts=base.contexts,
-                         must_cover=range(130), budget=0, order=base.order[::-1])
-        assert solve_counts(_solve, reordered) == solve_counts(_solve, fresh)
+        assert calls == {"problems": 3, "tables": 3, "solves": 264}
 
 
 class TestCheckValuation:
@@ -335,15 +315,9 @@ class TestColorability:
         for r in range(3 * m):
             base = r - r % 3
             adj[r] = (0b111 << base) & ~(1 << r)
-        problem = _Problem(
-            n=3 * m,
-            adj=tuple(adj),
-            contexts=tuple((3 * c, 3 * c + 1, 3 * c + 2) for c in range(m)),
-            must_cover=tuple(range(m)),
-            budget=0,
-            order=tuple(range(3 * m)),
-        )
-        mask, stats = _solve(problem)
+        contexts = [(3 * c, 3 * c + 1, 3 * c + 2) for c in range(m)]
+        problem = _build_tables(adj, contexts, range(3 * m))
+        mask, stats = _solve(problem, range(m), 0)
         assert mask == sum(1 << (3 * c) for c in range(m))
         assert (stats.nodes, stats.propagations) == (m + 1, 0)
 
@@ -380,6 +354,13 @@ class TestMaximize:
     def test_certificate_replays(self, full_config):
         opt = maximize_covered_contexts(full_config)
         assert replay_certificate(full_config, opt)
+        # a tampered count on one entry fails the replay
+        entry = opt.certificate[7]
+        for tampered in (replace(entry, nodes=entry.nodes + 1),
+                         replace(entry, propagations=entry.propagations + 1)):
+            forged = replace(opt, certificate=[
+                tampered if e is entry else e for e in opt.certificate])
+            assert not replay_certificate(full_config, forged)
 
     def test_certificate_text_structure(self, full_config):
         opt = maximize_covered_contexts(full_config)
