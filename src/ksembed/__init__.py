@@ -12,7 +12,6 @@ from .exact import (
     hermitian_inner,
     permutation_equivalent,
     phi0,
-    re_im,
 )
 from .configuration import (
     Configuration,
@@ -32,7 +31,6 @@ from .realify import (
     FaithfulnessReport,
     PhaseAssignment,
     is_spurious_exact,
-    minimal_k_probe,
     phase_apply_export,
     rational_phase_search,
     verify_faithful,

@@ -289,6 +289,16 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--no-expect", action="append", default=[], metavar="CHECK",
                        help="force a named check off")
 
+    def add_phase_flags(p):
+        p.add_argument("--K", type=int, default=1009,
+                       help="phase denominator, gcd(K,6)=1 (default 1009)")
+        p.add_argument("--strategy", choices=remod.STRATEGIES, default="distinct",
+                       help="phase search strategy (default distinct)")
+        p.add_argument("--seed", type=int, default=0,
+                       help="rng seed for the greedy-random strategy")
+        p.add_argument("--precision", type=int, default=20,
+                       help="significant digits for the vector export (default 20)")
+
     g = sub.add_parser("generate", help="build the configuration by closure "
                                         "and write a ray file")
     g.add_argument("--out", required=True, help="ray file to write")
@@ -299,13 +309,7 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("realify", help="search rational phases and verify the "
                                        "R^6 embedding is faithful")
     r.add_argument("--rays", required=True, help="ray file to ingest")
-    r.add_argument("--K", type=int, default=1009,
-                   help="phase denominator, gcd(K,6)=1 (default 1009)")
-    r.add_argument("--strategy", choices=remod.STRATEGIES, default="distinct")
-    r.add_argument("--seed", type=int, default=0,
-                   help="rng seed for the greedy-random strategy")
-    r.add_argument("--precision", type=int, default=20,
-                   help="significant digits for the vector export (default 20)")
+    add_phase_flags(r)
     r.add_argument("--out-phases", default=None, help="phase file to write")
     r.add_argument("--out-vectors", default=None, help="vector export to write")
     add_expect_flags(r)
@@ -320,10 +324,7 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("report", help="full paper reproduction: generate + "
                                       "realify + certify into a directory")
     a.add_argument("--out-dir", required=True, help="directory for all artifacts")
-    a.add_argument("--K", type=int, default=1009)
-    a.add_argument("--strategy", choices=remod.STRATEGIES, default="distinct")
-    a.add_argument("--seed", type=int, default=0)
-    a.add_argument("--precision", type=int, default=20)
+    add_phase_flags(a)
     add_expect_flags(a)
 
     return parser
@@ -343,11 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         run_by = args.command + (f" --mode {args.mode}" if args.command == "certify" else "")
         expects = _Expectations(args.expect, args.no_expect, run_by)
         report = COMMANDS[args.command](args, expects)
-    except (cfgmod.ParseError, cfgmod.DivergenceGuard, cfgmod.DuplicateRay,
-            cfgmod.NonTriangleClique, cfgmod.ZeroVector,
-            remod.InvalidK, remod.SearchExhausted, remod.PrecisionDisagreement,
-            valmod.InconsistentCertificates, valmod.SizeMismatch, valmod.EngineError,
-            OSError, ValueError) as exc:
+    except Exception as exc:  # deliberately broad: no failure escapes as a traceback
         error = RunReport(command=args.command, inputs={}, status="error",
                           results={"error": f"{type(exc).__name__}: {exc}"})
         print(error.to_json(), file=sys.stdout)

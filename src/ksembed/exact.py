@@ -1,8 +1,7 @@
 """Exact arithmetic over the Eisenstein integers and the real field Q(sqrt(3)).
 
 Complex ray coordinates live in Z[w] with w = exp(2*pi*i/3), represented as
-a + b*w with arbitrary-precision integer a, b (any a + b*w + c*w^2 input is
-reduced immediately using 1 + w + w^2 = 0).  Realified coordinates live in
+a + b*w with arbitrary-precision integer a, b.  Realified coordinates live in
 Q(sqrt(3)), represented as p + q*sqrt(3) with exact rationals p, q.  Pair
 scans use the plain-int kernel on flat coefficient tuples (flat_inner_row
 and its siblings), which the VecC3 functions wrap.  Nothing in this module
@@ -30,11 +29,6 @@ class EisensteinInt:
 
     a: int
     b: int
-
-    @classmethod
-    def from_triple(cls, a: int, b: int, c: int) -> EisensteinInt:
-        """Reduce a + b*w + c*w^2 to canonical two-coefficient form (a-c, b-c)."""
-        return cls(a - c, b - c)
 
     def __add__(self, other: EisensteinInt) -> EisensteinInt:
         return EisensteinInt(self.a + other.a, self.b + other.b)
@@ -103,15 +97,6 @@ EISENSTEIN_UNITS = (
 )
 
 
-def re_im(a: int, b: int, c: int) -> tuple[QuadReal, QuadReal]:
-    """Real and imaginary parts of a + b*w + c*w^2 as exact Q(sqrt(3)) values.
-
-    Returns (a - (b+c)/2, (sqrt(3)/2)*(b-c)).
-    """
-    re, im = EisensteinInt.from_triple(a, b, c).re_im()
-    return re, im
-
-
 @dataclass(frozen=True, slots=True)
 class QuadReal:
     """An element p + q*sqrt(3) of Q(sqrt(3)) with exact rational p, q.
@@ -130,31 +115,17 @@ class QuadReal:
     def __add__(self, other: QuadReal) -> QuadReal:
         return QuadReal(self.p + other.p, self.q + other.q)
 
-    def __sub__(self, other: QuadReal) -> QuadReal:
-        return QuadReal(self.p - other.p, self.q - other.q)
-
     def __mul__(self, other: QuadReal) -> QuadReal:
         return QuadReal(
             self.p * other.p + 3 * self.q * other.q,
             self.p * other.q + self.q * other.p,
         )
 
-    def __neg__(self) -> QuadReal:
-        return QuadReal(-self.p, -self.q)
-
     def is_zero(self) -> bool:
         return self.p == 0 and self.q == 0
 
     def __float__(self) -> float:
         return float(self.p) + float(self.q) * 3 ** 0.5
-
-    def __str__(self) -> str:
-        if self.q == 0:
-            return str(self.p)
-        if self.p == 0:
-            return f"{self.q}√3"
-        sign = "+" if self.q > 0 else "-"
-        return f"{self.p} {sign} {abs(self.q)}√3"
 
 
 QR_ZERO = QuadReal(Fraction(0), Fraction(0))
@@ -193,9 +164,6 @@ class VecC3:
         """The six coefficients (a1, b1, a2, b2, a3, b3) of the pair kernel."""
         z1, z2, z3 = self.coords
         return (z1.a, z1.b, z2.a, z2.b, z3.a, z3.b)
-
-    def __getitem__(self, i: int) -> EisensteinInt:
-        return self.coords[i]
 
     def __iter__(self):
         return iter(self.coords)

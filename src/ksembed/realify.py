@@ -184,7 +184,6 @@ def verify_faithful(
     cfg: Configuration,
     pa: PhaseAssignment,
     float_dps: int = 60,
-    zero_threshold_exp: int = -50,
 ) -> FaithfulnessReport:
     """Check all unordered ray pairs for the faithfulness conditions.
 
@@ -202,7 +201,7 @@ def verify_faithful(
       bits = ceil(float_dps * log2(10)) + 8;
     - a pair's normalized dot Re(e^{i dn pi/K} c)/|c| is then the integer
       (Re c/|c|)*cos - (Im c/|c|)*sin in units of 2^-2bits, and reads zero
-      when its magnitude is below 10^zero_threshold_exp in those units.
+      when its magnitude is below the fixed cutoff 10^-50.
 
     Every factor has |x| <= 1, so the fixed-point rounding moves the dot by
     less than 2^(2-bits), to which mpmath's own rounding at ``float_dps``
@@ -219,7 +218,7 @@ def verify_faithful(
     flats = [ray.vec.flat() for ray in cfg.rays]
     bits = math.ceil(float_dps * math.log2(10)) + 8
     # for an integer dot, |dot| < ceil(t) iff |dot| < t: the cutoff is exact
-    threshold = math.ceil(Fraction(10) ** zero_threshold_exp * (1 << (2 * bits)))
+    threshold = math.ceil(Fraction(1, 10**50) * (1 << (2 * bits)))
     report = FaithfulnessReport()
     with mp.workdps(float_dps):
         sqrt3 = mp.sqrt(3)
@@ -267,27 +266,6 @@ def scan_spurious_zero_phases(cfg: Configuration) -> list[tuple[int, int]]:
     """Pairs spurious under the canonical realification (all phases zero):
     exactly the non-orthogonal pairs with purely imaginary inner product."""
     return sorted(cfg.imaginary_pairs)
-
-
-def minimal_k_probe(
-    cfg: Configuration,
-    strategy: str = "backtracking",
-    candidates: tuple[int, ...] = (5, 7, 11, 13, 17, 19, 23, 25),
-) -> tuple[int, PhaseAssignment] | None:
-    """Smallest K from ``candidates`` for which the strategy succeeds.
-
-    An experiment, not a minimality proof: it records what worked, nothing
-    more.  Candidates with gcd(K, 6) != 1 are skipped.
-    """
-    for k in candidates:
-        if gcd(k, 6) != 1:
-            continue
-        try:
-            pa = rational_phase_search(cfg, k, strategy)
-        except SearchExhausted:
-            continue
-        return k, pa
-    return None
 
 
 def phase_apply_export(

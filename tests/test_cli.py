@@ -83,6 +83,19 @@ class TestGenerate:
         assert not target.exists()
         assert not target.parent.exists()
 
+    def test_untyped_failure_is_a_json_status(self, capsys, tmp_path, monkeypatch):
+        def broken(seed):
+            raise KeyError("boom")
+
+        monkeypatch.setattr(configuration, "closure_generate", broken)
+        code = main(["generate", "--out", str(tmp_path / "rays.txt")])
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert report["results"]["error"].startswith("KeyError: ")
+        assert captured.err == "error: 'boom'\n"
+
 
 class TestForcedChecks:
     @pytest.mark.parametrize("argv, skipped", [

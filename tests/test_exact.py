@@ -27,7 +27,6 @@ from ksembed.exact import (
     hermitian_inner,
     permutation_equivalent,
     phi0,
-    re_im,
     re_part,
     swap_permutations,
 )
@@ -55,13 +54,6 @@ class TestEisensteinRing:
     def test_addition(self):
         assert EisensteinInt(1, 1) + EisensteinInt(1, -1) == EisensteinInt(2, 0)
 
-    def test_triple_reduction(self):
-        # 1 + w + w^2 = 0
-        assert EisensteinInt.from_triple(1, 1, 1) == E_ZERO
-        # 2w^2 = -2 - 2w
-        assert EisensteinInt.from_triple(0, 0, 2) == EisensteinInt(-2, -2)
-        assert EisensteinInt.from_triple(0, 0, 2) == OMEGA * OMEGA * 2
-
     def test_units_all_norm_one(self):
         assert [u.norm() for u in EISENSTEIN_UNITS] == [1] * 6
         assert len(set(EISENSTEIN_UNITS)) == 6
@@ -86,27 +78,6 @@ class TestEisensteinRing:
     @given(eis)
     def test_norm_is_z_times_conj(self, z):
         assert z * z.conjugate() == EisensteinInt(z.norm(), 0)
-
-
-class TestReIm:
-    def test_omega(self):
-        re, im = re_im(0, 1, 0)
-        assert re == QuadReal.of(Fraction(-1, 2))
-        assert im == QuadReal.of(0, Fraction(1, 2))
-
-    def test_two_omega_squared(self):
-        re, im = re_im(0, 0, 2)
-        assert re == QuadReal.of(-1)
-        assert im == QuadReal.of(0, -1)
-
-    def test_unity_sum(self):
-        re, im = re_im(1, 1, 1)
-        assert re.is_zero() and im.is_zero()
-
-    @given(small_int, small_int, small_int)
-    def test_matches_two_coefficient_form(self, a, b, c):
-        z = EisensteinInt.from_triple(a, b, c)
-        assert z.re_im() == re_im(a, b, c)
 
 
 class TestHermitianInner:

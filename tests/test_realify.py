@@ -25,7 +25,6 @@ from ksembed.realify import (
     _backtracking_search,
     is_spurious_exact,
     load_phases,
-    minimal_k_probe,
     phase_apply_export,
     rational_phase_search,
     save_phases,
@@ -200,13 +199,6 @@ class TestRationalSearch:
 
     def test_backtracking_deeper_than_recursion_limit(self):
         assert _backtracking_search([[] for _ in range(1500)], 1500, 5) == [0] * 1500
-
-    def test_minimal_k_probe_backtracking(self, full_config):
-        found = minimal_k_probe(full_config, "backtracking", candidates=(5, 7, 11, 13))
-        assert found is not None
-        k, pa = found
-        assert k == 5
-        assert verify_faithful(full_config, pa).faithful
 
 
 class TestVerifyFaithful:
