@@ -42,10 +42,11 @@ class NonTriangleClique(ValueError):
 
 
 class ParseError(ValueError):
-    """Malformed ray file; carries the offending line number."""
+    """Malformed ray file; carries the offending line number, or None when
+    the fault is in the file as a whole."""
 
-    def __init__(self, lineno: int, message: str):
-        super().__init__(f"line {lineno}: {message}")
+    def __init__(self, lineno: int | None, message: str):
+        super().__init__(message if lineno is None else f"line {lineno}: {message}")
         self.lineno = lineno
 
 
@@ -360,7 +361,7 @@ def ingest_rays(text: str) -> Configuration:
             raise ParseError(lineno, "zero vector is not a ray")
         vecs.append(v)
     if not vecs:
-        raise ParseError(0, "no rays in input")
+        raise ParseError(None, "no rays in input")
     cfg = configuration_from_vectors(vecs, strict=False)
     if cfg.n_rays == 165:
         bad = [r.id for r in cfg.rays

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
@@ -42,7 +43,8 @@ class SearchExhausted(RuntimeError):
 
 
 class PrecisionDisagreement(RuntimeError):
-    """Exact and high-precision floating verdicts differ for some pair."""
+    """Exact and high-precision floating verdicts differ for some pair, or
+    the precision is too low for the cross-check to separate them at this K."""
 
 
 STRATEGIES = ("distinct", "backtracking", "greedy-random")
@@ -191,23 +193,45 @@ def verify_faithful(
     it is the independent check of the assembly scan.  Orthogonal pairs stay
     orthogonal for every phase choice (the real dot is Re(e^{i dtheta} * 0)),
     so ``missing`` can only remain empty; it is kept in the report as the
-    structural assertion.  Every non-orthogonal pair is classified by the
-    exact criterion (is_spurious_exact) and cross-checked in fixed point:
+    structural assertion.  By the exact criterion (is_spurious_exact) a
+    non-orthogonal pair with inner product c and phase difference dn is
+    spurious iff c is purely imaginary and dn = 0 (mod K), so only rays with
+    equal n mod K can form one: the pass groups the rays by n mod K and
+    applies the criterion to the pairs within each group.
 
-    - mpmath evaluates, at ``float_dps`` decimal digits, cos and sin of
-      dn*pi/K for each dn mod 2K that occurs, and Re c/|c| and Im c/|c| for
-      each distinct inner product c;
+    The exact criterion is cross-checked in fixed point once per distinct
+    inner product c, for every phase difference at once:
+
+    - mpmath evaluates, at ``float_dps`` decimal digits, Re c/|c| and
+      Im c/|c| for each distinct c, and cos and sin of dn*pi/K for each
+      candidate dn mod 2K (below);
     - each value is rounded to an integer in units of 2^-bits, with
       bits = ceil(float_dps * log2(10)) + 8;
-    - a pair's normalized dot Re(e^{i dn pi/K} c)/|c| is then the integer
+    - the normalized dot Re(e^{i dn pi/K} c)/|c| is then the integer
       (Re c/|c|)*cos - (Im c/|c|)*sin in units of 2^-2bits, and reads zero
       when its magnitude is below the fixed cutoff 10^-50.
 
     Every factor has |x| <= 1, so the fixed-point rounding moves the dot by
-    less than 2^(2-bits), to which mpmath's own rounding at ``float_dps``
-    digits adds; at the default 60 digits (bits = 208) both are below
-    10^-59, far under the 10^-50 cutoff.  The float verdict must agree with
-    the exact one on every pair, otherwise PrecisionDisagreement is raised.
+    less than 2^(2-bits), and mpmath's own rounding at ``float_dps`` digits
+    by less than 10^(1-float_dps); at the default 60 digits (bits = 208)
+    both are below 10^-59, far under the cutoff.
+
+    The normalized dot is cos(dn*pi/K + arg c), which vanishes exactly at
+    dn = x (mod K), x = K*atan2(Re c, Im c)/pi.  With x evaluated at
+    ``float_dps`` digits, the candidates floor(x), floor(x)+1, floor(x)+K
+    and floor(x)+K+1 (mod 2K) hold the integers nearest both zeros as long
+    as x is off by less than 1/2; every other dn lies more than 1/2 from a
+    zero, so its dot exceeds sin(pi/(2K)) in magnitude.  A guard raises
+    PrecisionDisagreement before the scan unless sin(pi/(2K)) exceeds the
+    cutoff plus both rounding bounds (it holds for K = 2^31 - 1 at 15
+    digits); then every other dn reads nonzero, as the exact criterion says
+    (a purely imaginary c has x = 0 or K, so dn = 0 and K are candidates),
+    and x is off by far less than 1/2.  So the dot is evaluated and compared
+    with the exact verdict at the candidates only: at 741 rays, 681 distinct
+    c and at most 2,724 dots cover the 274,170 pairs.  The float verdict
+    must agree with the exact one on every pair: PrecisionDisagreement is
+    raised at the first pair, in scan order, whose (c, dn) is a candidate
+    where the two differ.
     """
     if len(pa.n) != cfg.n_rays:
         raise ValueError(
@@ -219,45 +243,78 @@ def verify_faithful(
     bits = math.ceil(float_dps * math.log2(10)) + 8
     # for an integer dot, |dot| < ceil(t) iff |dot| < t: the cutoff is exact
     threshold = math.ceil(Fraction(1, 10**50) * (1 << (2 * bits)))
+    classes: dict[int, list[int]] = {}  # n mod K -> its rays, in index order
+    for i, v in enumerate(ns):
+        classes.setdefault(v % k, []).append(i)
     report = FaithfulnessReport()
     with mp.workdps(float_dps):
+        separation = mp.sin(mp.pi / k2)
+        bound = mp.mpf(10) ** -50 + mp.ldexp(1, 2 - bits) + mp.mpf(10) ** (1 - float_dps)
+        if separation <= bound:
+            raise PrecisionDisagreement(
+                f"K={k}: at {float_dps} digits, sin(pi/2K) = "
+                f"{mp.nstr(separation, 3)} does not exceed the 1e-50 cutoff "
+                f"plus the rounding bound, {mp.nstr(bound, 3)} in all"
+            )
         sqrt3 = mp.sqrt(3)
 
         def fixed(x: mp.mpf) -> int:
             return int(mp.nint(mp.ldexp(x, bits)))
 
         trig: dict[int, tuple[int, int]] = {}   # dn mod 2K -> (cos, sin)
-        units: dict[tuple[int, int], tuple[int, int]] = {}  # c -> (Re, Im) of c/|c|
-        for i in range(cfg.n_rays - 1):
-            ni = ns[i]
-            row = flat_inner_row(flats[i], flats[i + 1:])
-            report.pairs_checked += len(row)
-            for j, c in enumerate(row, i + 1):
-                a, b = c
-                if not (a or b):
-                    # real dot of images is Re(e^{i dtheta} * 0) = 0 exactly
-                    continue
-                dn = (ns[j] - ni) % k2
-                # is_spurious_exact: purely imaginary c and dn = 0 (mod K)
-                exact_zero = 2 * a == b and dn % k == 0
+
+        def disagreements(c: tuple[int, int]) -> dict[int, int]:
+            """The candidate dn where the fixed-point verdict on c differs
+            from the exact one, each with its dot."""
+            a, b = c
+            re, im = 2 * a - b, sqrt3 * b  # 2 Re c, 2 Im c
+            twice_abs = 2 * mp.sqrt(a * a - a * b + b * b)
+            u0, u1 = fixed(re / twice_abs), fixed(im / twice_abs)
+            f = int(mp.floor(k * mp.atan2(re, im) / mp.pi))
+            candidates = {(f + s) % k2 for s in (0, 1, k, k + 1)}
+            imaginary = re == 0
+            assert not imaginary or {0, k} <= candidates
+            differ = {}
+            for dn in candidates:
                 cs = trig.get(dn)
                 if cs is None:
                     theta = mp.pi * dn / k
                     cs = trig[dn] = (fixed(mp.cos(theta)), fixed(mp.sin(theta)))
-                u = units.get(c)
-                if u is None:
-                    twice_abs = 2 * mp.sqrt(a * a - a * b + b * b)
-                    u = units[c] = (fixed((2 * a - b) / twice_abs),
-                                    fixed(sqrt3 * b / twice_abs))
-                dot = u[0] * cs[0] - u[1] * cs[1]
-                if (-threshold < dot < threshold) != exact_zero:
-                    raise PrecisionDisagreement(
-                        f"pair ({i}, {j}): exact says "
-                        f"{'zero' if exact_zero else 'nonzero'}, "
-                        f"{float_dps}-digit value is "
-                        f"{mp.nstr(mp.ldexp(dot, -2 * bits), 8)}"
-                    )
-                if exact_zero:
+                dot = u0 * cs[0] - u1 * cs[1]
+                if (-threshold < dot < threshold) != (imaginary and dn % k == 0):
+                    differ[dn] = dot
+            return differ
+
+        # an orthogonal pair's real dot is Re(e^{i dtheta} * 0) = 0 exactly
+        seen = {(0, 0)}
+        wrong: dict[tuple[int, int], dict[int, int]] = {}  # c -> {dn: dot}
+        for i in range(cfg.n_rays - 1):
+            ni = ns[i]
+            row = flat_inner_row(flats[i], flats[i + 1:])
+            report.pairs_checked += len(row)
+            distinct = set(row)
+            for c in distinct - seen:
+                seen.add(c)
+                w = disagreements(c)
+                if w:
+                    wrong[c] = w
+            if not wrong.keys().isdisjoint(distinct):
+                for j, c in enumerate(row, i + 1):
+                    dn = (ns[j] - ni) % k2
+                    dot = wrong.get(c, {}).get(dn)
+                    if dot is not None:
+                        exact_zero = 2 * c[0] == c[1] and dn % k == 0
+                        raise PrecisionDisagreement(
+                            f"pair ({i}, {j}): exact says "
+                            f"{'zero' if exact_zero else 'nonzero'}, "
+                            f"{float_dps}-digit value is "
+                            f"{mp.nstr(mp.ldexp(dot, -2 * bits), 8)}"
+                        )
+            # is_spurious_exact: purely imaginary c and dn = 0 (mod K)
+            mates = classes[ni % k]
+            for j in mates[bisect_right(mates, i):]:
+                a, b = row[j - i - 1]
+                if (a or b) and 2 * a == b:
                     report.spurious.append((i, j))
     return report
 
@@ -288,13 +345,6 @@ def phase_apply_export(
     with mp.workdps(precision + 15):
         sqrt3 = mp.sqrt(3)
         abs_eps = mp.mpf(10) ** (-(precision + 10))
-
-        def fmt(x: mp.mpf) -> str:
-            if mp.almosteq(x, 0, abs_eps=abs_eps):
-                return "0"
-            s = mp.nstr(x, precision, strip_zeros=True)
-            return s[:-2] if s.endswith(".0") else s
-
         for ray, nk in zip(cfg.rays, pa.n):
             theta = mp.pi * nk / pa.K
             cth, sth = mp.cos(theta), mp.sin(theta)
@@ -304,8 +354,20 @@ def phase_apply_export(
                 im = sqrt3 * z.b / 2
                 res.append(re * cth - im * sth)
                 ims.append(re * sth + im * cth)
-            rows.append(tuple(fmt(x) for x in res + ims))
+            rows.append(tuple(_export_field(x, precision, abs_eps)
+                              for x in res + ims))
     return rows
+
+
+def _export_field(x: mp.mpf, precision: int, abs_eps: mp.mpf) -> str:
+    """One exported coordinate: "0" when |x| <= abs_eps, else ``precision``
+    significant digits with a trailing ".0" dropped.  The zero test is what
+    mp.almosteq(x, 0, abs_eps=abs_eps) decides: its relative branch compares
+    |x|/|x| = 1 with rel_eps = abs_eps < 1, and so never holds."""
+    if abs(x) <= abs_eps:
+        return "0"
+    s = mp.nstr(x, precision, strip_zeros=True)
+    return s[:-2] if s.endswith(".0") else s
 
 
 # --- file formats ----------------------------------------------------------

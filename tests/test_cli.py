@@ -237,6 +237,12 @@ class TestCertify:
         assert report["results"]["error"].startswith("EngineError: ")
         assert message in report["results"]["error"]
 
+    def test_empty_ray_file_is_a_json_error(self, capsys):
+        code, report = run(capsys, "certify", "--rays", "/dev/null")
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert report["results"]["error"] == "ParseError: no rays in input"
+
 
 class TestReport:
     def test_full_reproduction(self, capsys, tmp_path):

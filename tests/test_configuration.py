@@ -323,6 +323,13 @@ class TestRayFiles:
         with pytest.raises(ParseError):
             ingest_rays("# nothing here\n")
 
+    def test_empty_input_names_no_line(self):
+        # the fault is in the input as a whole, so no line number is given
+        with pytest.raises(ParseError) as err:
+            ingest_rays("")
+        assert str(err.value) == "no rays in input"
+        assert err.value.lineno is None
+
     def test_alphabet_warning_on_modified_165_ray_table(self, full_config):
         lines = [ln for ln in export_rays(full_config).splitlines()
                  if not ln.startswith("#")]

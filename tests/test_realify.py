@@ -1,21 +1,27 @@
 """Phase search and faithfulness verification, exact and high-precision."""
 
+import functools
 import hashlib
+import math
 import random
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import mpmath as mp
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ksembed import realify
 from ksembed.configuration import (
     Configuration,
     Ray,
     configuration_from_vectors,
+    ingest_rays,
     mub_bases,
 )
-from ksembed.exact import OMEGA, EisensteinInt, VecC3
+from ksembed.exact import OMEGA, EisensteinInt, VecC3, flat_inner_row
 from ksembed.realify import (
     InvalidK,
     PhaseAssignment,
@@ -23,6 +29,7 @@ from ksembed.realify import (
     SearchExhausted,
     ZeroInnerProduct,
     _backtracking_search,
+    _export_field,
     is_spurious_exact,
     load_phases,
     phase_apply_export,
@@ -55,6 +62,102 @@ def unvalidated_config(*vecs) -> Configuration:
     return Configuration(rays=rays, edges=frozenset(edges),
                          imaginary_pairs=frozenset(imaginary), contexts=[],
                          adjacency=adjacency)
+
+
+def pairwise_verify_faithful(cfg, pa, float_dps=60):
+    """Reference for verify_faithful: the fixed-point cross-check evaluated
+    on every non-orthogonal pair, with the same units, the same cutoff and
+    the same error text."""
+    if len(pa.n) != cfg.n_rays:
+        raise ValueError(
+            f"phase assignment covers {len(pa.n)} rays, configuration has {cfg.n_rays}"
+        )
+    k, ns = pa.K, pa.n
+    k2 = 2 * k
+    flats = [ray.vec.flat() for ray in cfg.rays]
+    bits = math.ceil(float_dps * math.log2(10)) + 8
+    threshold = math.ceil(Fraction(1, 10**50) * (1 << (2 * bits)))
+    spurious, pairs_checked = [], 0
+    with mp.workdps(float_dps):
+        sqrt3 = mp.sqrt(3)
+
+        def fixed(x):
+            return int(mp.nint(mp.ldexp(x, bits)))
+
+        trig, units = {}, {}
+        for i in range(cfg.n_rays - 1):
+            row = flat_inner_row(flats[i], flats[i + 1:])
+            pairs_checked += len(row)
+            for j, c in enumerate(row, i + 1):
+                a, b = c
+                if not (a or b):
+                    continue
+                dn = (ns[j] - ns[i]) % k2
+                exact_zero = 2 * a == b and dn % k == 0
+                cs = trig.get(dn)
+                if cs is None:
+                    theta = mp.pi * dn / k
+                    cs = trig[dn] = (fixed(mp.cos(theta)), fixed(mp.sin(theta)))
+                u = units.get(c)
+                if u is None:
+                    twice_abs = 2 * mp.sqrt(a * a - a * b + b * b)
+                    u = units[c] = (fixed((2 * a - b) / twice_abs),
+                                    fixed(sqrt3 * b / twice_abs))
+                dot = u[0] * cs[0] - u[1] * cs[1]
+                if (-threshold < dot < threshold) != exact_zero:
+                    raise PrecisionDisagreement(
+                        f"pair ({i}, {j}): exact says "
+                        f"{'zero' if exact_zero else 'nonzero'}, "
+                        f"{float_dps}-digit value is "
+                        f"{mp.nstr(mp.ldexp(dot, -2 * bits), 8)}"
+                    )
+                if exact_zero:
+                    spurious.append((i, j))
+    return realify.FaithfulnessReport(spurious=spurious, pairs_checked=pairs_checked)
+
+
+@functools.lru_cache(maxsize=None)
+def committed_config(n_rays: int) -> Configuration:
+    """The committed 165- or 741-ray configuration, ingested once."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / f"rays{n_rays}.txt"
+    return ingest_rays(path.read_text())
+
+
+def sub_config(n_rays: int, ids) -> Configuration:
+    """The given rays of a committed configuration, indexed from 0 in the
+    order given; only the rays, which is all verify_faithful reads."""
+    rays = [committed_config(n_rays).rays[i] for i in ids]
+    return Configuration(rays=rays, edges=frozenset(), imaginary_pairs=frozenset(),
+                         contexts=[], adjacency=[set() for _ in rays])
+
+
+def verify_outcome(verify, cfg, pa, float_dps):
+    """(spurious, missing, pairs_checked), or (exception type, message)."""
+    try:
+        fr = verify(cfg, pa, float_dps=float_dps)
+    except Exception as exc:
+        return type(exc), str(exc)
+    return fr.spurious, fr.missing, fr.pairs_checked
+
+
+ORACLE_KS = (5, 7, 11, 13, 1009, 10007, 100003, 2**31 - 1)
+
+
+@st.composite
+def oracle_cases(draw):
+    """A random subconfiguration of a committed configuration, a K, phases
+    uniform mod 2K or multiples of K (so dn = 0 and dn = K both occur), and
+    a precision."""
+    n_rays = draw(st.sampled_from((165, 741)))
+    ids = sorted(draw(st.sets(st.integers(0, n_rays - 1), min_size=2, max_size=40)))
+    k = draw(st.sampled_from(ORACLE_KS))
+    if draw(st.booleans()):
+        phase = st.integers(0, 2 * k - 1)
+    else:
+        phase = st.integers(0, 1).map(lambda m: m * k)
+    ns = tuple(draw(st.lists(phase, min_size=len(ids), max_size=len(ids))))
+    dps = draw(st.sampled_from((15, 30, 60)))
+    return n_rays, tuple(ids), k, ns, dps
 
 
 IMAGINARY_PAIR = unvalidated_config(
@@ -246,6 +349,63 @@ class TestVerifyFaithful:
         assert fr.pairs_checked == 3
 
 
+ALL_165, ALL_741 = tuple(range(165)), tuple(range(741))
+
+
+def last_ray_shifted(n_rays: int, k: int) -> tuple[int, ...]:
+    return (0,) * (n_rays - 1) + (k,)
+
+
+def alternating(n_rays: int, k: int) -> tuple[int, ...]:
+    return tuple(k * (i % 2) for i in range(n_rays))
+
+
+class TestCrossCheckOracle:
+    """verify_faithful, which evaluates the fixed-point dot once per distinct
+    inner product at candidate phase differences, against the per-pair
+    reference: the same report, or the same exception and message."""
+
+    @given(oracle_cases())
+    @settings(max_examples=60, deadline=None)
+    @example((165, ALL_165, 1009, ALL_165, 60))
+    @example((165, ALL_165, 1009, (0,) * 165, 15))
+    @example((165, ALL_165, 1009, last_ray_shifted(165, 1009), 15))
+    @example((165, ALL_165, 1009, last_ray_shifted(165, 1009), 30))
+    @example((165, ALL_165, 11, alternating(165, 11), 15))
+    @example((165, ALL_165, 1009, alternating(165, 1009), 30))
+    @example((165, ALL_165, 13, alternating(165, 13), 60))
+    @example((741, ALL_741, 1009, last_ray_shifted(741, 1009), 15))
+    @example((741, ALL_741, 1009, ALL_741, 60))
+    def test_matches_pairwise_reference(self, case):
+        n_rays, ids, k, ns, dps = case
+        cfg = sub_config(n_rays, ids)
+        pa = PhaseAssignment(K=k, n=ns)
+        assert verify_outcome(verify_faithful, cfg, pa, dps) == verify_outcome(
+            pairwise_verify_faithful, cfg, pa, dps)
+
+    def test_guard_refuses_before_scanning(self, monkeypatch):
+        # sin(pi/2K) ~ 1.6e-15 at K = 10^15 + 1 is within the rounding bound
+        # at 15 digits, where the per-pair check would read rounding noise
+        def no_scan(*args):
+            raise AssertionError("the guard must act before the scan")
+
+        monkeypatch.setattr(realify, "flat_inner_row", no_scan)
+        pa = PhaseAssignment(K=10**15 + 1, n=(0, 1))
+        with pytest.raises(PrecisionDisagreement, match=r"K=1000000000000001: at 15 digits"):
+            verify_faithful(IMAGINARY_PAIR, pa, float_dps=15)
+
+    def test_guard_passes_at_60_digits(self):
+        pa = PhaseAssignment(K=10**15 + 1, n=(0, 1))
+        fr = verify_faithful(IMAGINARY_PAIR, pa)
+        assert fr.faithful and fr.pairs_checked == 1
+
+    @pytest.mark.parametrize("dps", [15, 60])
+    def test_guard_passes_at_largest_oracle_k(self, full_config, dps):
+        pa = rational_phase_search(full_config, 2**31 - 1, "distinct")
+        fr = verify_faithful(full_config, pa, float_dps=dps)
+        assert fr.faithful and fr.pairs_checked == 13530
+
+
 class TestExport:
     def test_unit_ray_identity_phase(self):
         cfg = unvalidated_config(VecC3.make(1, 0, 0))
@@ -276,6 +436,22 @@ class TestExport:
         for ray, row in zip(full_config.rays, rows):
             total = sum(float(x) ** 2 for x in row)
             assert total == pytest.approx(ray.sq_norm, rel=1e-12)
+
+    @pytest.mark.parametrize("precision", [15, 20, 40])
+    def test_zero_decision_matches_almosteq(self, precision):
+        with mp.workdps(precision + 15):
+            abs_eps = mp.mpf(10) ** (-(precision + 10))
+            ulp = mp.ldexp(1, mp.mag(abs_eps) - mp.mp.prec)
+            assert abs_eps - ulp < abs_eps < abs_eps + ulp
+            decisions = []
+            for sign in (1, -1):
+                for x in (abs_eps - ulp, abs_eps, abs_eps + ulp):
+                    x = sign * x
+                    zero = _export_field(x, precision, abs_eps) == "0"
+                    assert zero == mp.almosteq(x, 0, abs_eps=abs_eps)
+                    decisions.append(zero)
+            assert decisions == [True, True, False] * 2
+            assert _export_field(mp.mpf(0), precision, abs_eps) == "0"
 
     def test_deterministic(self, full_config):
         pa = rational_phase_search(full_config, 1009, "distinct")
