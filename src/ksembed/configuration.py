@@ -234,6 +234,13 @@ def closure_generate(
     6 makes the 12-ray MUB seed converge to exactly the published 165-ray /
     130-context configuration; the unfiltered closure of that seed diverges.
 
+    The closure is not equivariant above published scale.  The filter tests
+    the canonical representative, whose norm depends on coordinate order:
+    the ray (1, -3-2w, -1-w) has norm 9, which divides 18, but its (0 1)-swap
+    canonicalizes to norm 63.  So at bound 18 (741 rays) only a group of
+    order 6 (diag(1, 1, w) and conjugation) preserves the set; at bound 6 the
+    165-ray set is invariant under the group of order 108.
+
     Raises DivergenceGuard when the ray count exceeds ``cap``, which signals
     a wrong seed (or an unfiltered run).
     """

@@ -383,9 +383,11 @@ def save_phases(pa: PhaseAssignment) -> str:
 def load_phases(text: str) -> PhaseAssignment:
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
-    if not lines or not lines[0].startswith("K "):
-        raise ValueError("phase file must start with a 'K <value>' header")
-    k = int(lines[0].split()[1])
+    header = lines[0].split() if lines else []
+    if len(header) != 2 or header[0] != "K" or not header[1].isdecimal():
+        raise ValueError("phase file must start with a 'K <value>' header, got "
+                         f"{lines[0] if lines else ''!r}")
+    k = int(header[1])
     entries: dict[int, int] = {}
     for ln in lines[1:]:
         fields = ln.split()

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from enum import Enum
-from itertools import combinations
+from itertools import combinations, islice
 
 from .configuration import Configuration
 
@@ -320,6 +320,22 @@ class OptimizationResult:
     stats: dict = field(default_factory=dict)
 
 
+def _refutations(problem: _Problem, n_ctx: int, best: int, first=None):
+    """The refutation of best + 1 .. n_ctx, in subproblem order: one
+    RefutationEntry ("UNSAT", or "SAT" if satisfiable) per set of at most
+    n_ctx - best - 1 contexts allowed to stay uncovered, by size, then
+    lexicographically, each a budget-0 cover check of the rest.  ``first``
+    is yielded for the empty set in place of solving it again."""
+    for size in range(n_ctx - best):
+        for excluded in combinations(range(n_ctx), size):
+            if first is not None and not excluded:
+                yield first
+                continue
+            mask, stats = _solve(problem, set(range(n_ctx)).difference(excluded), 0)
+            yield RefutationEntry(excluded, stats.nodes, stats.propagations,
+                                  "UNSAT" if mask is None else "SAT")
+
+
 def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     """Maximum number of contexts with sum exactly 1 over REAL_EMBEDDED-
     admissible valuations, certified.
@@ -327,12 +343,11 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     Witness side: escalate an uncovered budget b = 0, 1, ... until the
     budgeted search is satisfiable; the first witness covers best = C - u
     contexts (u <= b its uncovered count); budget 0 is ks_colorable.
-    Refutation side: best + 1 is refuted by the subproblem decomposition over
-    every set of at most C - best - 1 contexts allowed to stay uncovered,
-    each an UNSAT budget-0 cover check (for the full configuration and
-    best = 128 this is the 1 + 130 decomposition; the empty set is
-    ks_colorable's search).  Subproblems are solved one after another, in
-    subproblem order; a satisfiable one raises InconsistentCertificates.
+    Refutation side: best + 1 is refuted by the subproblems of _refutations
+    (for the full configuration and best = 128 the 1 + 130 decomposition),
+    with ks_colorable's search as the empty set.  They are solved one after
+    another, in subproblem order; the first satisfiable one raises
+    InconsistentCertificates.
     """
     # each public entry point builds its own problem (under 1 ms at 165 rays)
     # rather than sharing one through a cache
@@ -357,22 +372,16 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     if bad:
         raise EngineError(f"engine returned an inadmissible witness: {bad[:3]}")
 
-    # refute best+1 .. n_ctx: every subset of <= n_ctx - best - 1 contexts
-    # may be surrendered, the rest must all be covered (best < n_ctx only if
-    # colorability is UNSAT, which refutes the empty set)
-    max_excluded = n_ctx - best - 1
+    # best < n_ctx only if colorability is UNSAT, which refutes the empty set
     certificate: list[RefutationEntry] = []
-    if max_excluded >= 0:
-        certificate.append(RefutationEntry((), color.nodes, color.propagations))
-    for size in range(1, max_excluded + 1):
-        for excluded in combinations(range(n_ctx), size):
-            mask, stats = _solve(problem, set(range(n_ctx)).difference(excluded), 0)
-            if mask is not None:
-                raise InconsistentCertificates(
-                    f"subproblem excluding {excluded} is satisfiable, but the "
-                    f"witness search says best = {best}"
-                )
-            certificate.append(RefutationEntry(excluded, stats.nodes, stats.propagations))
+    for entry in _refutations(problem, n_ctx, best,
+                              RefutationEntry((), color.nodes, color.propagations)):
+        if entry.result != "UNSAT":
+            raise InconsistentCertificates(
+                f"subproblem excluding {entry.excluded} is satisfiable, but the "
+                f"witness search says best = {best}"
+            )
+        certificate.append(entry)
 
     return OptimizationResult(
         best=best,
@@ -389,17 +398,17 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
 
 
 def replay_certificate(cfg: Configuration, result: OptimizationResult) -> bool:
-    """Re-run every refuted subproblem in isolation; each must be infeasible
-    again with identical node and propagation counts (the engine is
-    deterministic)."""
-    problem = _make_problem(cfg)
-    n_ctx = len(cfg.contexts)
-    for entry in result.certificate:
-        mask, stats = _solve(problem, set(range(n_ctx)).difference(entry.excluded), 0)
-        if mask is not None or (stats.nodes, stats.propagations) != (
-                entry.nodes, entry.propagations):
-            return False
-    return True
+    """The witness must be REAL_EMBEDDED-admissible and cover exactly
+    ``result.best`` contexts, and the certificate must be exactly the layout
+    that _refutations derives from ``result.best``, each line UNSAT again
+    with identical node and propagation counts (the engine is deterministic).
+    At most one line more than the certificate holds is solved."""
+    if (check_valuation(cfg, result.witness, ModelKind.REAL_EMBEDDED)
+            or covered_contexts(cfg, result.witness) != result.best):
+        return False
+    refuted = list(islice(_refutations(_make_problem(cfg), len(cfg.contexts), result.best),
+                          len(result.certificate) + 1))
+    return refuted == result.certificate and all(e.result == "UNSAT" for e in refuted)
 
 
 def global_sum_bounds(cfg: Configuration, result: OptimizationResult) -> tuple[int, int]:

@@ -237,6 +237,24 @@ class TestCertify:
         assert report["results"]["error"].startswith("EngineError: ")
         assert message in report["results"]["error"]
 
+    def test_incomplete_certificate_is_not_written(self, capsys, rays_file, tmp_path,
+                                                   monkeypatch):
+        real_maximize = valuations.maximize_covered_contexts
+
+        def drop_last_line(cfg):
+            opt = real_maximize(cfg)
+            opt.certificate.pop()
+            return opt
+
+        monkeypatch.setattr(valuations, "maximize_covered_contexts", drop_last_line)
+        cert = tmp_path / "certificate.txt"
+        code, report = run(capsys, "certify", "--rays", rays_file, "--mode", "all",
+                           "--out-certificate", str(cert))
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert report["results"]["error"].startswith("InconsistentCertificates")
+        assert not cert.exists()
+
     def test_empty_ray_file_is_a_json_error(self, capsys):
         code, report = run(capsys, "certify", "--rays", "/dev/null")
         assert code == EXIT_ERROR

@@ -476,6 +476,11 @@ class TestFiles:
         with pytest.raises(ValueError):
             load_phases("1009\n0 0\n")
 
+    @pytest.mark.parametrize("header", ["K 7 extra", "K", "K7", "K -7", "k 7"])
+    def test_header_is_exactly_k_and_an_integer(self, header):
+        with pytest.raises(ValueError, match=repr(header)):
+            load_phases(f"{header}\n0 3\n")
+
     def test_repeated_ray_id_rejected(self):
         with pytest.raises(ValueError, match="ray id 0"):
             load_phases("K 5\n0 1\n0 2\n1 3\n")

@@ -362,6 +362,47 @@ class TestMaximize:
                 tampered if e is entry else e for e in opt.certificate])
             assert not replay_certificate(full_config, forged)
 
+    @pytest.mark.parametrize("forge", [
+        lambda cfg, opt: replace(opt, certificate=opt.certificate[:-1]),
+        lambda cfg, opt: replace(opt, certificate=opt.certificate[1:]),
+        lambda cfg, opt: replace(opt, certificate=[
+            opt.certificate[0], opt.certificate[2], opt.certificate[1],
+            *opt.certificate[3:]]),
+        lambda cfg, opt: replace(opt, certificate=[
+            *opt.certificate[:5], opt.certificate[4], *opt.certificate[5:]]),
+        lambda cfg, opt: replace(opt, best=opt.best + 1, certificate=opt.certificate[:1]),
+        lambda cfg, opt: replace(opt, best=opt.best - 1),
+        lambda cfg, opt: replace(opt, witness=Valuation.zeros(cfg.n_rays)),
+        lambda cfg, opt: replace(opt, witness=Valuation(tuple(
+            1 if r in min(cfg.edges) else b for r, b in enumerate(opt.witness.bits)))),
+        # the layout for best = 0 begins with the published 131 lines
+        lambda cfg, opt: replace(opt, best=0, witness=Valuation.zeros(cfg.n_rays)),
+    ], ids=["last-dropped", "empty-exclusion-dropped", "swapped", "duplicated",
+            "best-raised", "best-lowered", "all-zero-witness", "edge-witness",
+            "all-zero-best-zero"])
+    def test_forged_result_fails_replay(self, full_config, forge):
+        opt = maximize_covered_contexts(full_config)
+        assert not replay_certificate(full_config, forge(full_config, opt))
+
+    def test_colourable_configuration_replays(self):
+        cfg = single_context()
+        opt = maximize_covered_contexts(cfg)
+        assert (opt.best, opt.certificate) == (len(cfg.contexts), [])
+        assert replay_certificate(cfg, opt)
+
+    def test_satisfiable_line_fails_replay(self):
+        # best = 1 of 2 with a witness covering one context: the layout is the
+        # empty exclusion alone, satisfiable, so the line is no refutation
+        cfg = two_disjoint_contexts()
+        opt = maximize_covered_contexts(cfg)
+        witness = Valuation(tuple(b if r in cfg.contexts[0].ray_ids else 0
+                                  for r, b in enumerate(opt.witness.bits)))
+        mask, stats = _solve(_make_problem(cfg), range(2), 0)
+        assert mask is not None
+        line = valuations.RefutationEntry((), stats.nodes, stats.propagations, "SAT")
+        assert not replay_certificate(cfg, replace(opt, best=1, witness=witness,
+                                                   certificate=[line]))
+
     def test_certificate_text_structure(self, full_config):
         opt = maximize_covered_contexts(full_config)
         text = certificate_to_text(full_config, opt)
