@@ -227,8 +227,9 @@ def closure_generate(
 ) -> Configuration:
     """Generate a configuration by conjugate-cross-product closure.
 
-    Repeatedly, for every non-parallel ray pair, canonicalize
-    conj_cross(u, v) and insert it if new, iterating to a fixed point.  A
+    Repeatedly, for every ray pair, canonicalize conj_cross(u, v) and insert
+    it if new, iterating to a fixed point; the pairs are never parallel (the
+    rays are distinct canonical forms, constant on parallel classes).  A
     completion is kept only when its squared norm divides
     ``keep_norm_dividing`` (pass None to keep everything).  The default bound
     6 makes the 12-ray MUB seed converge to exactly the published 165-ray /
@@ -257,10 +258,7 @@ def closure_generate(
     while i < len(vecs):
         u = vecs[i]
         for j in range(i):
-            w = flat_conj_cross(u, vecs[j])
-            if not any(w):  # parallel pair
-                continue
-            c = flat_canonical(w)
+            c = flat_canonical(flat_conj_cross(u, vecs[j]))
             if c in seen:
                 continue
             if keep_norm_dividing is not None and keep_norm_dividing % flat_sq_norm(c) != 0:
@@ -292,8 +290,12 @@ def subconfiguration(cfg: Configuration, ids: list[int]) -> Configuration:
 
     Edges and purely imaginary pairs are induced; contexts are the original
     contexts fully inside the subset.  No clique validation: induced graphs
-    legitimately contain edges outside every triangle.
+    legitimately contain edges outside every triangle.  Raises ValueError
+    naming every id outside 0..n-1.
     """
+    out = sorted({i for i in ids if not 0 <= i < cfg.n_rays})
+    if out:
+        raise ValueError(f"ray ids outside 0..{cfg.n_rays - 1}: {out}")
     keep = sorted(set(ids))
     remap = {old: new for new, old in enumerate(keep)}
     rays = [Ray(remap[i], cfg.rays[i].vec, cfg.rays[i].sq_norm) for i in keep]

@@ -391,7 +391,9 @@ def load_phases(text: str) -> PhaseAssignment:
     entries: dict[int, int] = {}
     for ln in lines[1:]:
         fields = ln.split()
-        if len(fields) != 2:
+        # "<ray id> <n_k>": decimal digits, and an optional "-" then digits
+        if (len(fields) != 2 or not fields[0].isdecimal()
+                or not fields[1].removeprefix("-").isdecimal()):
             raise ValueError(f"bad phase line: {ln!r}")
         ray_id = int(fields[0])
         if ray_id in entries:

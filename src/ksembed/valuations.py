@@ -186,23 +186,22 @@ def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, Solv
     Iterative, so its depth is not bounded by the recursion limit.
 
     ``must_cover`` is any iterable of context indices, read as a set: its
-    order and duplicates do not matter.  Value order is 1 before 0.  A ray
-    set to 1 zeroes all its neighbors.  A must-cover context that goes
-    all-zero consumes ``budget``; past it that is a conflict, and at it every
-    open two-zero must-cover context forces its third ray to 1.
+    order and duplicates do not matter.  Value order is 1 before 0.  The only
+    conflict is more all-zero must-cover contexts than ``budget``; at it,
+    every open two-zero must-cover context forces its third ray to 1.
 
-    A state is (ones, zeros, covered, z0, z1, z2): ones and zeros over rays
-    in rank order, the rest over context indices.  covered has a ray set to 1
+    A state is (ones, zeros, covered, z0, z1, z2): ones and zeros over rays in
+    rank order, the rest over context indices.  covered has a ray set to 1
     (contexts outside ``must_cover`` start there), and zk has its k-th ray
     zero, so z0 & z1 & z2 is all-zero and z0 ^ z1 ^ z2 ^ (z0 | z1 | z2)
     exactly two-zero.  Setting r to 0 ORs ``slot[k][r]`` into zk; setting it
-    to 1 ORs adj[r] into zeros and ``near[k][r]`` into zk, with no loop over
-    the neighbors.  The branch ray is the lowest free bit.  The forcing
-    sweep takes the lowest open two-zero context at or above a floor that
-    moves past each forced context: the order of a scan of the sorted
-    ``must_cover`` that forces as it goes (a force that opens an earlier
-    context is taken up by the next sweep), so node and propagation counts,
-    and every certificate, follow that scan.
+    to 1 ORs adj[r] into zeros and ``near[k][r]`` into zk, so no free ray, nor
+    the third ray of an open two-zero context, has a neighbor set to 1.  The
+    branch ray is the lowest free bit.  The forcing sweep takes the lowest
+    open two-zero context at or above a floor that moves past each forced
+    context: the order of a scan of the sorted ``must_cover`` that forces as
+    it goes (a force that opens an earlier context waits for the next sweep),
+    so node and propagation counts, and every certificate, follow that scan.
     """
     adj, rays, cover = problem.adj, problem.rays, problem.cover
     s0, s1, s2 = problem.slot
@@ -231,11 +230,6 @@ def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, Solv
                 c = floor + (open2 & -open2).bit_length() - 1
                 i, j, k = rays[c]
                 r = k if (z0 >> c) & (z1 >> c) & 1 else j if (z0 >> c) & 1 else i
-                # r is free (its slot is not zero and c is open), so only a
-                # neighbor set to 1 blocks it: a conflict, as over budget
-                if adj[r] & ones:
-                    uncovered = budget + 1
-                    break
                 ones |= 1 << r
                 zeros |= adj[r]
                 covered |= cover[r]
@@ -244,7 +238,7 @@ def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, Solv
                 z2 |= n2[r]
                 propagations += 1
                 floor = c + 1
-            if uncovered > budget or not floor:
+            if not floor:
                 break
         if uncovered > budget:
             continue
@@ -258,9 +252,8 @@ def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, Solv
         bit = free & -free
         r = bit.bit_length() - 1
         stack.append((ones, zeros | bit, covered, z0 | s0[r], z1 | s1[r], z2 | s2[r]))
-        if not adj[r] & ones:
-            stack.append((ones | bit, zeros | adj[r], covered | cover[r],
-                          z0 | n0[r], z1 | n1[r], z2 | n2[r]))
+        stack.append((ones | bit, zeros | adj[r], covered | cover[r],
+                      z0 | n0[r], z1 | n1[r], z2 | n2[r]))
     return None, SolveStats(nodes, propagations)
 
 

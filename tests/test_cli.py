@@ -5,7 +5,7 @@ import json
 
 import pytest
 
-from ksembed import configuration, valuations
+from ksembed import configuration, realify, valuations
 from ksembed.cli import EXIT_DISCREPANCY, EXIT_ERROR, EXIT_OK, main
 from ksembed.configuration import ingest_rays
 
@@ -33,6 +33,11 @@ def rays_file(tmp_path_factory):
     code = main(["generate", "--out", str(path)])
     assert code == EXIT_OK
     return str(path)
+
+
+def one_spurious_pair(cfg, pa):
+    """A verify_faithful stand-in that reports the pair (0, 1) as spurious."""
+    return realify.FaithfulnessReport(spurious=[(0, 1)], pairs_checked=13530)
 
 
 class TestGenerate:
@@ -166,6 +171,13 @@ class TestRealify:
         code, report = run(capsys, "realify", "--rays", "/no/such/file")
         assert code == EXIT_ERROR
 
+    def test_unfaithful_result_is_a_discrepancy(self, capsys, rays_file, monkeypatch):
+        monkeypatch.setattr(realify, "verify_faithful", one_spurious_pair)
+        code, report = run(capsys, "realify", "--rays", rays_file)
+        assert code == EXIT_DISCREPANCY
+        assert report["status"] == "discrepancy"
+        assert (report["results"]["spurious"], report["results"]["missing"]) == (1, 0)
+
     def test_backtracking_strategy(self, capsys, rays_file):
         code, report = run(capsys, "realify", "--rays", rays_file,
                            "--strategy", "backtracking")
@@ -287,6 +299,32 @@ class TestReport:
                    for name in REPORT_GOLDEN if name != "stdout"}
         digests["stdout"] = hashlib.sha256(stdout.encode()).hexdigest()
         assert digests == REPORT_GOLDEN
+
+    def test_commands_write_the_report_artifacts(self, capsys, tmp_path):
+        # generate, realify and certify, each reading the ray file, write the
+        # same four files as report
+        paths = {name: str(tmp_path / name) for name in REPORT_GOLDEN if name != "stdout"}
+        for argv in (["generate", "--out", paths["rays.txt"]],
+                     ["realify", "--rays", paths["rays.txt"],
+                      "--out-phases", paths["phases.txt"],
+                      "--out-vectors", paths["vectors.txt"]],
+                     ["certify", "--rays", paths["rays.txt"], "--mode", "all",
+                      "--out-certificate", paths["certificate.txt"]]):
+            assert main(argv) == EXIT_OK
+        capsys.readouterr()
+        digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+                   for name in paths}
+        assert digests == {name: REPORT_GOLDEN[name] for name in paths}
+
+    def test_unfaithful_realify_makes_report_a_discrepancy(self, capsys, tmp_path,
+                                                          monkeypatch):
+        monkeypatch.setattr(realify, "verify_faithful", one_spurious_pair)
+        code, report = run(capsys, "report", "--out-dir", str(tmp_path / "repro"))
+        assert code == EXIT_DISCREPANCY
+        assert report["status"] == "discrepancy"
+        assert report["results"]["realify"]["spurious"] == 1
+        # every named check still passes: the discrepancy is realify's own
+        assert all(c["ok"] for c in report["checks"])
 
     def test_published_solver_counters(self, full_config):
         # the counts behind the golden certificate, readable

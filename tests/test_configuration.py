@@ -14,7 +14,9 @@ from ksembed.configuration import (
     DuplicateRay,
     NonTriangleClique,
     ParseError,
+    Ray,
     ZeroVector,
+    build_contexts,
     canonicalize,
     closure_generate,
     configuration_from_vectors,
@@ -268,6 +270,20 @@ class TestContexts:
                 [VecC3.make(1, 0, 0), VecC3.make(0, 1, 1)]
             )
 
+    def test_triangle_that_extends_rejected(self):
+        # a synthetic K4: no four rays of C^3 are pairwise orthogonal
+        rays = [Ray(i, v, v.sq_norm()) for i, v in enumerate(mub_seed()[:4])]
+        edges = {(i, j) for i in range(4) for j in range(i + 1, 4)}
+        adjacency = [set(range(4)) - {i} for i in range(4)]
+        with pytest.raises(NonTriangleClique, match=r"triangle \(0, 1, 2\) extends by \[3\]"):
+            build_contexts(rays, edges, adjacency)
+
+    def test_isolated_ray_rejected_when_strict(self):
+        vecs = mub_bases()[0] + [VecC3.make(1, 1, 1)]
+        with pytest.raises(NonTriangleClique, match=r"isolated rays .*: \[3\]"):
+            configuration_from_vectors(vecs)
+        assert len(configuration_from_vectors(vecs, strict=False).contexts) == 1
+
 
 class TestRayFiles:
     def test_parse_simple_line(self):
@@ -302,6 +318,10 @@ class TestRayFiles:
     def test_wrong_arity(self):
         with pytest.raises(ParseError):
             ingest_rays("1,0 0,1\n")
+
+    def test_coordinate_with_three_parts(self):
+        with pytest.raises(ParseError, match="'1,0,0' is not of the form a,b"):
+            ingest_rays("1,0,0 0,0 0,0\n")
 
     def test_non_integer_coefficient(self):
         with pytest.raises(ParseError):
@@ -364,3 +384,10 @@ class TestSubconfiguration:
         assert sub.edges == fresh.edges
         assert sub.imaginary_pairs == fresh.imaginary_pairs
         assert sub.imaginary_pairs
+
+    def test_ids_out_of_range_rejected(self, full_config):
+        # -1 would otherwise index ray 164 and drop its edges
+        with pytest.raises(ValueError, match=r"outside 0\.\.164: \[-1\]"):
+            subconfiguration(full_config, [-1, 0])
+        with pytest.raises(ValueError, match=r"outside 0\.\.164: \[-3, 165, 200\]"):
+            subconfiguration(full_config, [0, 165, 200, -3, 165])

@@ -4,6 +4,7 @@ import functools
 import hashlib
 import math
 import random
+import re
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -425,6 +426,11 @@ class TestExport:
         with mp.workdps(50):
             assert rows[0][3] == mp.nstr(mp.sqrt(3) / 2, 20)
 
+    def test_phase_count_must_match_ray_count(self):
+        cfg = unvalidated_config(VecC3.make(1, 0, 0))
+        with pytest.raises(ValueError, match="does not cover the configuration"):
+            phase_apply_export(cfg, PhaseAssignment(K=1009, n=(0, 0)), 20)
+
     def test_minimum_precision_enforced(self):
         cfg = unvalidated_config(VecC3.make(1, 0, 0))
         with pytest.raises(ValueError):
@@ -484,3 +490,16 @@ class TestFiles:
     def test_repeated_ray_id_rejected(self):
         with pytest.raises(ValueError, match="ray id 0"):
             load_phases("K 5\n0 1\n0 2\n1 3\n")
+
+    @pytest.mark.parametrize("line", ["0 1_0", "0 x", "0 +3", "+0 3", "-1 3", "0 3.0",
+                                      "0 --3", "0 3 4"])
+    def test_entry_is_a_ray_id_and_an_integer(self, line):
+        with pytest.raises(ValueError, match=re.escape(f"bad phase line: {line!r}")):
+            load_phases(f"K 5\n{line}\n")
+
+    def test_negative_entry_reduced_mod_2k(self):
+        assert load_phases("K 5\n0 -3\n1 12\n").n == (7, 2)
+
+    def test_gap_in_ray_ids_rejected(self):
+        with pytest.raises(ValueError, match=r"ray ids 0\.\.N-1"):
+            load_phases("K 5\n0 1\n2 3\n")

@@ -219,6 +219,10 @@ class TestEngineProblem:
 
 
 class TestCheckValuation:
+    def test_entries_must_be_bits(self):
+        with pytest.raises(ValueError, match="0 or 1"):
+            Valuation((2,))
+
     def test_all_zero_real_embedded_admissible(self, full_config):
         violations = check_valuation(
             full_config, Valuation.zeros(165), ModelKind.REAL_EMBEDDED
@@ -425,6 +429,18 @@ class TestMaximize:
         cfg = single_context()
         assert ks_colorable(cfg).satisfiable
         assert maximize_covered_contexts(cfg).best == len(cfg.contexts)
+
+    def test_satisfiable_refutation_subproblem_raises(self, monkeypatch):
+        # a stub engine: uncolourable, then an all-zero witness at budget 1
+        # (best = 0), then every refutation subproblem satisfiable
+        def fake(problem, must_cover, budget):
+            everything = budget == 0 and len(set(must_cover)) == len(problem.rays)
+            return (None if everything else 0), SolveStats()
+
+        monkeypatch.setattr(valuations, "_solve", fake)
+        with pytest.raises(InconsistentCertificates,
+                           match=r"excluding \(0,\) is satisfiable.*best = 0"):
+            maximize_covered_contexts(two_disjoint_contexts())
 
 
 class TestGlobalSumBounds:
