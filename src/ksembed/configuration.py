@@ -24,6 +24,7 @@ from .exact import (
     flat_conj_cross,
     flat_inner_row,
     flat_sq_norm,
+    flat_zero_lanes,
     hermitian_inner,
 )
 
@@ -153,7 +154,15 @@ class Configuration:
 def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
     """Sort distinct canonical flat vectors into stable ids (by squared norm,
     then coefficients), scan all pairs for edges and purely imaginary pairs,
-    and enumerate contexts (with clique validation)."""
+    and enumerate contexts (with clique validation).
+
+    The scan reads the lane kernel (exact.flat_zero_lanes): the rays'
+    coefficient columns are packed once into big integers, one lane per
+    ray, wide enough for every lane value, and each row is one packed
+    combination whose lanes hold 2A - B of <u, v> = A + B*w, twice the real
+    part.  Its all-zero lanes are the pairs with zero real part, and only
+    those get a scalar flat_inner_row, to tell an edge (A = 0) from a
+    purely imaginary pair."""
     keyed = sorted((flat_sq_norm(f), f) for f in flats)
     rays = [Ray(i, VecC3.from_flat(f), sq) for i, (sq, f) in enumerate(keyed)]
     ordered = [f for _, f in keyed]
@@ -161,16 +170,14 @@ def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
     adjacency: list[set[int]] = [set() for _ in range(n)]
     edges = set()
     imaginary = set()
-    for i in range(n - 1):
-        for j, (a, b) in enumerate(flat_inner_row(ordered[i], ordered[i + 1:]), i + 1):
-            # a + b*w has real part a - b/2: zero when 2a = b
-            if 2 * a == b:
-                if a == 0:
-                    edges.add((i, j))
-                    adjacency[i].add(j)
-                    adjacency[j].add(i)
-                else:
-                    imaginary.add((i, j))
+    for i, js in enumerate(flat_zero_lanes(ordered, 2, -1)):
+        for j, (a, _) in zip(js, flat_inner_row(ordered[i], [ordered[j] for j in js])):
+            if a == 0:
+                edges.add((i, j))
+                adjacency[i].add(j)
+                adjacency[j].add(i)
+            else:
+                imaginary.add((i, j))
     contexts = build_contexts(rays, edges, adjacency, strict=strict)
     return Configuration(rays=rays, edges=frozenset(edges),
                          imaginary_pairs=frozenset(imaginary), contexts=contexts,

@@ -3,13 +3,17 @@
 Complex ray coordinates live in Z[w] with w = exp(2*pi*i/3), represented as
 a + b*w with arbitrary-precision integer a, b.  Realified coordinates live in
 Q(sqrt(3)), represented as p + q*sqrt(3) with exact rationals p, q.  Pair
-scans use the plain-int kernel on flat coefficient tuples (flat_inner_row
-and its siblings), which the VecC3 functions wrap.  Nothing in this module
-touches floating point.
+arithmetic is a plain-int kernel on flat coefficient tuples (flat_inner_row
+and its siblings), which the VecC3 functions wrap; the all-pairs scans read
+it a row at a time from packed big-integer lanes (flat_lane_rows,
+flat_zero_lanes).  Nothing in this module touches floating point.
 """
 
 from __future__ import annotations
 
+import sys
+from array import array
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -201,7 +205,9 @@ class VecR6:
 # Every scan over ray pairs (closure, assembly, verification) runs on flat
 # int tuples (a1, b1, a2, b2, a3, b3), coordinate k being a_k + b_k*w, so
 # that no dataclass is built per pair.  The VecC3 functions after the kernel
-# are thin wrappers over it: the arithmetic is written once.
+# are thin wrappers over it: the arithmetic is written once.  The two
+# all-pairs scans read it through the lane kernel below, which builds no
+# tuple per pair either.
 
 Flat = tuple[int, int, int, int, int, int]
 
@@ -217,6 +223,100 @@ def flat_inner_row(u: Flat, vs) -> list[tuple[int, int]]:
     return [(p1 * c1 + b1 * d1 + p2 * c2 + b2 * d2 + p3 * c3 + b3 * d3,
              a1 * d1 - b1 * c1 + a2 * d2 - b2 * c2 + a3 * d3 - b3 * c3)
             for c1, d1, c2, d2, c3, d3 in vs]
+
+
+# The lane kernel.  The all-pairs scans read one linear form x*A + y*B of
+# every inner product <vs[i], vs[j]> = A + B*w, i < j: assembly reads
+# 2A - B (twice the real part), verification the key A*2^h + B, which gives
+# back (A, B).  They share the packing below and differ only in (x, y).  By
+# flat_inner_row's terms the form is sum_k g_k * v[k], the weights g_k small
+# integers taken from u = vs[i], so a whole row of it is one 6-term integer
+# combination of packed columns, as in Kronecker substitution:
+#
+# - Lanes.  Column k of the ray list is the integer sum_j vs[j][k] << (L*j),
+#   one L-bit lane per ray, packed once per scan; lane j of
+#   sum_k g_k * column_k is then the form on the pair (u, vs[j]).
+# - Width.  With M the largest |coefficient| in the list, every lane value
+#   is at most (sum_k |g_k|) * M in magnitude.  L is a whole number of bytes
+#   with one bit more than the largest such bound over the rows (and M), so
+#   every lane value lies in [-2^(L-1), 2^(L-1)).
+# - Exactness.  Adding 2^(L-1) to every lane makes each lane a digit in
+#   [0, 2^L): the base-2^L digits of the biased row are its lanes, with no
+#   borrow between them.  XOR of each lane's top bit then leaves each lane's
+#   two's complement, which to_bytes lays out little-endian, lane j at byte
+#   offset j*L/8.  Nothing is rounded or truncated, for any input.
+#
+# Lanes of 1, 2, 4 or 8 bytes are read as a stdlib array, wider ones with
+# int.from_bytes.  flat_inner_row is the scalar kernel, and the reference
+# the tests hold the lane kernel to.
+
+_LANE_CODES = {array(code).itemsize: code for code in "bhilq"}  # bytes -> typecode
+
+
+def _lane_rows(vs: list[Flat], x: int, y: int) -> tuple[int, Iterator[bytes]]:
+    """The lane width in bytes, and for i = 0..n-2 the packed row of
+    x*A + y*B on (vs[i], vs[j]) for every j, as little-endian two's
+    complement lanes."""
+    weights = [(x * (a1 - b1) - y * b1, x * b1 + y * a1,
+                x * (a2 - b2) - y * b2, x * b2 + y * a2,
+                x * (a3 - b3) - y * b3, x * b3 + y * a3)
+               for a1, b1, a2, b2, a3, b3 in vs]
+    m = max((abs(c) for v in vs for c in v), default=0)
+    bound = max(m, m * max((sum(map(abs, g)) for g in weights), default=0))
+    width = -(-(bound.bit_length() + 1) // 8)
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+
+    def column(k: int) -> int:
+        pos = b"".join(max(v[k], 0).to_bytes(width, "little") for v in vs)
+        neg = b"".join(max(-v[k], 0).to_bytes(width, "little") for v in vs)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    def rows() -> Iterator[bytes]:
+        c0, c1, c2, c3, c4, c5 = (column(k) for k in range(6))
+        top = int.from_bytes((bytes(width - 1) + b"\x80") * len(vs), "little")
+        size = width * len(vs)
+        for g0, g1, g2, g3, g4, g5 in weights[:-1]:
+            s = g0 * c0 + g1 * c1 + g2 * c2 + g3 * c3 + g4 * c4 + g5 * c5
+            yield ((s + top) ^ top).to_bytes(size, "little")
+
+    return width, rows()
+
+
+def flat_lane_rows(vs: list[Flat], x: int, y: int) -> Iterator[Sequence[int]]:
+    """For i = 0..n-2, the values x*A + y*B of <vs[i], vs[j]> = A + B*w for
+    j = i+1..n-1 in order: the upper triangle of the Gram matrix under one
+    linear form, a row per packed multiply (see the lane layout above)."""
+    width, rows = _lane_rows(vs, x, y)
+    code = _LANE_CODES.get(width)
+    for i, buf in enumerate(rows, 1):
+        if code is None:
+            yield [int.from_bytes(buf[o:o + width], "little", signed=True)
+                   for o in range(i * width, len(buf), width)]
+        else:
+            lanes = array(code)
+            lanes.frombytes(memoryview(buf)[i * width:])
+            if sys.byteorder == "big":
+                lanes.byteswap()
+            yield lanes
+
+
+def flat_zero_lanes(vs: list[Flat], x: int, y: int) -> Iterator[list[int]]:
+    """For i = 0..n-2, the j > i (ascending) where x*A + y*B of
+    <vs[i], vs[j]> = A + B*w is zero, found as all-zero lanes by bytes.find."""
+    width, rows = _lane_rows(vs, x, y)
+    zero = bytes(width)
+    for i, buf in enumerate(rows, 1):
+        js = []
+        pos = buf.find(zero, i * width)
+        while pos >= 0:
+            off = pos % width
+            if off:  # the zero bytes straddle two lanes: go on at the next
+                pos = buf.find(zero, pos - off + width)
+            else:
+                js.append(pos // width)
+                pos = buf.find(zero, pos + width)
+        yield js
 
 
 def flat_sq_norm(u: Flat) -> int:

@@ -27,7 +27,7 @@ from math import gcd
 import mpmath as mp
 
 from .configuration import Configuration
-from .exact import EisensteinInt, flat_inner_row
+from .exact import EisensteinInt, flat_lane_rows
 
 
 class ZeroInnerProduct(ValueError):
@@ -199,6 +199,15 @@ def verify_faithful(
     equal n mod K can form one: the pass groups the rays by n mod K and
     applies the criterion to the pairs within each group.
 
+    The inner products come from the lane kernel (exact.flat_lane_rows),
+    which packs the rays' coefficient columns once into big integers, one
+    lane per ray, wide enough for every lane value, so every lane is exact.
+    Each row is one packed combination whose lane j holds the key
+    A*2^h + B of c = <ray i, ray j> = A + B*w, with |B| <= 6*M^2 < 2^(h-1)
+    (M the largest |coefficient|), so the key determines (A, B).  A row's
+    distinct c are its set of keys, and a key is decoded the first time it
+    is seen; the assembly scan shares the packing but reads 2A - B instead.
+
     The exact criterion is cross-checked in fixed point once per distinct
     inner product c, for every phase difference at once:
 
@@ -240,6 +249,15 @@ def verify_faithful(
     k, ns = pa.K, pa.n
     k2 = 2 * k
     flats = [ray.vec.flat() for ray in cfg.rays]
+    # B = sum_k (a_k d_k - b_k c_k) has |B| <= 6 M^2 < 2^(h-1), M the largest
+    # |coefficient|, so the key A*2^h + B of c = A + B*w gives back (A, B)
+    m = max((abs(x) for f in flats for x in f), default=0)
+    h = (6 * m * m).bit_length() + 1
+
+    def decode(key: int) -> tuple[int, int]:
+        b = ((key + (1 << (h - 1))) & ((1 << h) - 1)) - (1 << (h - 1))
+        return (key - b) >> h, b
+
     bits = math.ceil(float_dps * math.log2(10)) + 8
     # for an integer dot, |dot| < ceil(t) iff |dot| < t: the cutoff is exact
     threshold = math.ceil(Fraction(1, 10**50) * (1 << (2 * bits)))
@@ -285,25 +303,28 @@ def verify_faithful(
                     differ[dn] = dot
             return differ
 
-        # an orthogonal pair's real dot is Re(e^{i dtheta} * 0) = 0 exactly
-        seen = {(0, 0)}
-        wrong: dict[tuple[int, int], dict[int, int]] = {}  # c -> {dn: dot}
-        for i in range(cfg.n_rays - 1):
+        # an orthogonal pair (key 0) has real dot Re(e^{i dtheta} * 0) = 0
+        seen = {0}
+        imaginary: set[int] = set()  # keys of the nonzero purely imaginary c
+        wrong: dict[int, dict[int, int]] = {}  # key of c -> {dn: dot}
+        for i, row in enumerate(flat_lane_rows(flats, 1 << h, 1)):
             ni = ns[i]
-            row = flat_inner_row(flats[i], flats[i + 1:])
             report.pairs_checked += len(row)
             distinct = set(row)
-            for c in distinct - seen:
-                seen.add(c)
+            for key in distinct - seen:
+                seen.add(key)
+                c = decode(key)
+                if 2 * c[0] == c[1]:
+                    imaginary.add(key)
                 w = disagreements(c)
                 if w:
-                    wrong[c] = w
+                    wrong[key] = w
             if not wrong.keys().isdisjoint(distinct):
-                for j, c in enumerate(row, i + 1):
+                for j, key in enumerate(row, i + 1):
                     dn = (ns[j] - ni) % k2
-                    dot = wrong.get(c, {}).get(dn)
+                    dot = wrong.get(key, {}).get(dn)
                     if dot is not None:
-                        exact_zero = 2 * c[0] == c[1] and dn % k == 0
+                        exact_zero = key in imaginary and dn % k == 0
                         raise PrecisionDisagreement(
                             f"pair ({i}, {j}): exact says "
                             f"{'zero' if exact_zero else 'nonzero'}, "
@@ -313,8 +334,7 @@ def verify_faithful(
             # is_spurious_exact: purely imaginary c and dn = 0 (mod K)
             mates = classes[ni % k]
             for j in mates[bisect_right(mates, i):]:
-                a, b = row[j - i - 1]
-                if (a or b) and 2 * a == b:
+                if row[j - i - 1] in imaginary:
                     report.spurious.append((i, j))
     return report
 
@@ -323,6 +343,13 @@ def scan_spurious_zero_phases(cfg: Configuration) -> list[tuple[int, int]]:
     """Pairs spurious under the canonical realification (all phases zero):
     exactly the non-orthogonal pairs with purely imaginary inner product."""
     return sorted(cfg.imaginary_pairs)
+
+
+def check_precision(precision: int) -> None:
+    """Raise ValueError unless ``precision`` is at least 15 significant
+    digits, the least phase_apply_export evaluates to."""
+    if precision < 15:
+        raise ValueError(f"precision must be >= 15 significant digits, got {precision}")
 
 
 def phase_apply_export(
@@ -337,8 +364,7 @@ def phase_apply_export(
     (re, im), the image contributes (re*cos - im*sin, re*sin + im*cos) to the
     real and imaginary slots.
     """
-    if precision < 15:
-        raise ValueError(f"precision must be >= 15 significant digits, got {precision}")
+    check_precision(precision)
     if len(pa.n) != cfg.n_rays:
         raise ValueError("phase assignment does not cover the configuration")
     rows: list[tuple[str, ...]] = []

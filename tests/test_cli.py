@@ -178,6 +178,20 @@ class TestRealify:
         assert report["status"] == "discrepancy"
         assert (report["results"]["spurious"], report["results"]["missing"]) == (1, 0)
 
+    @pytest.mark.parametrize("out_vectors", [True, False])
+    def test_low_precision_refused_before_any_file(self, capsys, rays_file, tmp_path,
+                                                   out_vectors):
+        phases, vectors = tmp_path / "phases.txt", tmp_path / "vectors.txt"
+        argv = ["realify", "--rays", rays_file, "--precision", "3",
+                "--out-phases", str(phases)]
+        if out_vectors:
+            argv += ["--out-vectors", str(vectors)]
+        code, report = run(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert "precision must be >= 15" in report["results"]["error"]
+        assert not phases.exists() and not vectors.exists()
+
     def test_backtracking_strategy(self, capsys, rays_file):
         code, report = run(capsys, "realify", "--rays", rays_file,
                            "--strategy", "backtracking")
@@ -325,6 +339,14 @@ class TestReport:
         assert report["results"]["realify"]["spurious"] == 1
         # every named check still passes: the discrepancy is realify's own
         assert all(c["ok"] for c in report["checks"])
+
+    def test_low_precision_refused_before_any_file(self, capsys, tmp_path):
+        out_dir = tmp_path / "repro"
+        code, report = run(capsys, "report", "--out-dir", str(out_dir), "--precision", "3")
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert "precision must be >= 15" in report["results"]["error"]
+        assert not out_dir.exists()
 
     def test_published_solver_counters(self, full_config):
         # the counts behind the golden certificate, readable

@@ -1,12 +1,15 @@
 """Configuration generation: canonical forms, MUBs, closure, file round-trips."""
 
+import functools
 import random
 import warnings
 from fractions import Fraction
 from math import lcm
+from pathlib import Path
 
 import pytest
-from hypothesis import given
+from conftest import lifted
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ksembed.configuration import (
@@ -33,7 +36,9 @@ from ksembed.exact import (
     OMEGA2,
     EisensteinInt,
     VecC3,
+    conj_cross,
     cross,
+    flat_inner_row,
     hermitian_inner,
 )
 
@@ -234,6 +239,67 @@ class TestClosure:
     def test_empty_seed_rejected(self):
         with pytest.raises(ZeroVector):
             closure_generate([])
+
+
+@functools.lru_cache(maxsize=None)
+def rays741() -> tuple[VecC3, ...]:
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rays741.txt"
+    return tuple(r.vec for r in ingest_rays(path.read_text()).rays)
+
+
+def scalar_classification(cfg):
+    """(edges, purely imaginary pairs) by the scalar kernel, pair by pair."""
+    flats = [r.vec.flat() for r in cfg.rays]
+    zero, imaginary = set(), set()
+    for i in range(cfg.n_rays):
+        for j in range(i + 1, cfg.n_rays):
+            (a, b), = flat_inner_row(flats[i], [flats[j]])
+            if (a, b) == (0, 0):
+                zero.add((i, j))
+            elif 2 * a == b:
+                imaginary.add((i, j))
+    return zero, imaginary
+
+
+big_coef = st.integers(min_value=-10**30, max_value=10**30)
+big_vec = st.builds(
+    VecC3.make,
+    *[st.builds(EisensteinInt, big_coef, big_coef)] * 3,
+).filter(lambda v: not v.is_zero())
+
+
+class TestAssemblyScan:
+    """The assembly's lane scan (2A - B, then a scalar check of its zero
+    lanes) against a per-pair scalar classification."""
+
+    def test_stress_configuration(self):
+        cfg = configuration_from_vectors(list(rays741()), strict=False)
+        assert (cfg.edges, cfg.imaginary_pairs) == scalar_classification(cfg)
+        assert (len(cfg.edges), len(cfg.imaginary_pairs), len(cfg.contexts)) == (
+            1974, 5124, 490)
+
+    @given(st.sets(st.integers(0, 740), max_size=40), st.integers(0, 43))
+    @settings(max_examples=60, deadline=None)
+    def test_subsets_of_stress_rays_with_large_coefficients(self, ids, k):
+        # conftest.LIFT: the images keep their edges and imaginary pairs, with
+        # coefficients near 5^k
+        vecs = lifted([rays741()[i] for i in sorted(ids)], k)
+        cfg = configuration_from_vectors(vecs, strict=False)
+        assert (cfg.edges, cfg.imaginary_pairs) == scalar_classification(cfg)
+
+    @given(st.lists(big_vec, min_size=2, max_size=12, unique_by=canonicalize))
+    @settings(max_examples=60, deadline=None)
+    def test_random_large_vectors_with_completions(self, vecs):
+        # each completion conj(u x v) is orthogonal to u and v: edges occur
+        rays, done = list(vecs), set(map(canonicalize, vecs))
+        for u, v in zip(vecs, vecs[1:]):
+            w = conj_cross(u, v)
+            if canonicalize(w) not in done:
+                done.add(canonicalize(w))
+                rays.append(w)
+        cfg = configuration_from_vectors(rays, strict=False)
+        assert (cfg.edges, cfg.imaginary_pairs) == scalar_classification(cfg)
+        assert cfg.edges
 
 
 class TestContexts:

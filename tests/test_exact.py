@@ -4,7 +4,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksembed.exact import (
@@ -23,7 +23,9 @@ from ksembed.exact import (
     flat_conj_cross,
     flat_cross,
     flat_inner_row,
+    flat_lane_rows,
     flat_sq_norm,
+    flat_zero_lanes,
     hermitian_inner,
     permutation_equivalent,
     phi0,
@@ -277,3 +279,41 @@ class TestPairKernel:
         assert x.flat() == u
         assert hermitian_inner(x, y) == inner_reference(u, v)
         assert cross(x, y) == VecC3(tuple(cross_reference(u, v)))
+
+
+# the linear forms x*A + y*B the scans read: 2A - B at assembly, the key
+# A*2^h + B in verification (h past 64 makes the lanes wide), and small ones
+lane_form = st.one_of(
+    st.just((2, -1)),
+    st.integers(1, 220).map(lambda h: (1 << h, 1)),
+    st.tuples(st.integers(-3, 3), st.integers(-3, 3)),
+)
+
+
+@st.composite
+def lane_lists(draw):
+    """0-40 vectors with coefficients up to one drawn magnitude, so lanes of
+    1, 2, 4 and 8 bytes occur as well as wider ones; zeros are frequent."""
+    top = draw(st.sampled_from((1, 2, 100, 10**4, 10**8, 10**30)))
+    coef = st.one_of(st.just(0), st.integers(-top, top))
+    return draw(st.lists(st.tuples(*[coef] * 6), max_size=40))
+
+
+class TestLaneKernel:
+    """flat_lane_rows and flat_zero_lanes against the scalar flat_inner_row,
+    lane by lane."""
+
+    @given(lane_lists(), lane_form)
+    @settings(max_examples=300)
+    # 2-byte lanes 5, 256, 0 in row 0: zero bytes straddle lanes 1 and 2
+    @example([(1, 0, 0, 0, 0, 0), (5, 0, 0, 0, 0, 0), (256, 0, 0, 0, 0, 0),
+              (0, 0, 0, 0, 0, 0)], (1, 0))
+    def test_every_lane_matches_scalar_kernel(self, vs, form):
+        x, y = form
+        rows = list(flat_lane_rows(vs, x, y))
+        zeros = list(flat_zero_lanes(vs, x, y))
+        assert len(rows) == len(zeros) == max(len(vs) - 1, 0)
+        for i, (row, js) in enumerate(zip(rows, zeros)):
+            ref = [x * a + y * b for a, b in flat_inner_row(vs[i], vs[i + 1:])]
+            assert list(row) == ref
+            assert js == [j for j, r in enumerate(ref, i + 1) if r == 0]

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from conftest import lifted
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -384,16 +385,46 @@ class TestCrossCheckOracle:
         assert verify_outcome(verify_faithful, cfg, pa, dps) == verify_outcome(
             pairwise_verify_faithful, cfg, pa, dps)
 
+    @given(oracle_cases(), st.integers(1, 43))
+    @settings(max_examples=30, deadline=None)
+    def test_matches_pairwise_reference_on_wide_lanes(self, case, k_m):
+        # the rays M^k v (conftest.LIFT) have coefficients near 5^k and inner
+        # products 25^k c, so the key lanes A*2^h + B run past 64 bits
+        n_rays, ids, k, ns, dps = case
+        vecs = lifted([committed_config(n_rays).rays[i].vec for i in ids], k_m)
+        cfg = configuration_from_vectors(vecs, strict=False)
+        pa = PhaseAssignment(K=k, n=ns)
+        assert verify_outcome(verify_faithful, cfg, pa, dps) == verify_outcome(
+            pairwise_verify_faithful, cfg, pa, dps)
+
+    @pytest.mark.parametrize("m", [1, 14, 10**30])
+    def test_key_holds_the_largest_b(self, m):
+        # |B| <= 6 m^2 bounds the key's low part; these pairs attain it:
+        # <u, v> = 3m^2 + 6m^2 w and <v, u> = -3m^2 - 6m^2 w, both purely
+        # imaginary, so they are spurious at dn = 0
+        u = VecC3.make((m, -m), (m, -m), (m, -m))
+        v = VecC3.make((m, m), (m, m), (m, m))
+        cfg = unvalidated_config(u, v, u)
+        for ns in ((0, 0, 0), (0, 1, 2)):
+            pa = PhaseAssignment(K=1009, n=ns)
+            assert verify_outcome(verify_faithful, cfg, pa, 60) == verify_outcome(
+                pairwise_verify_faithful, cfg, pa, 60)
+        assert verify_faithful(cfg, PhaseAssignment(K=1009, n=(0, 0, 0))).spurious == [
+            (0, 1), (1, 2)]
+
     def test_guard_refuses_before_scanning(self, monkeypatch):
         # sin(pi/2K) ~ 1.6e-15 at K = 10^15 + 1 is within the rounding bound
         # at 15 digits, where the per-pair check would read rounding noise
         def no_scan(*args):
             raise AssertionError("the guard must act before the scan")
 
-        monkeypatch.setattr(realify, "flat_inner_row", no_scan)
+        monkeypatch.setattr(realify, "flat_lane_rows", no_scan)
         pa = PhaseAssignment(K=10**15 + 1, n=(0, 1))
         with pytest.raises(PrecisionDisagreement, match=r"K=1000000000000001: at 15 digits"):
             verify_faithful(IMAGINARY_PAIR, pa, float_dps=15)
+        # the patched kernel is the one the scan computes its rows with
+        with pytest.raises(AssertionError, match="the guard must act"):
+            verify_faithful(IMAGINARY_PAIR, pa)
 
     def test_guard_passes_at_60_digits(self):
         pa = PhaseAssignment(K=10**15 + 1, n=(0, 1))
