@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 from conftest import lifted
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksembed.configuration import (
@@ -242,9 +242,14 @@ class TestClosure:
 
 
 @functools.lru_cache(maxsize=None)
+def committed(n_rays: int):
+    """The configuration of the committed ray file perfbench/data/rays<n>.txt."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / f"rays{n_rays}.txt"
+    return ingest_rays(path.read_text())
+
+
 def rays741() -> tuple[VecC3, ...]:
-    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rays741.txt"
-    return tuple(r.vec for r in ingest_rays(path.read_text()).rays)
+    return tuple(r.vec for r in committed(741).rays)
 
 
 def scalar_classification(cfg):
@@ -432,7 +437,39 @@ class TestRayFiles:
         assert cfg.n_rays == 1
 
 
+@st.composite
+def committed_id_lists(draw):
+    """A committed ray file's size and an id list into it: unsorted, with
+    repeats, possibly empty, and often holding whole contexts."""
+    n = draw(st.sampled_from((165, 741)))
+    ids = draw(st.lists(st.integers(0, n - 1), max_size=60))
+    for ctx in draw(st.lists(st.sampled_from(committed(n).contexts), max_size=6)):
+        ids += ctx.ray_ids
+    return n, draw(st.permutations(ids))
+
+
 class TestSubconfiguration:
+    @given(committed_id_lists())
+    @settings(max_examples=100, deadline=None)
+    @example((165, []))
+    @example((741, [740, 3, 740, 0, 3]))
+    def test_matches_the_parent_configuration(self, case):
+        n, ids = case
+        cfg = committed(n)
+        sub = subconfiguration(cfg, ids)
+        keep = sorted(set(ids))
+        remap = {old: new for new, old in enumerate(keep)}  # increasing
+        assert [(r.id, r.vec, r.sq_norm) for r in sub.rays] == [
+            (new, cfg.rays[old].vec, cfg.rays[old].sq_norm) for new, old in enumerate(keep)]
+        for induced, pairs in ((sub.edges, cfg.edges),
+                               (sub.imaginary_pairs, cfg.imaginary_pairs)):
+            assert induced == {(remap[i], remap[j]) for i, j in pairs
+                               if i in remap and j in remap}
+        assert sub.adjacency == [{j for e in sub.edges if i in e for j in e if j != i}
+                                 for i in range(len(keep))]
+        assert [c.ray_ids for c in sub.contexts] == [
+            tuple(remap[r] for r in c) for c in cfg.contexts if all(r in remap for r in c)]
+
     def test_induced_structure(self, full_config):
         ctx = full_config.contexts[0]
         ids = sorted(set(ctx.ray_ids) | {100, 120, 140})
