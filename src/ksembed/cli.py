@@ -230,7 +230,8 @@ def cmd_generate(args, expects: _Expectations) -> RunReport:
 
 
 def cmd_realify(args, expects: _Expectations) -> RunReport:
-    remod.check_precision(args.precision)  # before any file is written
+    remod.check_k(args.K)  # before any file is written
+    remod.check_precision(args.precision)
     report = RunReport(command="realify", inputs=dict(
         rays=args.rays, K=args.K, strategy=args.strategy, seed=args.seed,
         precision=args.precision, out_phases=args.out_phases, out_vectors=args.out_vectors))
@@ -248,7 +249,8 @@ def cmd_certify(args, expects: _Expectations) -> RunReport:
 def cmd_report(args, expects: _Expectations) -> RunReport:
     """Full reproduction: generate, then realify, then certify (both modes),
     all on the generated configuration; the ray file is written, not read."""
-    remod.check_precision(args.precision)  # before any file is written
+    remod.check_k(args.K)  # before any file is written
+    remod.check_precision(args.precision)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = {
         name: os.path.join(args.out_dir, f"{name}.txt")

@@ -23,8 +23,8 @@ from .exact import (
     flat_canonical,
     flat_conj_cross,
     flat_inner_row,
+    flat_lane_rows,
     flat_sq_norm,
-    flat_zero_lanes,
     hermitian_inner,
 )
 
@@ -154,15 +154,16 @@ class Configuration:
 def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
     """Sort distinct canonical flat vectors into stable ids (by squared norm,
     then coefficients), scan all pairs for edges and purely imaginary pairs,
-    and enumerate contexts (with clique validation).
+    and enumerate contexts (with clique validation).  The one place a
+    Configuration is built.
 
-    The scan reads the lane kernel (exact.flat_zero_lanes): the rays'
+    The scan reads the lane kernel (exact.flat_lane_rows): the rays'
     coefficient columns are packed once into big integers, one lane per
     ray, wide enough for every lane value, and each row is one packed
     combination whose lanes hold 2A - B of <u, v> = A + B*w, twice the real
-    part.  Its all-zero lanes are the pairs with zero real part, and only
-    those get a scalar flat_inner_row, to tell an edge (A = 0) from a
-    purely imaginary pair."""
+    part.  Its zero lanes, found with the row's index method, are the pairs
+    with zero real part, and only those get a scalar flat_inner_row, to
+    tell an edge (A = 0) from a purely imaginary pair."""
     keyed = sorted((flat_sq_norm(f), f) for f in flats)
     rays = [Ray(i, VecC3.from_flat(f), sq) for i, (sq, f) in enumerate(keyed)]
     ordered = [f for _, f in keyed]
@@ -170,7 +171,14 @@ def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
     adjacency: list[set[int]] = [set() for _ in range(n)]
     edges = set()
     imaginary = set()
-    for i, js in enumerate(flat_zero_lanes(ordered, 2, -1)):
+    for i, row in enumerate(flat_lane_rows(ordered, 2, -1)):
+        js, p = [], -1
+        try:
+            while True:
+                p = row.index(0, p + 1)
+                js.append(i + 1 + p)
+        except ValueError:  # no zero lane after p
+            pass
         for j, (a, _) in zip(js, flat_inner_row(ordered[i], [ordered[j] for j in js])):
             if a == 0:
                 edges.add((i, j))
@@ -293,34 +301,20 @@ def configuration_from_vectors(vecs: list[VecC3], strict: bool = True) -> Config
 
 
 def subconfiguration(cfg: Configuration, ids: list[int]) -> Configuration:
-    """Induced sub-configuration on a subset of ray ids.
+    """Induced sub-configuration on a subset of ray ids, assembled afresh
+    from the kept rays without clique validation (induced graphs
+    legitimately contain edges outside every triangle).
 
-    Edges and purely imaginary pairs are induced; contexts are the original
-    contexts fully inside the subset.  No clique validation: induced graphs
-    legitimately contain edges outside every triangle.  Raises ValueError
-    naming every id outside 0..n-1.
+    The result is the induced one: the kept rays are canonical and already
+    in assembly order, so their ids remap in order; edges and purely
+    imaginary pairs are recomputed exactly; and every triangle of cfg is a
+    context, so the new contexts are cfg's contexts inside the subset, in
+    cfg's order.  Raises ValueError naming every id outside 0..n-1.
     """
     out = sorted({i for i in ids if not 0 <= i < cfg.n_rays})
     if out:
         raise ValueError(f"ray ids outside 0..{cfg.n_rays - 1}: {out}")
-    keep = sorted(set(ids))
-    remap = {old: new for new, old in enumerate(keep)}
-    rays = [Ray(remap[i], cfg.rays[i].vec, cfg.rays[i].sq_norm) for i in keep]
-    edges, imaginary = (
-        frozenset((remap[i], remap[j]) for i, j in pairs if i in remap and j in remap)
-        for pairs in (cfg.edges, cfg.imaginary_pairs)
-    )
-    adjacency: list[set[int]] = [set() for _ in keep]
-    for i, j in edges:
-        adjacency[i].add(j)
-        adjacency[j].add(i)
-    contexts = [
-        Context(tuple(sorted(remap[r] for r in ctx)))  # type: ignore[arg-type]
-        for ctx in cfg.contexts
-        if all(r in remap for r in ctx)
-    ]
-    return Configuration(rays=rays, edges=edges, imaginary_pairs=imaginary,
-                         contexts=contexts, adjacency=adjacency)
+    return _assemble([cfg.rays[i].vec.flat() for i in sorted(set(ids))], strict=False)
 
 
 # --- ray file format -------------------------------------------------------

@@ -5,8 +5,8 @@ a + b*w with arbitrary-precision integer a, b.  Realified coordinates live in
 Q(sqrt(3)), represented as p + q*sqrt(3) with exact rationals p, q.  Pair
 arithmetic is a plain-int kernel on flat coefficient tuples (flat_inner_row
 and its siblings), which the VecC3 functions wrap; the all-pairs scans read
-it a row at a time from packed big-integer lanes (flat_lane_rows,
-flat_zero_lanes).  Nothing in this module touches floating point.
+it a row at a time from packed big-integer lanes (flat_lane_rows).
+Nothing in this module touches floating point.
 """
 
 from __future__ import annotations
@@ -227,8 +227,9 @@ def flat_inner_row(u: Flat, vs) -> list[tuple[int, int]]:
 
 # The lane kernel.  The all-pairs scans read one linear form x*A + y*B of
 # every inner product <vs[i], vs[j]> = A + B*w, i < j: assembly reads
-# 2A - B (twice the real part), verification the key A*2^h + B, which gives
-# back (A, B).  They share the packing below and differ only in (x, y).  By
+# 2A - B (twice the real part) and looks up its zero lanes with the row's
+# index method, verification the key A*2^h + B, which gives back (A, B).
+# They share the packing below and differ only in (x, y).  By
 # flat_inner_row's terms the form is sum_k g_k * v[k], the weights g_k small
 # integers taken from u = vs[i], so a whole row of it is one 6-term integer
 # combination of packed columns, as in Kronecker substitution:
@@ -253,10 +254,10 @@ def flat_inner_row(u: Flat, vs) -> list[tuple[int, int]]:
 _LANE_CODES = {array(code).itemsize: code for code in "bhilq"}  # bytes -> typecode
 
 
-def _lane_rows(vs: list[Flat], x: int, y: int) -> tuple[int, Iterator[bytes]]:
-    """The lane width in bytes, and for i = 0..n-2 the packed row of
-    x*A + y*B on (vs[i], vs[j]) for every j, as little-endian two's
-    complement lanes."""
+def flat_lane_rows(vs: list[Flat], x: int, y: int) -> Iterator[Sequence[int]]:
+    """For i = 0..n-2, the values x*A + y*B of <vs[i], vs[j]> = A + B*w for
+    j = i+1..n-1 in order: the upper triangle of the Gram matrix under one
+    linear form, a row per packed multiply (see the lane layout above)."""
     weights = [(x * (a1 - b1) - y * b1, x * b1 + y * a1,
                 x * (a2 - b2) - y * b2, x * b2 + y * a2,
                 x * (a3 - b3) - y * b3, x * b3 + y * a3)
@@ -272,51 +273,22 @@ def _lane_rows(vs: list[Flat], x: int, y: int) -> tuple[int, Iterator[bytes]]:
         neg = b"".join(max(-v[k], 0).to_bytes(width, "little") for v in vs)
         return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
 
-    def rows() -> Iterator[bytes]:
-        c0, c1, c2, c3, c4, c5 = (column(k) for k in range(6))
-        top = int.from_bytes((bytes(width - 1) + b"\x80") * len(vs), "little")
-        size = width * len(vs)
-        for g0, g1, g2, g3, g4, g5 in weights[:-1]:
-            s = g0 * c0 + g1 * c1 + g2 * c2 + g3 * c3 + g4 * c4 + g5 * c5
-            yield ((s + top) ^ top).to_bytes(size, "little")
-
-    return width, rows()
-
-
-def flat_lane_rows(vs: list[Flat], x: int, y: int) -> Iterator[Sequence[int]]:
-    """For i = 0..n-2, the values x*A + y*B of <vs[i], vs[j]> = A + B*w for
-    j = i+1..n-1 in order: the upper triangle of the Gram matrix under one
-    linear form, a row per packed multiply (see the lane layout above)."""
-    width, rows = _lane_rows(vs, x, y)
+    c0, c1, c2, c3, c4, c5 = (column(k) for k in range(6))
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * len(vs), "little")
+    size = width * len(vs)
     code = _LANE_CODES.get(width)
-    for i, buf in enumerate(rows, 1):
+    for i, (g0, g1, g2, g3, g4, g5) in enumerate(weights[:-1], 1):
+        s = g0 * c0 + g1 * c1 + g2 * c2 + g3 * c3 + g4 * c4 + g5 * c5
+        buf = ((s + top) ^ top).to_bytes(size, "little")
         if code is None:
             yield [int.from_bytes(buf[o:o + width], "little", signed=True)
-                   for o in range(i * width, len(buf), width)]
+                   for o in range(i * width, size, width)]
         else:
             lanes = array(code)
             lanes.frombytes(memoryview(buf)[i * width:])
             if sys.byteorder == "big":
                 lanes.byteswap()
             yield lanes
-
-
-def flat_zero_lanes(vs: list[Flat], x: int, y: int) -> Iterator[list[int]]:
-    """For i = 0..n-2, the j > i (ascending) where x*A + y*B of
-    <vs[i], vs[j]> = A + B*w is zero, found as all-zero lanes by bytes.find."""
-    width, rows = _lane_rows(vs, x, y)
-    zero = bytes(width)
-    for i, buf in enumerate(rows, 1):
-        js = []
-        pos = buf.find(zero, i * width)
-        while pos >= 0:
-            off = pos % width
-            if off:  # the zero bytes straddle two lanes: go on at the next
-                pos = buf.find(zero, pos - off + width)
-            else:
-                js.append(pos // width)
-                pos = buf.find(zero, pos + width)
-        yield js
 
 
 def flat_sq_norm(u: Flat) -> int:

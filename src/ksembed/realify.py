@@ -50,11 +50,6 @@ class PrecisionDisagreement(RuntimeError):
 STRATEGIES = ("distinct", "backtracking", "greedy-random")
 
 
-def _check_k(k: int) -> None:
-    if k <= 0 or gcd(k, 6) != 1:
-        raise InvalidK(f"K={k}: need a positive integer coprime to 6")
-
-
 @dataclass(frozen=True)
 class PhaseAssignment:
     """Integers n_k defining per-ray phases theta_k = n_k*pi/K, n_k mod 2K."""
@@ -63,7 +58,7 @@ class PhaseAssignment:
     n: tuple[int, ...]
 
     def __post_init__(self):
-        _check_k(self.K)
+        check_k(self.K)
         object.__setattr__(self, "n", tuple(v % (2 * self.K) for v in self.n))
 
     def shifted(self, t: int) -> PhaseAssignment:
@@ -93,7 +88,7 @@ def is_spurious_exact(c: EisensteinInt, dn: int, k: int) -> bool:
     """Exact zero test for Re(e^{i*dn*pi/K} * c): true iff c is purely
     imaginary (2a = b) and dn = 0 (mod K).  Valid because gcd(K, 6) = 1
     keeps nontrivial K-th roots of unity out of Q(w)."""
-    _check_k(k)
+    check_k(k)
     if c.is_zero():
         raise ZeroInnerProduct("zero test is for non-orthogonal pairs")
     return c.is_purely_imaginary() and dn % k == 0
@@ -120,7 +115,7 @@ def rational_phase_search(
     assignment exists for this K (only possible for small K), InvalidK when
     gcd(K, 6) != 1.
     """
-    _check_k(k)
+    check_k(k)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
     n = cfg.n_rays
@@ -343,6 +338,13 @@ def scan_spurious_zero_phases(cfg: Configuration) -> list[tuple[int, int]]:
     """Pairs spurious under the canonical realification (all phases zero):
     exactly the non-orthogonal pairs with purely imaginary inner product."""
     return sorted(cfg.imaginary_pairs)
+
+
+def check_k(k: int) -> None:
+    """Raise InvalidK unless ``k`` is a positive integer coprime to 6, the
+    rule PhaseAssignment enforces."""
+    if k <= 0 or gcd(k, 6) != 1:
+        raise InvalidK(f"K={k}: need a positive integer coprime to 6")
 
 
 def check_precision(precision: int) -> None:

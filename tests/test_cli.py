@@ -340,12 +340,17 @@ class TestReport:
         # every named check still passes: the discrepancy is realify's own
         assert all(c["ok"] for c in report["checks"])
 
-    def test_low_precision_refused_before_any_file(self, capsys, tmp_path):
+    @pytest.mark.parametrize("flag, value, error", [
+        pytest.param("--precision", "3", "precision must be >= 15", id="precision-3"),
+        pytest.param("--K", "9", "InvalidK", id="K-9"),
+    ])
+    def test_low_precision_refused_before_any_file(self, capsys, tmp_path, flag, value,
+                                                   error):
         out_dir = tmp_path / "repro"
-        code, report = run(capsys, "report", "--out-dir", str(out_dir), "--precision", "3")
+        code, report = run(capsys, "report", "--out-dir", str(out_dir), flag, value)
         assert code == EXIT_ERROR
         assert report["status"] == "error"
-        assert "precision must be >= 15" in report["results"]["error"]
+        assert error in report["results"]["error"]
         assert not out_dir.exists()
 
     def test_published_solver_counters(self, full_config):

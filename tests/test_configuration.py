@@ -248,6 +248,7 @@ def committed(n_rays: int):
     return ingest_rays(path.read_text())
 
 
+@functools.lru_cache(maxsize=None)
 def rays741() -> tuple[VecC3, ...]:
     return tuple(r.vec for r in committed(741).rays)
 
@@ -285,6 +286,15 @@ class TestAssemblyScan:
 
     @given(st.sets(st.integers(0, 740), max_size=40), st.integers(0, 43))
     @settings(max_examples=60, deadline=None)
+    # Rows of the zero search, each at k = 0 (lanes an array) and k = 20
+    # (lanes wider than 8 bytes, a list).  Five rays whose 2A - B rows are
+    # [0, 0, x, 0], [x, x, x], [x, x], [x]: zero lanes first, adjacent and
+    # last in a row, rows with none, and a one-lane row; then an edge pair,
+    # one row of one zero lane.
+    @example({29, 78, 328, 482, 675}, 0)
+    @example({29, 78, 328, 482, 675}, 20)
+    @example({0, 1}, 0)
+    @example({0, 1}, 20)
     def test_subsets_of_stress_rays_with_large_coefficients(self, ids, k):
         # conftest.LIFT: the images keep their edges and imaginary pairs, with
         # coefficients near 5^k
