@@ -118,6 +118,31 @@ def pairwise_verify_faithful(cfg, pa, float_dps=60):
     return realify.FaithfulnessReport(spurious=spurious, pairs_checked=pairs_checked)
 
 
+def reference_phase_apply_export(cfg, pa, precision=20):
+    """Reference for phase_apply_export: the same fields computed with
+    mpmath number objects under mp.workdps(precision + 15) and formatted
+    by mp.nstr."""
+    rows = []
+    with mp.workdps(precision + 15):
+        sqrt3 = mp.sqrt(3)
+        abs_eps = mp.mpf(10) ** (-(precision + 10))
+        for ray, nk in zip(cfg.rays, pa.n):
+            theta = mp.pi * nk / pa.K
+            cth, sth = mp.cos(theta), mp.sin(theta)
+            res, ims = [], []
+            for z in ray.vec:
+                re = mp.mpf(2 * z.a - z.b) / 2
+                im = sqrt3 * z.b / 2
+                res.append(re * cth - im * sth)
+                ims.append(re * sth + im * cth)
+            row = []
+            for x in res + ims:
+                s = "0" if abs(x) <= abs_eps else mp.nstr(x, precision, strip_zeros=True)
+                row.append(s[:-2] if s.endswith(".0") else s)
+            rows.append(tuple(row))
+    return rows
+
+
 @functools.lru_cache(maxsize=None)
 def committed_config(n_rays: int) -> Configuration:
     """The committed 165- or 741-ray configuration, ingested once."""
@@ -129,6 +154,14 @@ def sub_config(n_rays: int, ids) -> Configuration:
     """The given rays of a committed configuration, indexed from 0 in the
     order given; only the rays, which is all verify_faithful reads."""
     rays = [committed_config(n_rays).rays[i] for i in ids]
+    return Configuration(rays=rays, edges=frozenset(), imaginary_pairs=frozenset(),
+                         contexts=[], adjacency=[set() for _ in rays])
+
+
+def rays_config(vecs) -> Configuration:
+    """The given vectors as rays 0, 1, ..., in the order given; only the
+    rays, which is all phase_apply_export reads."""
+    rays = [Ray(i, v, v.sq_norm()) for i, v in enumerate(vecs)]
     return Configuration(rays=rays, edges=frozenset(), imaginary_pairs=frozenset(),
                          contexts=[], adjacency=[set() for _ in rays])
 
@@ -160,6 +193,27 @@ def oracle_cases(draw):
     ns = tuple(draw(st.lists(phase, min_size=len(ids), max_size=len(ids))))
     dps = draw(st.sampled_from((15, 30, 60)))
     return n_rays, tuple(ids), k, ns, dps
+
+
+EXPORT_PRECISIONS = (15, 16, 20, 33, 40, 60)
+
+
+@st.composite
+def export_cases(draw):
+    """1-40 rays of a committed configuration (repeats allowed), lifted by
+    conftest.LIFT^k for wide coefficients or not at all, a K, phases uniform
+    mod 2K or multiples of K, and a precision."""
+    n_rays = draw(st.sampled_from((165, 741)))
+    ids = draw(st.lists(st.integers(0, n_rays - 1), min_size=1, max_size=40))
+    k_m = draw(st.one_of(st.just(0), st.integers(1, 43)))
+    k = draw(st.sampled_from(ORACLE_KS))
+    if draw(st.booleans()):
+        phase = st.integers(0, 2 * k - 1)
+    else:
+        phase = st.integers(0, 1).map(lambda m: m * k)
+    ns = tuple(draw(st.lists(phase, min_size=len(ids), max_size=len(ids))))
+    precision = draw(st.sampled_from(EXPORT_PRECISIONS))
+    return n_rays, tuple(ids), k_m, k, ns, precision
 
 
 IMAGINARY_PAIR = unvalidated_config(
@@ -495,6 +549,20 @@ class TestExport:
         assert phase_apply_export(full_config, pa, 16) == phase_apply_export(
             full_config, pa, 16
         )
+
+    @given(export_cases())
+    @settings(max_examples=60, deadline=None)
+    @example((165, ALL_165, 0, 1009, ALL_165, 20))
+    @example((165, ALL_165, 43, 1009, alternating(165, 1009), 15))
+    @example((741, ALL_741[:40], 0, 2**31 - 1, ALL_741[:40], 60))
+    def test_matches_reference_export(self, case):
+        # every field, string for string, against the mp-object evaluation
+        n_rays, ids, k_m, k, ns, precision = case
+        vecs = lifted([committed_config(n_rays).rays[i].vec for i in ids], k_m)
+        cfg = rays_config(vecs)
+        pa = PhaseAssignment(K=k, n=ns)
+        assert phase_apply_export(cfg, pa, precision) == reference_phase_apply_export(
+            cfg, pa, precision)
 
 
 class TestFiles:
