@@ -301,7 +301,8 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--seed", type=int, default=0,
                        help="rng seed for the greedy-random strategy")
         p.add_argument("--precision", type=int, default=20,
-                       help="significant digits for the vector export (default 20)")
+                       help="significant digits for the vector export, "
+                            f"{remod.MIN_PRECISION}..{remod.MAX_PRECISION} (default 20)")
 
     g = sub.add_parser("generate", help="build the configuration by closure "
                                         "and write a ray file")

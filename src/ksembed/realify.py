@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from math import gcd
 
-import mpmath as mp
+from mpmath import libmp
 
 from .configuration import Configuration
 from .exact import EisensteinInt, flat_lane_rows
@@ -206,9 +206,11 @@ def verify_faithful(
     The exact criterion is cross-checked in fixed point once per distinct
     inner product c, for every phase difference at once:
 
-    - mpmath evaluates, at ``float_dps`` decimal digits, Re c/|c| and
-      Im c/|c| for each distinct c, and cos and sin of dn*pi/K for each
-      candidate dn mod 2K (below);
+    - mpmath.libmp evaluates, on raw values at dps_to_prec(float_dps) bits
+      rounded to nearest, Re c/|c| and Im c/|c| for each distinct c, and
+      cos and sin of dn*pi/K together, one mpf_cos_sin call per distinct
+      candidate dn mod 2K (below); mpmath's global precision is neither
+      read nor changed;
     - each value is rounded to an integer in units of 2^-bits, with
       bits = ceil(float_dps * log2(10)) + 8;
     - the normalized dot Re(e^{i dn pi/K} c)/|c| is then the integer
@@ -260,77 +262,84 @@ def verify_faithful(
     for i, v in enumerate(ns):
         classes.setdefault(v % k, []).append(i)
     report = FaithfulnessReport()
-    with mp.workdps(float_dps):
-        separation = mp.sin(mp.pi / k2)
-        bound = mp.mpf(10) ** -50 + mp.ldexp(1, 2 - bits) + mp.mpf(10) ** (1 - float_dps)
-        if separation <= bound:
-            raise PrecisionDisagreement(
-                f"K={k}: at {float_dps} digits, sin(pi/2K) = "
-                f"{mp.nstr(separation, 3)} does not exceed the 1e-50 cutoff "
-                f"plus the rounding bound, {mp.nstr(bound, 3)} in all"
-            )
-        sqrt3 = mp.sqrt(3)
+    prec, rnd = libmp.dps_to_prec(float_dps), libmp.round_nearest
+    separation = _cos_sin(1, k2, prec)[1]  # sin(pi/2K)
+    ten = libmp.from_int(10)
+    bound = libmp.mpf_add(libmp.mpf_pow_int(ten, -50, prec, rnd),
+                          libmp.mpf_shift(libmp.fone, 2 - bits), prec, rnd)
+    bound = libmp.mpf_add(bound, libmp.mpf_pow_int(ten, 1 - float_dps, prec, rnd), prec, rnd)
+    if libmp.mpf_le(separation, bound):
+        raise PrecisionDisagreement(
+            f"K={k}: at {float_dps} digits, sin(pi/2K) = "
+            f"{libmp.to_str(separation, 3)} does not exceed the 1e-50 cutoff "
+            f"plus the rounding bound, {libmp.to_str(bound, 3)} in all"
+        )
+    sqrt3 = libmp.mpf_sqrt(libmp.from_int(3), prec, rnd)
+    pi = libmp.mpf_pi(prec, rnd)
 
-        def fixed(x: mp.mpf) -> int:
-            return int(mp.nint(mp.ldexp(x, bits)))
+    def fixed(x: tuple) -> int:
+        return libmp.to_int(libmp.mpf_shift(x, bits), rnd)
 
-        trig: dict[int, tuple[int, int]] = {}   # dn mod 2K -> (cos, sin)
+    trig: dict[int, tuple[int, int]] = {}   # dn mod 2K -> (cos, sin)
 
-        def disagreements(c: tuple[int, int]) -> dict[int, int]:
-            """The candidate dn where the fixed-point verdict on c differs
-            from the exact one, each with its dot."""
-            a, b = c
-            re, im = 2 * a - b, sqrt3 * b  # 2 Re c, 2 Im c
-            twice_abs = 2 * mp.sqrt(a * a - a * b + b * b)
-            u0, u1 = fixed(re / twice_abs), fixed(im / twice_abs)
-            f = int(mp.floor(k * mp.atan2(re, im) / mp.pi))
-            candidates = {(f + s) % k2 for s in (0, 1, k, k + 1)}
-            imaginary = re == 0
-            assert not imaginary or {0, k} <= candidates
-            differ = {}
-            for dn in candidates:
-                cs = trig.get(dn)
-                if cs is None:
-                    theta = mp.pi * dn / k
-                    cs = trig[dn] = (fixed(mp.cos(theta)), fixed(mp.sin(theta)))
-                dot = u0 * cs[0] - u1 * cs[1]
-                if (-threshold < dot < threshold) != (imaginary and dn % k == 0):
-                    differ[dn] = dot
-            return differ
+    def disagreements(c: tuple[int, int]) -> dict[int, int]:
+        """The candidate dn where the fixed-point verdict on c differs
+        from the exact one, each with its dot."""
+        a, b = c
+        re = 2 * a - b  # 2 Re c; 2 Im c = sqrt3 * b
+        im = libmp.mpf_mul_int(sqrt3, b, prec, rnd)
+        twice_abs = libmp.mpf_shift(libmp.mpf_sqrt(libmp.from_int(a * a - a * b + b * b),
+                                                   prec, rnd), 1)
+        u0 = fixed(libmp.mpf_div(libmp.from_int(re), twice_abs, prec, rnd))
+        u1 = fixed(libmp.mpf_div(im, twice_abs, prec, rnd))
+        x = libmp.mpf_mul_int(libmp.mpf_atan2(libmp.from_int(re), im, prec, rnd), k, prec, rnd)
+        f = libmp.to_int(libmp.mpf_div(x, pi, prec, rnd), libmp.round_floor)
+        candidates = {(f + s) % k2 for s in (0, 1, k, k + 1)}
+        imaginary = re == 0
+        assert not imaginary or {0, k} <= candidates
+        differ = {}
+        for dn in candidates:
+            cs = trig.get(dn)
+            if cs is None:
+                cs = trig[dn] = tuple(map(fixed, _cos_sin(dn, k, prec)))
+            dot = u0 * cs[0] - u1 * cs[1]
+            if (-threshold < dot < threshold) != (imaginary and dn % k == 0):
+                differ[dn] = dot
+        return differ
 
-        # an orthogonal pair (key 0) has real dot Re(e^{i dtheta} * 0) = 0
-        seen = {0}
-        imaginary: set[int] = set()  # keys of the nonzero purely imaginary c
-        wrong: dict[int, dict[int, int]] = {}  # key of c -> {dn: dot}
-        for i, row in enumerate(flat_lane_rows(flats, 1 << h, 1)):
-            ni = ns[i]
-            report.pairs_checked += len(row)
-            distinct = set(row)
-            for key in distinct - seen:
-                seen.add(key)
-                c = decode(key)
-                if 2 * c[0] == c[1]:
-                    imaginary.add(key)
-                w = disagreements(c)
-                if w:
-                    wrong[key] = w
-            if not wrong.keys().isdisjoint(distinct):
-                for j, key in enumerate(row, i + 1):
-                    dn = (ns[j] - ni) % k2
-                    dot = wrong.get(key, {}).get(dn)
-                    if dot is not None:
-                        exact_zero = key in imaginary and dn % k == 0
-                        raise PrecisionDisagreement(
-                            f"pair ({i}, {j}): exact says "
-                            f"{'zero' if exact_zero else 'nonzero'}, "
-                            f"{float_dps}-digit value is "
-                            f"{mp.nstr(mp.ldexp(dot, -2 * bits), 8)}"
-                        )
-            # is_spurious_exact: purely imaginary c and dn = 0 (mod K)
-            mates = classes[ni % k]
-            for j in mates[bisect_right(mates, i):]:
-                if row[j - i - 1] in imaginary:
-                    report.spurious.append((i, j))
+    # an orthogonal pair (key 0) has real dot Re(e^{i dtheta} * 0) = 0
+    seen = {0}
+    imaginary: set[int] = set()  # keys of the nonzero purely imaginary c
+    wrong: dict[int, dict[int, int]] = {}  # key of c -> {dn: dot}
+    for i, row in enumerate(flat_lane_rows(flats, 1 << h, 1)):
+        ni = ns[i]
+        report.pairs_checked += len(row)
+        distinct = set(row)
+        for key in distinct - seen:
+            seen.add(key)
+            c = decode(key)
+            if 2 * c[0] == c[1]:
+                imaginary.add(key)
+            w = disagreements(c)
+            if w:
+                wrong[key] = w
+        if not wrong.keys().isdisjoint(distinct):
+            for j, key in enumerate(row, i + 1):
+                dn = (ns[j] - ni) % k2
+                dot = wrong.get(key, {}).get(dn)
+                if dot is not None:
+                    exact_zero = key in imaginary and dn % k == 0
+                    raise PrecisionDisagreement(
+                        f"pair ({i}, {j}): exact says "
+                        f"{'zero' if exact_zero else 'nonzero'}, "
+                        f"{float_dps}-digit value is "
+                        f"{libmp.to_str(libmp.from_man_exp(dot, -2 * bits), 8)}"
+                    )
+        # is_spurious_exact: purely imaginary c and dn = 0 (mod K)
+        mates = classes[ni % k]
+        for j in mates[bisect_right(mates, i):]:
+            if row[j - i - 1] in imaginary:
+                report.spurious.append((i, j))
     return report
 
 
@@ -347,11 +356,17 @@ def check_k(k: int) -> None:
         raise InvalidK(f"K={k}: need a positive integer coprime to 6")
 
 
+# export digits: at least what phase_apply_export evaluates to, at most what
+# exports 741 rays in about 1 s (2.7 s at 2,000: faster than linear growth)
+MIN_PRECISION, MAX_PRECISION = 15, 1000
+
+
 def check_precision(precision: int) -> None:
-    """Raise ValueError unless ``precision`` is at least 15 significant
-    digits, the least phase_apply_export evaluates to."""
-    if precision < 15:
-        raise ValueError(f"precision must be >= 15 significant digits, got {precision}")
+    """Raise ValueError unless ``precision`` lies in MIN_PRECISION ..
+    MAX_PRECISION significant digits."""
+    if not MIN_PRECISION <= precision <= MAX_PRECISION:
+        raise ValueError(f"precision must be >= {MIN_PRECISION} and <= {MAX_PRECISION} "
+                         f"significant digits, got {precision}")
 
 
 def phase_apply_export(
@@ -359,42 +374,56 @@ def phase_apply_export(
     pa: PhaseAssignment,
     precision: int = 20,
 ) -> list[tuple[str, ...]]:
-    """Evaluate each phase-adjusted realified ray to ``precision`` significant
-    digits (correctly rounded), as 6-tuples of decimal strings.
+    """Evaluate each phase-adjusted realified ray as a 6-tuple of decimal
+    strings of ``precision`` significant digits.
 
     The rotation acts per complex coordinate: for z with exact parts
     (re, im), the image contributes (re*cos - im*sin, re*sin + im*cos) to the
-    real and imaginary slots.
+    real and imaginary slots, evaluated on raw mpmath.libmp values at
+    dps_to_prec(precision + 15) bits, rounded to nearest, with one
+    mpf_cos_sin call per ray.  Fields are not correctly rounded: a field is
+    "0" when that value is at most 10^-(precision+10) in magnitude, else
+    libmp.to_str (what mp.nstr calls) cuts the value toward zero to
+    precision + 3 digits and rounds those half up to ``precision``.
     """
     check_precision(precision)
     if len(pa.n) != cfg.n_rays:
         raise ValueError("phase assignment does not cover the configuration")
+    prec, rnd = libmp.dps_to_prec(precision + 15), libmp.round_nearest
+    half_sqrt3 = libmp.mpf_shift(libmp.mpf_sqrt(libmp.from_int(3), prec, rnd), -1)
+    abs_eps = libmp.mpf_pow_int(libmp.from_int(10), -(precision + 10), prec, rnd)
     rows: list[tuple[str, ...]] = []
-    with mp.workdps(precision + 15):
-        sqrt3 = mp.sqrt(3)
-        abs_eps = mp.mpf(10) ** (-(precision + 10))
-        for ray, nk in zip(cfg.rays, pa.n):
-            theta = mp.pi * nk / pa.K
-            cth, sth = mp.cos(theta), mp.sin(theta)
-            res, ims = [], []
-            for z in ray.vec:
-                re = mp.mpf(2 * z.a - z.b) / 2
-                im = sqrt3 * z.b / 2
-                res.append(re * cth - im * sth)
-                ims.append(re * sth + im * cth)
-            rows.append(tuple(_export_field(x, precision, abs_eps)
-                              for x in res + ims))
+    for ray, nk in zip(cfg.rays, pa.n):
+        cth, sth = _cos_sin(nk, pa.K, prec)
+        res, ims = [], []
+        for z in ray.vec:
+            re = libmp.mpf_shift(libmp.from_int(2 * z.a - z.b, prec, rnd), -1)
+            im = libmp.mpf_mul_int(half_sqrt3, z.b, prec, rnd)
+            re_c, re_s = libmp.mpf_mul(re, cth, prec, rnd), libmp.mpf_mul(re, sth, prec, rnd)
+            im_c, im_s = libmp.mpf_mul(im, cth, prec, rnd), libmp.mpf_mul(im, sth, prec, rnd)
+            res.append(libmp.mpf_sub(re_c, im_s, prec, rnd))
+            ims.append(libmp.mpf_add(re_s, im_c, prec, rnd))
+        rows.append(tuple(_export_field(x, precision, abs_eps) for x in res + ims))
     return rows
 
 
-def _export_field(x: mp.mpf, precision: int, abs_eps: mp.mpf) -> str:
-    """One exported coordinate: "0" when |x| <= abs_eps, else ``precision``
-    significant digits with a trailing ".0" dropped.  The zero test is what
-    mp.almosteq(x, 0, abs_eps=abs_eps) decides: its relative branch compares
-    |x|/|x| = 1 with rel_eps = abs_eps < 1, and so never holds."""
-    if abs(x) <= abs_eps:
+def _cos_sin(n: int, k: int, prec: int) -> tuple[tuple, tuple]:
+    """cos and sin of pi*n/k as raw mpf at ``prec`` bits, from one
+    mpf_cos_sin call; the angle is rounded as mp.pi * n / k rounds it."""
+    rnd = libmp.round_nearest
+    theta = libmp.mpf_mul_int(libmp.mpf_pi(prec, rnd), n, prec, rnd)
+    return libmp.mpf_cos_sin(libmp.mpf_div(theta, libmp.from_int(k), prec, rnd), prec, rnd)
+
+
+def _export_field(x: tuple, precision: int, abs_eps: tuple) -> str:
+    """One exported coordinate from the raw mpf ``x``: "0" when
+    |x| <= abs_eps, else ``precision`` significant digits with a trailing
+    ".0" dropped.  The zero test is what mp.almosteq(x, 0, abs_eps=abs_eps)
+    decides: its relative branch compares |x|/|x| = 1 with
+    rel_eps = abs_eps < 1, and so never holds."""
+    if libmp.mpf_le(libmp.mpf_abs(x), abs_eps):
         return "0"
-    s = mp.nstr(x, precision, strip_zeros=True)
+    s = libmp.to_str(x, precision)
     return s[:-2] if s.endswith(".0") else s
 
 

@@ -192,6 +192,20 @@ class TestRealify:
         assert "precision must be >= 15" in report["results"]["error"]
         assert not phases.exists() and not vectors.exists()
 
+    @pytest.mark.parametrize("out_vectors", [True, False])
+    def test_precision_above_maximum_refused_before_any_file(self, capsys, rays_file,
+                                                              tmp_path, out_vectors):
+        phases, vectors = tmp_path / "phases.txt", tmp_path / "vectors.txt"
+        argv = ["realify", "--rays", rays_file, "--precision", "1000000",
+                "--out-phases", str(phases)]
+        if out_vectors:
+            argv += ["--out-vectors", str(vectors)]
+        code, report = run(capsys, *argv)
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert "and <= 1000 significant digits" in report["results"]["error"]
+        assert not phases.exists() and not vectors.exists()
+
     def test_backtracking_strategy(self, capsys, rays_file):
         code, report = run(capsys, "realify", "--rays", rays_file,
                            "--strategy", "backtracking")
@@ -343,6 +357,8 @@ class TestReport:
     @pytest.mark.parametrize("flag, value, error", [
         pytest.param("--precision", "3", "precision must be >= 15", id="precision-3"),
         pytest.param("--K", "9", "InvalidK", id="K-9"),
+        pytest.param("--precision", "1000000", "and <= 1000 significant digits",
+                     id="precision-1000000"),
     ])
     def test_low_precision_refused_before_any_file(self, capsys, tmp_path, flag, value,
                                                    error):

@@ -11,6 +11,8 @@ from pathlib import Path
 
 import mpmath as mp
 import pytest
+from mpmath import libmp
+from mpmath.libmp import libelefun
 from conftest import lifted
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -521,6 +523,14 @@ class TestExport:
         with pytest.raises(ValueError):
             phase_apply_export(cfg, PhaseAssignment(K=1009, n=(0,)), 10)
 
+    def test_maximum_precision_enforced(self):
+        cfg = unvalidated_config(VecC3.make(OMEGA, 0, 0))
+        pa = PhaseAssignment(K=1009, n=(0,))
+        with pytest.raises(ValueError, match="and <= 1000 significant digits"):
+            phase_apply_export(cfg, pa, realify.MAX_PRECISION + 1)
+        row = phase_apply_export(cfg, pa, realify.MAX_PRECISION)[0]
+        assert row[:3] == ("-0.5", "0", "0") and len(row[3]) == 2 + realify.MAX_PRECISION
+
     def test_exported_norms_match_sq_norm(self, full_config):
         pa = rational_phase_search(full_config, 1009, "distinct")
         rows = phase_apply_export(full_config, pa, 20)
@@ -538,11 +548,11 @@ class TestExport:
             for sign in (1, -1):
                 for x in (abs_eps - ulp, abs_eps, abs_eps + ulp):
                     x = sign * x
-                    zero = _export_field(x, precision, abs_eps) == "0"
+                    zero = _export_field(x._mpf_, precision, abs_eps._mpf_) == "0"
                     assert zero == mp.almosteq(x, 0, abs_eps=abs_eps)
                     decisions.append(zero)
             assert decisions == [True, True, False] * 2
-            assert _export_field(mp.mpf(0), precision, abs_eps) == "0"
+            assert _export_field(mp.mpf(0)._mpf_, precision, abs_eps._mpf_) == "0"
 
     def test_deterministic(self, full_config):
         pa = rational_phase_search(full_config, 1009, "distinct")
@@ -563,6 +573,50 @@ class TestExport:
         pa = PhaseAssignment(K=k, n=ns)
         assert phase_apply_export(cfg, pa, precision) == reference_phase_apply_export(
             cfg, pa, precision)
+
+
+class TestWorkCounts:
+    """The realification arithmetic runs on raw mpmath.libmp values: one
+    mpf_cos_sin call per angle, and no use of mpmath's global precision."""
+
+    def test_one_cos_sin_call_per_angle(self, monkeypatch):
+        calls = {"cos_sin": 0, "cos": 0, "sin": 0}
+
+        def counting(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        # mp.cos and mp.sin reach mpf_cos_sin through libelefun's own name
+        cos_sin = counting("cos_sin", libmp.mpf_cos_sin)
+        monkeypatch.setattr(libmp, "mpf_cos_sin", cos_sin)
+        monkeypatch.setattr(libelefun, "mpf_cos_sin", cos_sin)
+        monkeypatch.setattr(mp, "cos", counting("cos", mp.cos))
+        monkeypatch.setattr(mp, "sin", counting("sin", mp.sin))
+        cfg = committed_config(741)
+        pa = rational_phase_search(cfg, 1009, "distinct")
+        phase_apply_export(cfg, pa, 20)
+        assert calls == {"cos_sin": 741, "cos": 0, "sin": 0}  # one per ray
+        calls["cos_sin"] = 0
+        assert verify_faithful(cfg, pa).pairs_checked == 274170
+        # 1,104 distinct candidate dn, and sin(pi/2K) for the guard
+        assert calls == {"cos_sin": 1104 + 1, "cos": 0, "sin": 0}
+
+    def test_independent_of_global_precision(self, full_config):
+        cases = [(PhaseAssignment(K=1009, n=(0,) * 165), 60),
+                 (PhaseAssignment(K=1009, n=last_ray_shifted(165, 1009)), 15),
+                 (PhaseAssignment(K=10**15 + 1, n=ALL_165), 15),
+                 (rational_phase_search(full_config, 1009, "distinct"), 60)]
+        expected = [(verify_outcome(verify_faithful, full_config, pa, dps),
+                     phase_apply_export(full_config, pa, 20)) for pa, dps in cases]
+        with mp.workdps(5):
+            prec = mp.mp.prec
+            for (pa, dps), (outcome, rows) in zip(cases, expected):
+                assert verify_outcome(verify_faithful, full_config, pa, dps) == outcome
+                assert mp.mp.prec == prec
+                assert phase_apply_export(full_config, pa, 20) == rows
+                assert mp.mp.prec == prec
 
 
 class TestFiles:
