@@ -240,6 +240,9 @@ def cmd_realify(args, expects: _Expectations) -> RunReport:
 
 
 def cmd_certify(args, expects: _Expectations) -> RunReport:
+    if args.mode == "color" and args.out_certificate:  # before the ray file is read
+        raise ValueError("--out-certificate needs --mode maximize or all: "
+                         "--mode color writes no certificate")
     report = RunReport(command="certify", inputs=dict(
         rays=args.rays, mode=args.mode, out_certificate=args.out_certificate))
     _certify(report, _load_configuration(report, args.rays), expects)

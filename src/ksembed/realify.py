@@ -381,20 +381,29 @@ def phase_apply_export(
     (re, im), the image contributes (re*cos - im*sin, re*sin + im*cos) to the
     real and imaginary slots, evaluated on raw mpmath.libmp values at
     dps_to_prec(precision + 15) bits, rounded to nearest, with one
-    mpf_cos_sin call per ray.  Fields are not correctly rounded: a field is
-    "0" when that value is at most 10^-(precision+10) in magnitude, else
-    libmp.to_str (what mp.nstr calls) cuts the value toward zero to
-    precision + 3 digits and rounds those half up to ``precision``.
+    mpf_cos_sin call per ray whose n_k is not 0 (mod K).
+
+    A field is "0" exactly when it is zero.  By the roots-of-unity argument
+    in the module docstring, a field of e^{i theta} z with z != 0 vanishes
+    only at theta = 0 or pi, in the real slot when z is purely imaginary and
+    in the imaginary slot when z is real.  At those two angles cos = +-1 and
+    sin = 0 are used exactly, so every product and sum is exact and those
+    fields are libmp zeros; at every other angle no field is zero.  Other
+    fields are not correctly rounded: libmp.to_str (what mp.nstr calls)
+    cuts the value toward zero to precision + 3 digits and rounds those
+    half up to ``precision``.
     """
     check_precision(precision)
     if len(pa.n) != cfg.n_rays:
         raise ValueError("phase assignment does not cover the configuration")
     prec, rnd = libmp.dps_to_prec(precision + 15), libmp.round_nearest
     half_sqrt3 = libmp.mpf_shift(libmp.mpf_sqrt(libmp.from_int(3), prec, rnd), -1)
-    abs_eps = libmp.mpf_pow_int(libmp.from_int(10), -(precision + 10), prec, rnd)
     rows: list[tuple[str, ...]] = []
     for ray, nk in zip(cfg.rays, pa.n):
-        cth, sth = _cos_sin(nk, pa.K, prec)
+        if nk % pa.K:
+            cth, sth = _cos_sin(nk, pa.K, prec)
+        else:  # theta = 0 or pi, exactly
+            cth, sth = libmp.fone if nk == 0 else libmp.fnone, libmp.fzero
         res, ims = [], []
         for z in ray.vec:
             re = libmp.mpf_shift(libmp.from_int(2 * z.a - z.b, prec, rnd), -1)
@@ -403,7 +412,8 @@ def phase_apply_export(
             im_c, im_s = libmp.mpf_mul(im, cth, prec, rnd), libmp.mpf_mul(im, sth, prec, rnd)
             res.append(libmp.mpf_sub(re_c, im_s, prec, rnd))
             ims.append(libmp.mpf_add(re_s, im_c, prec, rnd))
-        rows.append(tuple(_export_field(x, precision, abs_eps) for x in res + ims))
+        strs = (libmp.to_str(x, precision) for x in res + ims)
+        rows.append(tuple(t[:-2] if t.endswith(".0") else t for t in strs))
     return rows
 
 
@@ -413,18 +423,6 @@ def _cos_sin(n: int, k: int, prec: int) -> tuple[tuple, tuple]:
     rnd = libmp.round_nearest
     theta = libmp.mpf_mul_int(libmp.mpf_pi(prec, rnd), n, prec, rnd)
     return libmp.mpf_cos_sin(libmp.mpf_div(theta, libmp.from_int(k), prec, rnd), prec, rnd)
-
-
-def _export_field(x: tuple, precision: int, abs_eps: tuple) -> str:
-    """One exported coordinate from the raw mpf ``x``: "0" when
-    |x| <= abs_eps, else ``precision`` significant digits with a trailing
-    ".0" dropped.  The zero test is what mp.almosteq(x, 0, abs_eps=abs_eps)
-    decides: its relative branch compares |x|/|x| = 1 with
-    rel_eps = abs_eps < 1, and so never holds."""
-    if libmp.mpf_le(libmp.mpf_abs(x), abs_eps):
-        return "0"
-    s = libmp.to_str(x, precision)
-    return s[:-2] if s.endswith(".0") else s
 
 
 # --- file formats ----------------------------------------------------------

@@ -295,6 +295,21 @@ class TestCertify:
         assert report["results"]["error"].startswith("InconsistentCertificates")
         assert not cert.exists()
 
+    @pytest.mark.parametrize("rays", ["published", "missing"])
+    def test_color_mode_certificate_refused_before_reading(self, capsys, rays_file,
+                                                            tmp_path, rays):
+        # a missing ray file would end in FileNotFoundError if it were read
+        path = rays_file if rays == "published" else str(tmp_path / "missing.txt")
+        cert = tmp_path / "certificate.txt"
+        code, report = run(capsys, "certify", "--rays", path, "--mode", "color",
+                           "--out-certificate", str(cert))
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert report["results"]["error"] == (
+            "ValueError: --out-certificate needs --mode maximize or all: "
+            "--mode color writes no certificate")
+        assert not cert.exists()
+
     def test_empty_ray_file_is_a_json_error(self, capsys):
         code, report = run(capsys, "certify", "--rays", "/dev/null")
         assert code == EXIT_ERROR

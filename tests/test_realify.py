@@ -33,7 +33,6 @@ from ksembed.realify import (
     SearchExhausted,
     ZeroInnerProduct,
     _backtracking_search,
-    _export_field,
     is_spurious_exact,
     load_phases,
     phase_apply_export,
@@ -122,15 +121,17 @@ def pairwise_verify_faithful(cfg, pa, float_dps=60):
 
 def reference_phase_apply_export(cfg, pa, precision=20):
     """Reference for phase_apply_export: the same fields computed with
-    mpmath number objects under mp.workdps(precision + 15) and formatted
-    by mp.nstr."""
+    mpmath number objects under mp.workdps(precision + 15), with cos and
+    sin exact at theta = 0 and pi, and formatted by mp.nstr."""
     rows = []
     with mp.workdps(precision + 15):
         sqrt3 = mp.sqrt(3)
-        abs_eps = mp.mpf(10) ** (-(precision + 10))
         for ray, nk in zip(cfg.rays, pa.n):
-            theta = mp.pi * nk / pa.K
-            cth, sth = mp.cos(theta), mp.sin(theta)
+            if nk % pa.K:
+                theta = mp.pi * nk / pa.K
+                cth, sth = mp.cos(theta), mp.sin(theta)
+            else:
+                cth, sth = mp.mpf(1 if nk == 0 else -1), mp.mpf(0)
             res, ims = [], []
             for z in ray.vec:
                 re = mp.mpf(2 * z.a - z.b) / 2
@@ -139,10 +140,21 @@ def reference_phase_apply_export(cfg, pa, precision=20):
                 ims.append(re * sth + im * cth)
             row = []
             for x in res + ims:
-                s = "0" if abs(x) <= abs_eps else mp.nstr(x, precision, strip_zeros=True)
+                s = mp.nstr(x, precision, strip_zeros=True)
                 row.append(s[:-2] if s.endswith(".0") else s)
             rows.append(tuple(row))
     return rows
+
+
+def exact_zero_fields(vec, n, k):
+    """Which of the six exported fields of e^{i*n*pi/K} v are exactly zero,
+    by the integer rule: a nonzero coordinate z = a + b*w gives a zero field
+    only at n = 0 (mod K), in the real slot when z is purely imaginary
+    (2a = b) and in the imaginary slot when z is real (b = 0)."""
+    half_turn = n % k == 0
+    real = [z.is_zero() or (half_turn and 2 * z.a == z.b) for z in vec]
+    imag = [z.is_zero() or (half_turn and z.b == 0) for z in vec]
+    return tuple(real + imag)
 
 
 @functools.lru_cache(maxsize=None)
@@ -538,22 +550,6 @@ class TestExport:
             total = sum(float(x) ** 2 for x in row)
             assert total == pytest.approx(ray.sq_norm, rel=1e-12)
 
-    @pytest.mark.parametrize("precision", [15, 20, 40])
-    def test_zero_decision_matches_almosteq(self, precision):
-        with mp.workdps(precision + 15):
-            abs_eps = mp.mpf(10) ** (-(precision + 10))
-            ulp = mp.ldexp(1, mp.mag(abs_eps) - mp.mp.prec)
-            assert abs_eps - ulp < abs_eps < abs_eps + ulp
-            decisions = []
-            for sign in (1, -1):
-                for x in (abs_eps - ulp, abs_eps, abs_eps + ulp):
-                    x = sign * x
-                    zero = _export_field(x._mpf_, precision, abs_eps._mpf_) == "0"
-                    assert zero == mp.almosteq(x, 0, abs_eps=abs_eps)
-                    decisions.append(zero)
-            assert decisions == [True, True, False] * 2
-            assert _export_field(mp.mpf(0)._mpf_, precision, abs_eps._mpf_) == "0"
-
     def test_deterministic(self, full_config):
         pa = rational_phase_search(full_config, 1009, "distinct")
         assert phase_apply_export(full_config, pa, 16) == phase_apply_export(
@@ -571,13 +567,24 @@ class TestExport:
         vecs = lifted([committed_config(n_rays).rays[i].vec for i in ids], k_m)
         cfg = rays_config(vecs)
         pa = PhaseAssignment(K=k, n=ns)
-        assert phase_apply_export(cfg, pa, precision) == reference_phase_apply_export(
-            cfg, pa, precision)
+        rows = phase_apply_export(cfg, pa, precision)
+        assert rows == reference_phase_apply_export(cfg, pa, precision)
+        # a field is "0" iff the integer rule makes it zero
+        for vec, n, row in zip(vecs, pa.n, rows):
+            assert tuple(x == "0" for x in row) == exact_zero_fields(vec, n, k)
+
+    def test_wide_real_ray_at_half_turn(self):
+        # (5^30, 0, 0) = conftest.LIFT^30 (1, 0, 0): sin(pi) evaluated at 30
+        # digits, times 5^30, would read 1.6e-10 in the imaginary slot
+        vecs = lifted([VecC3.make(1, 0, 0)], 30)
+        rows = phase_apply_export(rays_config(vecs), PhaseAssignment(K=1009, n=(1009,)), 15)
+        assert rows == [("-9.31322574615479e+20", "0", "0", "0", "0", "0")]
 
 
 class TestWorkCounts:
     """The realification arithmetic runs on raw mpmath.libmp values: one
-    mpf_cos_sin call per angle, and no use of mpmath's global precision."""
+    mpf_cos_sin call per angle (none for export's exact 0 and pi), and no
+    use of mpmath's global precision."""
 
     def test_one_cos_sin_call_per_angle(self, monkeypatch):
         calls = {"cos_sin": 0, "cos": 0, "sin": 0}
@@ -597,7 +604,8 @@ class TestWorkCounts:
         cfg = committed_config(741)
         pa = rational_phase_search(cfg, 1009, "distinct")
         phase_apply_export(cfg, pa, 20)
-        assert calls == {"cos_sin": 741, "cos": 0, "sin": 0}  # one per ray
+        # one per ray but ray 0, whose n = 0 needs none
+        assert calls == {"cos_sin": 740, "cos": 0, "sin": 0}
         calls["cos_sin"] = 0
         assert verify_faithful(cfg, pa).pairs_checked == 274170
         # 1,104 distinct candidate dn, and sin(pi/2K) for the guard
