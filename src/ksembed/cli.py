@@ -157,6 +157,8 @@ def _generate(report: RunReport, expects: _Expectations) -> cfgmod.Configuration
 
 def _realify(report: RunReport, cfg: cfgmod.Configuration) -> None:
     opts = report.inputs
+    if opts["K"] is None:  # no --K: the default for this ray count
+        opts["K"] = remod.default_k(cfg.n_rays)
     t0 = time.perf_counter()
     pa = remod.rational_phase_search(cfg, opts["K"], opts["strategy"], rng_seed=opts["seed"])
     t0 = _stage(report, "search", t0)
@@ -230,7 +232,8 @@ def cmd_generate(args, expects: _Expectations) -> RunReport:
 
 
 def cmd_realify(args, expects: _Expectations) -> RunReport:
-    remod.check_k(args.K)  # before any file is written
+    if args.K is not None:  # before any file is written
+        remod.check_k(args.K)
     remod.check_precision(args.precision)
     report = RunReport(command="realify", inputs=dict(
         rays=args.rays, K=args.K, strategy=args.strategy, seed=args.seed,
@@ -252,7 +255,8 @@ def cmd_certify(args, expects: _Expectations) -> RunReport:
 def cmd_report(args, expects: _Expectations) -> RunReport:
     """Full reproduction: generate, then realify, then certify (both modes),
     all on the generated configuration; the ray file is written, not read."""
-    remod.check_k(args.K)  # before any file is written
+    if args.K is not None:  # before any file is written
+        remod.check_k(args.K)
     remod.check_precision(args.precision)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = {
@@ -297,8 +301,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="force a named check off")
 
     def add_phase_flags(p):
-        p.add_argument("--K", type=int, default=1009,
-                       help="phase denominator, gcd(K,6)=1 (default 1009)")
+        p.add_argument("--K", type=int, default=None,
+                       help="phase denominator, gcd(K,6)=1 (default 1009, or the "
+                            "smallest valid K >= the ray count above 1009 rays)")
         p.add_argument("--strategy", choices=remod.STRATEGIES, default="distinct",
                        help="phase search strategy (default distinct)")
         p.add_argument("--seed", type=int, default=0,

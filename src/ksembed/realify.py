@@ -42,6 +42,11 @@ class SearchExhausted(RuntimeError):
     """No valid phase assignment exists for this K under this strategy."""
 
 
+class ExportUndecided(RuntimeError):
+    """An exported field's correctly rounded digits stayed undecided up to
+    the export's working-precision cap."""
+
+
 class PrecisionDisagreement(RuntimeError):
     """Exact and high-precision floating verdicts differ for some pair, or
     the precision is too low for the cross-check to separate them at this K."""
@@ -94,13 +99,23 @@ def is_spurious_exact(c: EisensteinInt, dn: int, k: int) -> bool:
     return c.is_purely_imaginary() and dn % k == 0
 
 
+def default_k(n_rays: int) -> int:
+    """The K used when none is given: 1009 up to 1009 rays, else the
+    smallest K >= n_rays coprime to 6, so that "distinct" always succeeds."""
+    k = max(n_rays, 1009)
+    while gcd(k, 6) != 1:
+        k += 1
+    return k
+
+
 def rational_phase_search(
     cfg: Configuration,
-    k: int = 1009,
+    k: int | None = None,
     strategy: str = "distinct",
     rng_seed: int = 0,
 ) -> PhaseAssignment:
-    """Find integers n with no spurious pair under theta = n*pi/K.
+    """Find integers n with no spurious pair under theta = n*pi/K, with K
+    = default_k(cfg.n_rays) when ``k`` is None.
 
     The criterion constrains only pairs with purely imaginary inner product:
     those need n_l != n_k (mod K).  Strategies:
@@ -115,6 +130,8 @@ def rational_phase_search(
     assignment exists for this K (only possible for small K), InvalidK when
     gcd(K, 6) != 1.
     """
+    if k is None:
+        k = default_k(cfg.n_rays)
     check_k(k)
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown strategy {strategy!r}; choose from {STRATEGIES}")
@@ -314,16 +331,16 @@ def verify_faithful(
     for i, row in enumerate(flat_lane_rows(flats, 1 << h, 1)):
         ni = ns[i]
         report.pairs_checked += len(row)
-        distinct = set(row)
-        for key in distinct - seen:
-            seen.add(key)
-            c = decode(key)
-            if 2 * c[0] == c[1]:
-                imaginary.add(key)
-            w = disagreements(c)
-            if w:
-                wrong[key] = w
-        if not wrong.keys().isdisjoint(distinct):
+        if not seen.issuperset(row):  # most rows hold no new key
+            for key in set(row) - seen:
+                seen.add(key)
+                c = decode(key)
+                if 2 * c[0] == c[1]:
+                    imaginary.add(key)
+                w = disagreements(c)
+                if w:
+                    wrong[key] = w
+        if wrong and not wrong.keys().isdisjoint(row):
             for j, key in enumerate(row, i + 1):
                 dn = (ns[j] - ni) % k2
                 dot = wrong.get(key, {}).get(dn)
@@ -359,6 +376,9 @@ def check_k(k: int) -> None:
 # export digits: at least what phase_apply_export evaluates to, at most what
 # exports 741 rays in about 1 s (2.7 s at 2,000: faster than linear growth)
 MIN_PRECISION, MAX_PRECISION = 15, 1000
+# digits beyond the export's precision at a ray's first evaluation, and the
+# most that its retries, each at twice the bits, may reach
+EXPORT_GUARD_DIGITS, EXPORT_MAX_GUARD_DIGITS = 15, 1000
 
 
 def check_precision(precision: int) -> None:
@@ -375,46 +395,151 @@ def phase_apply_export(
     precision: int = 20,
 ) -> list[tuple[str, ...]]:
     """Evaluate each phase-adjusted realified ray as a 6-tuple of decimal
-    strings of ``precision`` significant digits.
+    strings of ``precision`` significant digits, each correctly rounded
+    (half to even) and laid out as libmp.to_str (what mp.nstr calls) lays
+    out a number, with a trailing ".0" dropped.
 
-    The rotation acts per complex coordinate: for z with exact parts
-    (re, im), the image contributes (re*cos - im*sin, re*sin + im*cos) to the
-    real and imaginary slots, evaluated on raw mpmath.libmp values at
-    dps_to_prec(precision + 15) bits, rounded to nearest, with one
-    mpf_cos_sin call per ray whose n_k is not 0 (mod K).
+    The rotation acts per complex coordinate z = a + b*w: twice the real
+    and imaginary slots of e^{i theta} z are (2a - b)*cos - b*sqrt3*sin and
+    (2a - b)*sin + b*sqrt3*cos.  A ray is evaluated in W-bit fixed point:
+    cos and sin of theta come from one mpf_cos_sin call at W + 8 bits,
+    rounded to nearest (_cos_sin), and are rounded to integers C and S in
+    units of 2^-W; sqrt3 is R = isqrt(3 * 4^W), so 0 <= sqrt3*2^W - R < 1.
+    Each slot is then one integer F in units of 2^-(2W+1), exact in the
+    integers, within
+
+        E = |2a - b| * e*2^W + |b| * (|S| + 2e*2^W)    (real slot)
+        E = |2a - b| * e*2^W + |b| * (|C| + 2e*2^W)    (imaginary slot)
+
+    of the true value, where e bounds |C - cos*2^W| and |S - sin*2^W|.  The
+    angle, below 2pi and rounded three times, is off by less than 19 units
+    in 2^-(W+8), and mpf_cos_sin adds about one more, so both are within
+    1/2 + 21/256 units in 2^-W and e = 1 holds with room to spare.
 
     A field is "0" exactly when it is zero.  By the roots-of-unity argument
     in the module docstring, a field of e^{i theta} z with z != 0 vanishes
-    only at theta = 0 or pi, in the real slot when z is purely imaginary and
-    in the imaginary slot when z is real.  At those two angles cos = +-1 and
-    sin = 0 are used exactly, so every product and sum is exact and those
-    fields are libmp zeros; at every other angle no field is zero.  Other
-    fields are not correctly rounded: libmp.to_str (what mp.nstr calls)
-    cuts the value toward zero to precision + 3 digits and rounds those
-    half up to ``precision``.
+    only at theta = 0 or pi, in the real slot when z is purely imaginary
+    and in the imaginary slot when z is real.  At those two angles C = +-2^W
+    and S = 0 exactly and e = 0, so the real slot is exact (E = 0) and the
+    imaginary slot's E is |b|*2^W; F = E = 0 exactly for the zero fields,
+    and at every other angle no field is zero.
+
+    A nonzero field is rounded by integer division (Ziv's strategy): when
+    [F - E, F + E] holds neither a point halfway between two p-digit
+    neighbours nor a power of ten, every value in it rounds to the same
+    digits, and an exact tie (E = 0) goes to the even neighbour.
+    Otherwise the whole ray is evaluated again at twice the bits.  The
+    first evaluation works at dps_to_prec(precision + EXPORT_GUARD_DIGITS)
+    bits; past dps_to_prec(precision + EXPORT_MAX_GUARD_DIGITS) bits
+    ExportUndecided is raised.  Both committed configurations export at
+    the first evaluation.
     """
     check_precision(precision)
     if len(pa.n) != cfg.n_rays:
         raise ValueError("phase assignment does not cover the configuration")
-    prec, rnd = libmp.dps_to_prec(precision + 15), libmp.round_nearest
-    half_sqrt3 = libmp.mpf_shift(libmp.mpf_sqrt(libmp.from_int(3), prec, rnd), -1)
+    first = libmp.dps_to_prec(precision + EXPORT_GUARD_DIGITS)
+    cap = libmp.dps_to_prec(precision + EXPORT_MAX_GUARD_DIGITS)
     rows: list[tuple[str, ...]] = []
-    for ray, nk in zip(cfg.rays, pa.n):
-        if nk % pa.K:
-            cth, sth = _cos_sin(nk, pa.K, prec)
-        else:  # theta = 0 or pi, exactly
-            cth, sth = libmp.fone if nk == 0 else libmp.fnone, libmp.fzero
-        res, ims = [], []
-        for z in ray.vec:
-            re = libmp.mpf_shift(libmp.from_int(2 * z.a - z.b, prec, rnd), -1)
-            im = libmp.mpf_mul_int(half_sqrt3, z.b, prec, rnd)
-            re_c, re_s = libmp.mpf_mul(re, cth, prec, rnd), libmp.mpf_mul(re, sth, prec, rnd)
-            im_c, im_s = libmp.mpf_mul(im, cth, prec, rnd), libmp.mpf_mul(im, sth, prec, rnd)
-            res.append(libmp.mpf_sub(re_c, im_s, prec, rnd))
-            ims.append(libmp.mpf_add(re_s, im_c, prec, rnd))
-        strs = (libmp.to_str(x, precision) for x in res + ims)
-        rows.append(tuple(t[:-2] if t.endswith(".0") else t for t in strs))
+    for i, (ray, nk) in enumerate(zip(cfg.rays, pa.n)):
+        prec = first
+        while (row := _export_row(ray.vec, nk, pa.K, precision, prec)) is None:
+            if 2 * prec > cap:
+                raise ExportUndecided(
+                    f"ray {i}: a field of {precision} digits is undecided "
+                    f"at {prec} bits, the last before the {cap}-bit cap")
+            prec *= 2
+        rows.append(row)
     return rows
+
+
+def _export_row(vec, nk: int, k: int, precision: int, prec: int) -> tuple[str, ...] | None:
+    """The six fields of e^{i*pi*nk/k} vec as phase_apply_export writes
+    them, from one evaluation in W = prec - 8 bit fixed point; None when
+    some field is undecided at this W."""
+    w = prec - 8
+    if nk % k:
+        c, s = (_fixed(x, w) for x in _cos_sin(nk, k, prec))
+        ew = 1 << w  # e = 1 unit in 2^-W, in units of 2^-2W
+    else:  # theta = 0 or pi, exactly
+        c, s, ew = (1 << w) if nk == 0 else -(1 << w), 0, 0
+    r = math.isqrt(3 << 2 * w)  # floor(sqrt3 * 2^W)
+    cw, sw, rc, rs = c << w, s << w, r * c, r * s
+    err_re, err_im = abs(s) + 2 * ew, abs(c) + 2 * ew
+    uv = [(2 * z.a - z.b, z.b) for z in vec]
+    return _decimal_fields(
+        [(u * cw - v * rs, abs(u) * ew + abs(v) * err_re) for u, v in uv]
+        + [(u * sw + v * rc, abs(u) * ew + abs(v) * err_im) for u, v in uv],
+        2 * w + 1, precision)
+
+
+def _fixed(x: tuple, w: int) -> int:
+    """The raw mpf ``x`` in units of 2^-w, rounded to nearest."""
+    sign, man, exp, _ = x
+    e = exp + w
+    v = man << e if e >= 0 else (man + (1 << (-e - 1))) >> -e
+    return -v if sign else v
+
+
+_LOG10_2 = math.log10(2)
+
+
+def _decimal_fields(values, shift: int, precision: int) -> tuple[str, ...] | None:
+    """Each f / 2^shift, known to within err / 2^shift for (f, err) in
+    ``values``, correctly rounded half to even to ``precision`` significant
+    digits and laid out as libmp.to_str lays it out, less a trailing ".0";
+    "0" when f = err = 0.  None when some [f - err, f + err] holds a
+    rounding boundary or a power of ten."""
+    lo, hi = 10 ** (precision - 1), 10 ** precision
+    min_fixed = min(-(precision // 3), -5)
+    unit = 1 << shift
+    out = []
+    for f, err in values:
+        if -err <= f <= err:
+            if err:
+                return None
+            out.append("0")
+            continue
+        sign = "-" if f < 0 else ""
+        f = abs(f)
+        # e10 = floor(log10(f / 2^shift)), off by one only next to a power of ten
+        e10 = math.floor(math.log10(f) - shift * _LOG10_2)
+        while True:
+            # q + rem/den = f * 10^(precision - 1 - e10) / 2^shift: the digits
+            t = precision - 1 - e10
+            if t >= 0:
+                scale = 10 ** t
+                num, er, den = f * scale, err * scale, unit
+                q, rem = num >> shift, num & (unit - 1)
+            else:
+                den, er = 10 ** -t * unit, err
+                q, rem = divmod(f, den)
+            if q < lo:
+                e10 -= 1
+            elif q >= hi:
+                e10 += 1
+            else:
+                break
+        twice = 2 * rem
+        if er and (2 * er >= den or abs(twice - den) <= 2 * er
+                   or (q == lo and rem < er) or (q == hi - 1 and rem + er >= den)):
+            return None
+        if twice > den or (twice == den and q & 1):
+            q += 1
+            if q == hi:
+                q, e10 = lo, e10 + 1
+        digits = str(q)
+        if min_fixed < e10 < precision:
+            if e10 < 0:
+                fixed = "0." + "0" * (-e10 - 1) + digits
+            else:
+                fixed = digits[:e10 + 1] + "." + digits[e10 + 1:]
+            out.append(sign + fixed.rstrip("0").rstrip("."))
+        else:
+            mantissa = (digits[0] + "." + digits[1:]).rstrip("0")
+            if mantissa.endswith("."):
+                mantissa += "0"
+            out.append(f"{sign}{mantissa}e{'+' if e10 >= 0 else ''}{e10}")
+    return tuple(out)
 
 
 def _cos_sin(n: int, k: int, prec: int) -> tuple[tuple, tuple]:

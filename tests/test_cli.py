@@ -147,6 +147,25 @@ class TestRealify:
         assert report["results"]["missing"] == 0
         assert phases.read_text().startswith("K 1009\n")
         assert vectors.read_text().startswith("# precision=20\n")
+        # no --K: the default for 165 rays, resolved in the JSON
+        assert report["inputs"]["K"] == report["results"]["K"] == 1009
+
+    def test_default_k_follows_ray_count(self, capsys, rays_file, tmp_path, monkeypatch):
+        # the CLI asks realify.default_k for the ray count it read
+        asked = []
+
+        def default_k(n_rays):
+            asked.append(n_rays)
+            return 1013
+
+        monkeypatch.setattr(realify, "default_k", default_k)
+        phases = tmp_path / "phases.txt"
+        code, report = run(capsys, "realify", "--rays", rays_file,
+                           "--out-phases", str(phases))
+        assert code == EXIT_OK
+        assert asked == [165]
+        assert report["inputs"]["K"] == report["results"]["K"] == 1013
+        assert phases.read_text().startswith("K 1013\n")
 
     def test_reports_byte_identical_across_runs(self, capsys, rays_file):
         code1 = main(["realify", "--rays", rays_file])

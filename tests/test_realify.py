@@ -1,5 +1,6 @@
 """Phase search and faithfulness verification, exact and high-precision."""
 
+import decimal
 import functools
 import hashlib
 import math
@@ -27,12 +28,14 @@ from ksembed.configuration import (
 )
 from ksembed.exact import OMEGA, EisensteinInt, VecC3, flat_inner_row
 from ksembed.realify import (
+    ExportUndecided,
     InvalidK,
     PhaseAssignment,
     PrecisionDisagreement,
     SearchExhausted,
     ZeroInnerProduct,
     _backtracking_search,
+    default_k,
     is_spurious_exact,
     load_phases,
     phase_apply_export,
@@ -120,11 +123,13 @@ def pairwise_verify_faithful(cfg, pa, float_dps=60):
 
 
 def reference_phase_apply_export(cfg, pa, precision=20):
-    """Reference for phase_apply_export: the same fields computed with
-    mpmath number objects under mp.workdps(precision + 15), with cos and
-    sin exact at theta = 0 and pi, and formatted by mp.nstr."""
+    """Reference for phase_apply_export: each field evaluated with mpmath
+    number objects under mp.workdps(precision + 60), with cos and sin exact
+    at theta = 0 and pi, rounded half to even to ``precision`` digits by
+    decimal, and laid out by mp.nstr."""
+    to_even = decimal.Context(prec=precision, rounding=decimal.ROUND_HALF_EVEN)
     rows = []
-    with mp.workdps(precision + 15):
+    with mp.workdps(precision + 60):
         sqrt3 = mp.sqrt(3)
         for ray, nk in zip(cfg.rays, pa.n):
             if nk % pa.K:
@@ -140,7 +145,9 @@ def reference_phase_apply_export(cfg, pa, precision=20):
                 ims.append(re * sth + im * cth)
             row = []
             for x in res + ims:
-                s = mp.nstr(x, precision, strip_zeros=True)
+                d = to_even.plus(decimal.Decimal(mp.nstr(x, precision + 60)))
+                # the p-digit decimal, written as mp.nstr writes it
+                s = mp.nstr(mp.mpf(str(d)), precision, strip_zeros=True)
                 row.append(s[:-2] if s.endswith(".0") else s)
             rows.append(tuple(row))
     return rows
@@ -286,6 +293,42 @@ class TestSpuriousExact:
         r2 = verify_faithful(cfg, shifted)
         assert r1.spurious == r2.spurious
         assert r1.missing == r2.missing
+
+
+def past_1009_rays() -> Configuration:
+    """1,010 rays whose one purely imaginary pair is (0, 1009): (1, 1, 0),
+    1,008 copies of (1, 0, 0), then (1, 2w, 0).  The inner products are
+    1 + 2w = i*sqrt(3) for the pair (0, 1009) and 1 for every other pair,
+    so verify_faithful decodes only two distinct c."""
+    vecs = ([VecC3.make(1, 1, 0)] + [VecC3.make(1, 0, 0)] * 1008
+            + [VecC3.make(1, 2 * OMEGA, 0)])
+    cfg = rays_config(vecs)
+    return Configuration(rays=cfg.rays, edges=frozenset(),
+                         imaginary_pairs=frozenset({(0, 1009)}), contexts=[],
+                         adjacency=cfg.adjacency)
+
+
+class TestDefaultK:
+    @pytest.mark.parametrize("n_rays, k", [
+        (0, 1009), (165, 1009), (741, 1009), (1009, 1009), (1010, 1013),
+        (1013, 1013), (1014, 1015), (1221, 1223),
+    ])
+    def test_default_k(self, n_rays, k):
+        assert default_k(n_rays) == k
+
+    def test_distinct_past_1009_rays(self):
+        cfg = past_1009_rays()
+        # at K = 1009, "distinct" puts rays 0 and 1009 on the same residue
+        with pytest.raises(SearchExhausted, match=r"pair \(0, 1009\) spurious at K=1009"):
+            rational_phase_search(cfg, 1009)
+        pa = rational_phase_search(cfg)
+        assert pa.K == 1013 and pa.n == tuple(range(1010))
+        fr = verify_faithful(cfg, pa)
+        assert fr.faithful and fr.pairs_checked == 1010 * 1009 // 2
+
+    def test_published_scales_keep_1009(self, full_config):
+        assert rational_phase_search(full_config).K == 1009
+        assert rational_phase_search(committed_config(741)).K == 1009
 
 
 class TestRationalSearch:
@@ -573,6 +616,65 @@ class TestExport:
         for vec, n, row in zip(vecs, pa.n, rows):
             assert tuple(x == "0" for x in row) == exact_zero_fields(vec, n, k)
 
+    @pytest.mark.parametrize("z, k_m, n, expected", [
+        # 5^21 w: real slot -(m + 1/2), m = 238418579101562 even: down
+        (OMEGA, 21, 0, ("-238418579101562", "0", "0", "412953092472286", "0", "0")),
+        (OMEGA, 21, 1009, ("238418579101562", "0", "0", "-412953092472286", "0", "0")),
+        # 5^20 (1 - w): real slot m + 1/2, m = 143051147460937 odd: up
+        (EisensteinInt(1, -1), 20, 0,
+         ("143051147460938", "0", "0", "-82590618494457.1", "0", "0")),
+        # 5^22 = 2384185791015625: a tie at the 16th digit
+        (1, 22, 1009, ("-2.38418579101562e+15", "0", "0", "0", "0", "0")),
+    ], ids=["omega-down", "omega-half-turn", "one-minus-omega-up", "integer-tie"])
+    def test_exact_tie_rounds_half_even(self, z, k_m, n, expected):
+        # at n = 0 (mod K) the real slot is exact, so a tie is a tie
+        cfg = rays_config(lifted([VecC3.make(z, 0, 0)], k_m))
+        pa = PhaseAssignment(K=1009, n=(n,))
+        assert phase_apply_export(cfg, pa, 15) == [expected]
+        assert reference_phase_apply_export(cfg, pa, 15) == [expected]
+
+    def test_undecided_field_is_retried(self, monkeypatch):
+        # a first evaluation at 5 digits decides no field that needs
+        # rounding to 15; the retries, each at twice the bits, end at the
+        # full-precision output
+        cfg = sub_config(165, range(20))
+        pa = PhaseAssignment(K=1009, n=tuple(range(20)))
+        expected = phase_apply_export(cfg, pa, 15)
+        precs = []
+        real_row = realify._export_row
+
+        def recording_row(vec, nk, k, precision, prec):
+            precs.append(prec)
+            return real_row(vec, nk, k, precision, prec)
+
+        monkeypatch.setattr(realify, "_export_row", recording_row)
+        monkeypatch.setattr(realify, "EXPORT_GUARD_DIGITS", -10)
+        assert phase_apply_export(cfg, pa, 15) == expected
+        assert expected == reference_phase_apply_export(cfg, pa, 15)
+        first = libmp.dps_to_prec(5)
+        assert precs.count(first) == 20 and len(precs) > 20
+        assert set(precs) <= {first << i for i in range(5)}
+
+    def test_cap_raises_promptly(self, monkeypatch):
+        # with the cap at precision + 0 digits, a ray undecided at 5 and at
+        # 10 digits is refused after those two evaluations
+        cfg = sub_config(165, [7])
+        pa = PhaseAssignment(K=1009, n=(1,))
+        calls = []
+        real_row = realify._export_row
+
+        def counting_row(*args):
+            calls.append(args[-1])
+            return real_row(*args)
+
+        monkeypatch.setattr(realify, "_export_row", counting_row)
+        monkeypatch.setattr(realify, "EXPORT_GUARD_DIGITS", -10)
+        monkeypatch.setattr(realify, "EXPORT_MAX_GUARD_DIGITS", 0)
+        with pytest.raises(ExportUndecided, match="ray 0: a field of 15 digits is undecided"):
+            phase_apply_export(cfg, pa, 15)
+        first = libmp.dps_to_prec(5)
+        assert calls == [first, 2 * first]
+
     def test_wide_real_ray_at_half_turn(self):
         # (5^30, 0, 0) = conftest.LIFT^30 (1, 0, 0): sin(pi) evaluated at 30
         # digits, times 5^30, would read 1.6e-10 in the imaginary slot
@@ -587,7 +689,7 @@ class TestWorkCounts:
     use of mpmath's global precision."""
 
     def test_one_cos_sin_call_per_angle(self, monkeypatch):
-        calls = {"cos_sin": 0, "cos": 0, "sin": 0}
+        calls = {"cos_sin": 0, "cos": 0, "sin": 0, "to_str": 0, "row": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -601,15 +703,18 @@ class TestWorkCounts:
         monkeypatch.setattr(libelefun, "mpf_cos_sin", cos_sin)
         monkeypatch.setattr(mp, "cos", counting("cos", mp.cos))
         monkeypatch.setattr(mp, "sin", counting("sin", mp.sin))
+        monkeypatch.setattr(libmp, "to_str", counting("to_str", libmp.to_str))
+        monkeypatch.setattr(realify, "_export_row", counting("row", realify._export_row))
         cfg = committed_config(741)
         pa = rational_phase_search(cfg, 1009, "distinct")
         phase_apply_export(cfg, pa, 20)
-        # one per ray but ray 0, whose n = 0 needs none
-        assert calls == {"cos_sin": 740, "cos": 0, "sin": 0}
-        calls["cos_sin"] = 0
+        # one per ray but ray 0, whose n = 0 needs none; one evaluation per
+        # ray (no retry), and no field through libmp.to_str
+        assert calls == {"cos_sin": 740, "cos": 0, "sin": 0, "to_str": 0, "row": 741}
+        calls.update(cos_sin=0, row=0)
         assert verify_faithful(cfg, pa).pairs_checked == 274170
         # 1,104 distinct candidate dn, and sin(pi/2K) for the guard
-        assert calls == {"cos_sin": 1104 + 1, "cos": 0, "sin": 0}
+        assert calls == {"cos_sin": 1104 + 1, "cos": 0, "sin": 0, "to_str": 0, "row": 0}
 
     def test_independent_of_global_precision(self, full_config):
         cases = [(PhaseAssignment(K=1009, n=(0,) * 165), 60),
