@@ -126,11 +126,19 @@ def _stage(report: RunReport, name: str, t0: float) -> float:
     return t1
 
 
-# --- pipeline steps: each reads its options from report.inputs, works on an
-# in-memory configuration and records results, checks and timings in report.
+def _check_phase_flags(args) -> None:
+    """Refuse an invalid --K or --precision before any file is written."""
+    if args.K is not None:
+        remod.check_k(args.K)
+    remod.check_precision(args.precision)
 
 
-def _generate(report: RunReport, expects: _Expectations) -> cfgmod.Configuration:
+# --- commands: each reads its options from report.inputs, works on an
+# in-memory configuration and records results, checks and timings in report;
+# report runs all three on the configuration generate builds.
+
+
+def cmd_generate(report: RunReport, expects: _Expectations) -> cfgmod.Configuration:
     seed_choice = report.inputs["seed_choice"]
     t0 = time.perf_counter()
     if seed_choice == "mub":
@@ -155,12 +163,11 @@ def _generate(report: RunReport, expects: _Expectations) -> cfgmod.Configuration
     return cfg
 
 
-def _realify(report: RunReport, cfg: cfgmod.Configuration) -> None:
+def cmd_realify(report: RunReport, cfg: cfgmod.Configuration) -> None:
     opts = report.inputs
-    if opts["K"] is None:  # no --K: the default for this ray count
-        opts["K"] = remod.default_k(cfg.n_rays)
     t0 = time.perf_counter()
     pa = remod.rational_phase_search(cfg, opts["K"], opts["strategy"], rng_seed=opts["seed"])
+    opts["K"] = pa.K  # with no --K, the default for this ray count
     t0 = _stage(report, "search", t0)
     fr = remod.verify_faithful(cfg, pa)
     t0 = _stage(report, "verify", t0)
@@ -181,7 +188,7 @@ def _realify(report: RunReport, cfg: cfgmod.Configuration) -> None:
         report.status = "discrepancy"
 
 
-def _certify(report: RunReport, cfg: cfgmod.Configuration, expects: _Expectations) -> None:
+def cmd_certify(report: RunReport, cfg: cfgmod.Configuration, expects: _Expectations) -> None:
     mode = report.inputs["mode"]
     paper_scale = cfg.n_rays == 165
     t0 = time.perf_counter()
@@ -221,63 +228,31 @@ def _certify(report: RunReport, cfg: cfgmod.Configuration, expects: _Expectation
             report.check("best128", opt.best == 128, f"best={opt.best}")
 
 
-# --- commands ---------------------------------------------------------------
-
-
-def cmd_generate(args, expects: _Expectations) -> RunReport:
-    report = RunReport(command="generate",
-                       inputs={"out": args.out, "seed_choice": args.seed_choice})
-    _generate(report, expects)
-    return report
-
-
-def cmd_realify(args, expects: _Expectations) -> RunReport:
-    if args.K is not None:  # before any file is written
-        remod.check_k(args.K)
-    remod.check_precision(args.precision)
-    report = RunReport(command="realify", inputs=dict(
-        rays=args.rays, K=args.K, strategy=args.strategy, seed=args.seed,
-        precision=args.precision, out_phases=args.out_phases, out_vectors=args.out_vectors))
-    _realify(report, _load_configuration(report, args.rays))
-    return report
-
-
-def cmd_certify(args, expects: _Expectations) -> RunReport:
-    if args.mode == "color" and args.out_certificate:  # before the ray file is read
-        raise ValueError("--out-certificate needs --mode maximize or all: "
-                         "--mode color writes no certificate")
-    report = RunReport(command="certify", inputs=dict(
-        rays=args.rays, mode=args.mode, out_certificate=args.out_certificate))
-    _certify(report, _load_configuration(report, args.rays), expects)
-    return report
-
-
 def cmd_report(args, expects: _Expectations) -> RunReport:
     """Full reproduction: generate, then realify, then certify (both modes),
     all on the generated configuration; the ray file is written, not read."""
-    if args.K is not None:  # before any file is written
-        remod.check_k(args.K)
-    remod.check_precision(args.precision)
+    _check_phase_flags(args)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = {
         name: os.path.join(args.out_dir, f"{name}.txt")
         for name in ("rays", "phases", "vectors", "certificate")
     }
     gen = RunReport(command="generate", inputs={"out": paths["rays"], "seed_choice": "mub"})
-    cfg = _generate(gen, expects)
+    cfg = cmd_generate(gen, expects)
     rea = RunReport(command="realify", inputs=dict(
         K=args.K, strategy=args.strategy, seed=args.seed, precision=args.precision,
         out_phases=paths["phases"], out_vectors=paths["vectors"]))
-    _realify(rea, cfg)
+    cmd_realify(rea, cfg)
     cer = RunReport(command="certify", inputs=dict(
         mode="all", out_certificate=paths["certificate"]))
-    _certify(cer, cfg, expects)
+    cmd_certify(cer, cfg, expects)
 
     steps = {"generate": gen, "realify": rea, "certify": cer}
     report = RunReport(command="report", inputs={"out_dir": args.out_dir})
     report.results = {name: step.results for name, step in steps.items()}
     report.checks = [c for step in steps.values() for c in step.checks]
-    report.timing = {name: step.timing for name, step in steps.items()}
+    report.timing = {f"{name}.{stage}": seconds for name, step in steps.items()
+                     for stage, seconds in step.timing.items()}
     if any(step.status == "discrepancy" for step in steps.values()):
         report.status = "discrepancy"
     return report
@@ -343,20 +318,27 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-COMMANDS = {
-    "generate": cmd_generate,
-    "realify": cmd_realify,
-    "certify": cmd_certify,
-    "report": cmd_report,
-}
-
-
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         run_by = args.command + (f" --mode {args.mode}" if args.command == "certify" else "")
         expects = _Expectations(args.expect, args.no_expect, run_by)
-        report = COMMANDS[args.command](args, expects)
+        if args.command == "report":
+            report = cmd_report(args, expects)
+        else:
+            report = RunReport(command=args.command, inputs={
+                key: value for key, value in vars(args).items()
+                if key not in ("command", "expect", "no_expect")})
+            if args.command == "generate":
+                cmd_generate(report, expects)
+            elif args.command == "realify":
+                _check_phase_flags(args)
+                cmd_realify(report, _load_configuration(report, args.rays))
+            else:
+                if args.mode == "color" and args.out_certificate:  # before the ray file is read
+                    raise ValueError("--out-certificate needs --mode maximize or all: "
+                                     "--mode color writes no certificate")
+                cmd_certify(report, _load_configuration(report, args.rays), expects)
     except Exception as exc:  # deliberately broad: no failure escapes as a traceback
         error = RunReport(command=args.command, inputs={}, status="error",
                           results={"error": f"{type(exc).__name__}: {exc}"})
@@ -364,18 +346,10 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
     print(report.to_json())
-    for stage, seconds in _flatten_timing(report.timing):
+    for stage, seconds in report.timing.items():
         print(f"[{report.command}] {stage}: {seconds:.3f}s", file=sys.stderr)
     print(f"[{report.command}] status: {report.status}", file=sys.stderr)
     return report.exit_code
-
-
-def _flatten_timing(timing: dict, prefix: str = ""):
-    for key, value in timing.items():
-        if isinstance(value, dict):
-            yield from _flatten_timing(value, f"{prefix}{key}.")
-        else:
-            yield f"{prefix}{key}", value
 
 
 if __name__ == "__main__":

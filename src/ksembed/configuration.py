@@ -51,6 +51,13 @@ class ParseError(ValueError):
         self.lineno = lineno
 
 
+def ascii_digits(text: str) -> bool:
+    """True iff ``text`` is one or more ASCII digits.  Ray and phase files
+    write an integer as an optional "-" and such digits; int() would also
+    take "+", "_", spaces and the digits of other scripts."""
+    return text.isascii() and text.isdigit()
+
+
 class DuplicateRay(ValueError):
     """Two input rays canonicalize to the same projective class."""
 
@@ -140,9 +147,6 @@ class Configuration:
     @property
     def n_rays(self) -> int:
         return len(self.rays)
-
-    def vec(self, i: int) -> VecC3:
-        return self.rays[i].vec
 
     def pair_inner(self, i: int, j: int) -> EisensteinInt:
         return hermitian_inner(self.rays[i].vec, self.rays[j].vec)
@@ -362,10 +366,9 @@ def ingest_rays(text: str) -> Configuration:
             parts = f.split(",")
             if len(parts) != 2:
                 raise ParseError(lineno, f"coordinate {f!r} is not of the form a,b")
-            try:
-                coords.append(EisensteinInt(int(parts[0]), int(parts[1])))
-            except ValueError:
-                raise ParseError(lineno, f"non-integer coefficient in {f!r}") from None
+            if not all(ascii_digits(p.removeprefix("-")) for p in parts):
+                raise ParseError(lineno, f"non-integer coefficient in {f!r}")
+            coords.append(EisensteinInt(int(parts[0]), int(parts[1])))
         v = VecC3(tuple(coords))  # type: ignore[arg-type]
         if v.is_zero():
             raise ParseError(lineno, "zero vector is not a ray")

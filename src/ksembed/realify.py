@@ -26,7 +26,7 @@ from math import gcd
 
 from mpmath import libmp
 
-from .configuration import Configuration
+from .configuration import Configuration, ascii_digits
 from .exact import EisensteinInt, flat_lane_rows
 
 
@@ -294,9 +294,6 @@ def verify_faithful(
     sqrt3 = libmp.mpf_sqrt(libmp.from_int(3), prec, rnd)
     pi = libmp.mpf_pi(prec, rnd)
 
-    def fixed(x: tuple) -> int:
-        return libmp.to_int(libmp.mpf_shift(x, bits), rnd)
-
     trig: dict[int, tuple[int, int]] = {}   # dn mod 2K -> (cos, sin)
 
     def disagreements(c: tuple[int, int]) -> dict[int, int]:
@@ -307,8 +304,8 @@ def verify_faithful(
         im = libmp.mpf_mul_int(sqrt3, b, prec, rnd)
         twice_abs = libmp.mpf_shift(libmp.mpf_sqrt(libmp.from_int(a * a - a * b + b * b),
                                                    prec, rnd), 1)
-        u0 = fixed(libmp.mpf_div(libmp.from_int(re), twice_abs, prec, rnd))
-        u1 = fixed(libmp.mpf_div(im, twice_abs, prec, rnd))
+        u0 = _fixed(libmp.mpf_div(libmp.from_int(re), twice_abs, prec, rnd), bits)
+        u1 = _fixed(libmp.mpf_div(im, twice_abs, prec, rnd), bits)
         x = libmp.mpf_mul_int(libmp.mpf_atan2(libmp.from_int(re), im, prec, rnd), k, prec, rnd)
         f = libmp.to_int(libmp.mpf_div(x, pi, prec, rnd), libmp.round_floor)
         candidates = {(f + s) % k2 for s in (0, 1, k, k + 1)}
@@ -318,7 +315,7 @@ def verify_faithful(
         for dn in candidates:
             cs = trig.get(dn)
             if cs is None:
-                cs = trig[dn] = tuple(map(fixed, _cos_sin(dn, k, prec)))
+                cs = trig[dn] = tuple(_fixed(x, bits) for x in _cos_sin(dn, k, prec))
             dot = u0 * cs[0] - u1 * cs[1]
             if (-threshold < dot < threshold) != (imaginary and dn % k == 0):
                 differ[dn] = dot
@@ -473,11 +470,8 @@ def _export_row(vec, nk: int, k: int, precision: int, prec: int) -> tuple[str, .
 
 
 def _fixed(x: tuple, w: int) -> int:
-    """The raw mpf ``x`` in units of 2^-w, rounded to nearest."""
-    sign, man, exp, _ = x
-    e = exp + w
-    v = man << e if e >= 0 else (man + (1 << (-e - 1))) >> -e
-    return -v if sign else v
+    """The raw mpf ``x`` in units of 2^-w, rounded to nearest, ties to even."""
+    return libmp.to_int(libmp.mpf_shift(x, w), libmp.round_nearest)
 
 
 _LOG10_2 = math.log10(2)
@@ -564,16 +558,16 @@ def load_phases(text: str) -> PhaseAssignment:
     lines = [ln.split("#", 1)[0].strip() for ln in text.splitlines()]
     lines = [ln for ln in lines if ln]
     header = lines[0].split() if lines else []
-    if len(header) != 2 or header[0] != "K" or not header[1].isdecimal():
+    if len(header) != 2 or header[0] != "K" or not ascii_digits(header[1]):
         raise ValueError("phase file must start with a 'K <value>' header, got "
                          f"{lines[0] if lines else ''!r}")
     k = int(header[1])
     entries: dict[int, int] = {}
     for ln in lines[1:]:
         fields = ln.split()
-        # "<ray id> <n_k>": decimal digits, and an optional "-" then digits
-        if (len(fields) != 2 or not fields[0].isdecimal()
-                or not fields[1].removeprefix("-").isdecimal()):
+        # "<ray id> <n_k>": digits, and an optional "-" then digits
+        if (len(fields) != 2 or not ascii_digits(fields[0])
+                or not ascii_digits(fields[1].removeprefix("-"))):
             raise ValueError(f"bad phase line: {ln!r}")
         ray_id = int(fields[0])
         if ray_id in entries:

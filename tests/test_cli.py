@@ -2,10 +2,11 @@
 
 import hashlib
 import json
+import os
 
 import pytest
 
-from ksembed import configuration, realify, valuations
+from ksembed import cli, configuration, realify, valuations
 from ksembed.cli import EXIT_DISCREPANCY, EXIT_ERROR, EXIT_OK, main
 from ksembed.configuration import ingest_rays
 
@@ -88,6 +89,23 @@ class TestGenerate:
         assert not target.exists()
         assert not target.parent.exists()
 
+    def test_failed_replace_removes_the_temporary_file(self, capsys, tmp_path, monkeypatch):
+        target = tmp_path / "rays.txt"
+        tmp = tmp_path / "rays.txt.tmp"
+        written = []
+
+        def failing_replace(src, dst):
+            written.append(os.path.getsize(src))
+            raise OSError("replace failed")
+
+        monkeypatch.setattr(cli.os, "replace", failing_replace)
+        code, report = run(capsys, "generate", "--out", str(target))
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert report["results"]["error"] == "OSError: replace failed"
+        assert len(written) == 1 and written[0] > 0
+        assert not target.exists() and not tmp.exists()
+
     def test_untyped_failure_is_a_json_status(self, capsys, tmp_path, monkeypatch):
         def broken(seed):
             raise KeyError("boom")
@@ -100,6 +118,53 @@ class TestGenerate:
         assert report["status"] == "error"
         assert report["results"]["error"].startswith("KeyError: ")
         assert captured.err == "error: 'boom'\n"
+
+
+STEPS = ("cmd_generate", "cmd_realify", "cmd_certify")
+
+
+class TestCommands:
+    @pytest.mark.parametrize("argv, inputs", [
+        (["generate", "--out", "{tmp}/rays.txt", "--no-expect", "rays165"],
+         {"out": "{tmp}/rays.txt", "seed_choice": "mub"}),
+        (["realify", "--rays", "{rays}"],
+         {"rays": "{rays}", "K": 1009, "strategy": "distinct", "seed": 0, "precision": 20,
+          "out_phases": None, "out_vectors": None}),
+        (["realify", "--rays", "{rays}", "--K", "1013", "--strategy", "greedy-random",
+          "--seed", "3", "--precision", "15", "--out-phases", "{tmp}/phases.txt"],
+         {"rays": "{rays}", "K": 1013, "strategy": "greedy-random", "seed": 3,
+          "precision": 15, "out_phases": "{tmp}/phases.txt", "out_vectors": None}),
+        (["certify", "--rays", "{rays}", "--mode", "color", "--expect", "uncolorable"],
+         {"rays": "{rays}", "mode": "color", "out_certificate": None}),
+    ], ids=["generate", "realify-default", "realify-flags", "certify"])
+    def test_inputs_are_the_parsed_options(self, capsys, rays_file, tmp_path, argv, inputs):
+        def fill(value):
+            return value.format(tmp=tmp_path, rays=rays_file) if isinstance(value, str) else value
+
+        code, report = run(capsys, *map(fill, argv))
+        assert code == EXIT_OK
+        assert report["inputs"] == {key: fill(value) for key, value in inputs.items()}
+
+    @pytest.mark.parametrize("argv, called", [
+        (["report", "--out-dir", "{tmp}/repro"], STEPS),
+        (["generate", "--out", "{tmp}/rays.txt"], ("cmd_generate",)),
+        (["realify", "--rays", "{rays}"], ("cmd_realify",)),
+        (["certify", "--rays", "{rays}", "--mode", "color"], ("cmd_certify",)),
+    ], ids=["report", "generate", "realify", "certify"])
+    def test_each_step_runs_once_through_its_module_name(self, capsys, rays_file, tmp_path,
+                                                        monkeypatch, argv, called):
+        # wrapped at the module attribute, as perfbench/tracing.py wraps them
+        calls = []
+        for name in STEPS:
+            def wrapper(*args, _name=name, _step=getattr(cli, name), **kwargs):
+                calls.append(_name)
+                return _step(*args, **kwargs)
+
+            monkeypatch.setattr(cli, name, wrapper)
+        code = main([arg.format(tmp=tmp_path, rays=rays_file) for arg in argv])
+        capsys.readouterr()
+        assert code == EXIT_OK
+        assert calls == list(called)
 
 
 class TestForcedChecks:

@@ -2,6 +2,7 @@
 
 import functools
 import random
+import re
 import warnings
 from fractions import Fraction
 from math import lcm
@@ -165,7 +166,7 @@ class TestClosure:
         zero, imaginary = set(), set()
         for i in range(165):
             for j in range(i + 1, 165):
-                c = hermitian_inner(full_config.vec(i), full_config.vec(j))
+                c = hermitian_inner(full_config.rays[i].vec, full_config.rays[j].vec)
                 if c.is_zero():
                     zero.add((i, j))
                 elif c.is_purely_imaginary():
@@ -203,7 +204,7 @@ class TestClosure:
 
         vecs = {r.vec for r in full_config.rays}
         for i, j in full_config.edges:
-            w = canonicalize(conj_cross(full_config.vec(i), full_config.vec(j)))
+            w = canonicalize(conj_cross(full_config.rays[i].vec, full_config.rays[j].vec))
             assert w in vecs
 
     def test_fixed_point_of_filtered_insertion(self, full_config):
@@ -215,10 +216,10 @@ class TestClosure:
         rng = random.Random(5)
         for _ in range(500):
             i, j = rng.sample(range(full_config.n_rays), 2)
-            w = cross(full_config.vec(i), full_config.vec(j))
+            w = cross(full_config.rays[i].vec, full_config.rays[j].vec)
             if w.is_zero():
                 continue
-            c = canonicalize(conj_cross(full_config.vec(i), full_config.vec(j)))
+            c = canonicalize(conj_cross(full_config.rays[i].vec, full_config.rays[j].vec))
             assert c in vecs or 6 % c.sq_norm() != 0
 
     def test_unfiltered_closure_diverges(self):
@@ -323,7 +324,7 @@ class TestContexts:
 
         for ctx in full_config.contexts:
             i, j, k = ctx.ray_ids
-            u, v, w = (full_config.vec(x) for x in (i, j, k))
+            u, v, w = (full_config.rays[x].vec for x in (i, j, k))
             assert hermitian_inner(u, v).is_zero()
             assert hermitian_inner(u, w).is_zero()
             assert hermitian_inner(v, w).is_zero()
@@ -408,6 +409,15 @@ class TestRayFiles:
         with pytest.raises(ParseError):
             ingest_rays("1,x 0,0 0,1\n")
 
+    @pytest.mark.parametrize("coordinate", ["1_0,0", "+1,0", "\uff11,0", "1,0_1", "1,+1",
+                                            "1,-\uff11", "\u0661,0", "-,1", "--1,0"])
+    def test_coefficient_is_an_optional_minus_and_ascii_digits(self, coordinate):
+        # int() would read "1_0" as 10, and take "+1" and other scripts' digits
+        with pytest.raises(ParseError, match=re.escape(
+                f"line 2: non-integer coefficient in {coordinate!r}")) as err:
+            ingest_rays(f"1,0 0,0 0,0\n{coordinate} 0,1 0,0\n")
+        assert err.value.lineno == 2
+
     def test_zero_ray_rejected(self):
         with pytest.raises(ParseError):
             ingest_rays("0,0 0,0 0,0\n")
@@ -488,12 +498,12 @@ class TestSubconfiguration:
         # the chosen context survives with remapped ids
         assert any(len(c.ray_ids) == 3 for c in sub.contexts)
         for i, j in sub.edges:
-            assert hermitian_inner(sub.vec(i), sub.vec(j)).is_zero()
+            assert hermitian_inner(sub.rays[i].vec, sub.rays[j].vec).is_zero()
 
     def test_induced_pairs_match_a_fresh_assembly(self, full_config):
         ids = list(range(0, 165, 4))
         sub = subconfiguration(full_config, ids)
-        fresh = configuration_from_vectors([full_config.vec(i) for i in ids], strict=False)
+        fresh = configuration_from_vectors([full_config.rays[i].vec for i in ids], strict=False)
         assert sub.edges == fresh.edges
         assert sub.imaginary_pairs == fresh.imaginary_pairs
         assert sub.imaginary_pairs

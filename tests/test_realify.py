@@ -655,6 +655,30 @@ class TestExport:
         assert precs.count(first) == 20 and len(precs) > 20
         assert set(precs) <= {first << i for i in range(5)}
 
+    def test_field_near_zero_is_retried_not_written_zero(self, monkeypatch):
+        # the real slot of (1, 0, 0) at n = (K - 1)/2 is sin(pi/2K) ~ 7.3e-10:
+        # at 5 digits its interval [F - E, F + E] holds 0, which decides
+        # nothing, since the field is not exactly zero
+        k = 2**31 - 1
+        cfg = rays_config([VecC3.make(1, 0, 0)])
+        pa = PhaseAssignment(K=k, n=((k - 1) // 2,))
+        expected = phase_apply_export(cfg, pa, 15)
+        real_slots = []
+        real_fields = realify._decimal_fields
+
+        def recording_fields(values, shift, precision):
+            real_slots.append(values[0])
+            return real_fields(values, shift, precision)
+
+        monkeypatch.setattr(realify, "_decimal_fields", recording_fields)
+        monkeypatch.setattr(realify, "EXPORT_GUARD_DIGITS", -10)
+        rows = phase_apply_export(cfg, pa, 15)
+        assert rows == expected == reference_phase_apply_export(cfg, pa, 15)
+        assert rows[0][0] == "7.31459039974192e-10"
+        f, err = real_slots[0]
+        assert -err <= f <= err and err > 0
+        assert len(real_slots) > 1
+
     def test_cap_raises_promptly(self, monkeypatch):
         # with the cap at precision + 0 digits, a ray undecided at 5 and at
         # 10 digits is refused after those two evaluations
@@ -748,7 +772,7 @@ class TestFiles:
         with pytest.raises(ValueError):
             load_phases("1009\n0 0\n")
 
-    @pytest.mark.parametrize("header", ["K 7 extra", "K", "K7", "K -7", "k 7"])
+    @pytest.mark.parametrize("header", ["K 7 extra", "K", "K7", "K -7", "k 7", "K \uff15"])
     def test_header_is_exactly_k_and_an_integer(self, header):
         with pytest.raises(ValueError, match=repr(header)):
             load_phases(f"{header}\n0 3\n")
@@ -758,7 +782,8 @@ class TestFiles:
             load_phases("K 5\n0 1\n0 2\n1 3\n")
 
     @pytest.mark.parametrize("line", ["0 1_0", "0 x", "0 +3", "+0 3", "-1 3", "0 3.0",
-                                      "0 --3", "0 3 4"])
+                                      "0 --3", "0 3 4", "0 \uff13", "\uff10 3",
+                                      "0 -\uff13", "0 \u0663"])
     def test_entry_is_a_ray_id_and_an_integer(self, line):
         with pytest.raises(ValueError, match=re.escape(f"bad phase line: {line!r}")):
             load_phases(f"K 5\n{line}\n")
