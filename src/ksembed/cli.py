@@ -2,7 +2,8 @@
 
 Each command emits a deterministic JSON run report on stdout (timings go to
 stderr so two runs are byte-identical) and mirrors its status in the exit
-code: 0 ok, 2 discrepancy (a paper-anchored expectation failed), 1 error.
+code: 0 ok, 2 discrepancy (a paper-anchored expectation failed), 1 error,
+a usage error included.
 
 The paper-anchored expectations are named checks, individually switchable
 with --expect/--no-expect so the tool stays useful on other configurations:
@@ -89,6 +90,9 @@ class _Expectations:
             raise ValueError(f"{run_by} never evaluates forced check(s) "
                              f"{', '.join(skipped)}; it evaluates: "
                              f"{', '.join(evaluated) or 'none'}")
+        both = sorted(set(forced_on) & set(forced_off))
+        if both:
+            raise ValueError(f"check(s) {', '.join(both)} forced both on and off")
         self.on = set(forced_on)
         self.off = set(forced_off)
 
@@ -261,8 +265,16 @@ def cmd_report(args, expects: _Expectations) -> RunReport:
 # --- argument parsing -------------------------------------------------------
 
 
+class _ArgumentParser(argparse.ArgumentParser):
+    """Raises a usage error, so that main reports it like any other failure,
+    where argparse would print it and exit 2, the discrepancy code."""
+
+    def error(self, message):
+        raise argparse.ArgumentError(None, message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _ArgumentParser(
         prog="ksembed",
         description="Reconstruct, realify and certify the 165-ray qutrit "
                     "Kochen-Specker configuration with exact arithmetic.",
@@ -319,8 +331,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    # a recognised subcommand is set here before its own options are parsed
+    args = argparse.Namespace(command=None)
     try:
+        build_parser().parse_args(argv, args)
         run_by = args.command + (f" --mode {args.mode}" if args.command == "certify" else "")
         expects = _Expectations(args.expect, args.no_expect, run_by)
         if args.command == "report":

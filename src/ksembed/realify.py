@@ -21,6 +21,7 @@ import math
 import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from math import gcd
 
@@ -65,10 +66,6 @@ class PhaseAssignment:
     def __post_init__(self):
         check_k(self.K)
         object.__setattr__(self, "n", tuple(v % (2 * self.K) for v in self.n))
-
-    def shifted(self, t: int) -> PhaseAssignment:
-        """Global phase shift n_k -> n_k + t; leaves all verdicts invariant."""
-        return PhaseAssignment(self.K, tuple(v + t for v in self.n))
 
 
 @dataclass
@@ -371,7 +368,7 @@ def check_k(k: int) -> None:
 
 
 # export digits: at least what phase_apply_export evaluates to, at most what
-# exports 741 rays in about 1 s (2.7 s at 2,000: faster than linear growth)
+# exports 741 rays in about 1 s (3.8 s at 2,000: faster than linear growth)
 MIN_PRECISION, MAX_PRECISION = 15, 1000
 # digits beyond the export's precision at a ray's first evaluation, and the
 # most that its retries, each at twice the bits, may reach
@@ -421,11 +418,12 @@ def phase_apply_export(
     imaginary slot's E is |b|*2^W; F = E = 0 exactly for the zero fields,
     and at every other angle no field is zero.
 
-    A nonzero field is rounded by integer division (Ziv's strategy): when
-    [F - E, F + E] holds neither a point halfway between two p-digit
-    neighbours nor a power of ten, every value in it rounds to the same
-    digits, and an exact tie (E = 0) goes to the even neighbour.
-    Otherwise the whole ray is evaluated again at twice the bits.  The
+    A nonzero field is rounded half to even by ``decimal`` (Ziv's
+    strategy, _decimal_fields): rounding is monotone, so when both ends of
+    [F - E, F + E] round to the same p digits, every value in it does, and
+    an exact field (E = 0) is one correctly rounded division, so an exact
+    tie goes to the even neighbour.  When the two ends round apart, the
+    whole ray is evaluated again at twice the bits.  The
     first evaluation works at dps_to_prec(precision + EXPORT_GUARD_DIGITS)
     bits; past dps_to_prec(precision + EXPORT_MAX_GUARD_DIGITS) bits
     ExportUndecided is raised.  Both committed configurations export at
@@ -474,65 +472,38 @@ def _fixed(x: tuple, w: int) -> int:
     return libmp.to_int(libmp.mpf_shift(x, w), libmp.round_nearest)
 
 
-_LOG10_2 = math.log10(2)
-
-
 def _decimal_fields(values, shift: int, precision: int) -> tuple[str, ...] | None:
     """Each f / 2^shift, known to within err / 2^shift for (f, err) in
     ``values``, correctly rounded half to even to ``precision`` significant
-    digits and laid out as libmp.to_str lays it out, less a trailing ".0";
-    "0" when f = err = 0.  None when some [f - err, f + err] holds a
-    rounding boundary or a power of ten."""
-    lo, hi = 10 ** (precision - 1), 10 ** precision
+    digits by ``decimal`` and laid out as libmp.to_str lays it out, less a
+    trailing ".0"; "0" when f = err = 0, and one exact division when
+    err = 0.  Rounding is monotone, so a field is decided when both ends of
+    [f - err, f + err] round to the same decimal; the ends are first
+    rounded outward to units of 2^cut, cut = shift // 2, which only widens
+    the interval and halves the operands.  None when some field is not
+    decided."""
+    ctx = Context(prec=precision, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    cut = shift // 2
+    unit = Decimal(1 << (shift - cut))
     min_fixed = min(-(precision // 3), -5)
-    unit = 1 << shift
     out = []
     for f, err in values:
-        if -err <= f <= err:
-            if err:
+        if err:
+            d = ctx.divide(Decimal((f - err) >> cut), unit)
+            if d != ctx.divide(Decimal(-(-(f + err) >> cut)), unit):
                 return None
+        elif f:
+            d = ctx.divide(Decimal(f), Decimal(1 << shift))
+        else:
             out.append("0")
             continue
-        sign = "-" if f < 0 else ""
-        f = abs(f)
-        # e10 = floor(log10(f / 2^shift)), off by one only next to a power of ten
-        e10 = math.floor(math.log10(f) - shift * _LOG10_2)
-        while True:
-            # q + rem/den = f * 10^(precision - 1 - e10) / 2^shift: the digits
-            t = precision - 1 - e10
-            if t >= 0:
-                scale = 10 ** t
-                num, er, den = f * scale, err * scale, unit
-                q, rem = num >> shift, num & (unit - 1)
-            else:
-                den, er = 10 ** -t * unit, err
-                q, rem = divmod(f, den)
-            if q < lo:
-                e10 -= 1
-            elif q >= hi:
-                e10 += 1
-            else:
-                break
-        twice = 2 * rem
-        if er and (2 * er >= den or abs(twice - den) <= 2 * er
-                   or (q == lo and rem < er) or (q == hi - 1 and rem + er >= den)):
-            return None
-        if twice > den or (twice == den and q & 1):
-            q += 1
-            if q == hi:
-                q, e10 = lo, e10 + 1
-        digits = str(q)
-        if min_fixed < e10 < precision:
-            if e10 < 0:
-                fixed = "0." + "0" * (-e10 - 1) + digits
-            else:
-                fixed = digits[:e10 + 1] + "." + digits[e10 + 1:]
-            out.append(sign + fixed.rstrip("0").rstrip("."))
+        if min_fixed < d.adjusted() < precision:
+            text = f"{d:f}"
+            out.append(text.rstrip("0").rstrip(".") if "." in text else text)
         else:
-            mantissa = (digits[0] + "." + digits[1:]).rstrip("0")
-            if mantissa.endswith("."):
-                mantissa += "0"
-            out.append(f"{sign}{mantissa}e{'+' if e10 >= 0 else ''}{e10}")
+            mantissa, exponent = f"{d:.{precision - 1}e}".split("e")
+            mantissa = mantissa.rstrip("0")
+            out.append(f"{mantissa}{'0' if mantissa.endswith('.') else ''}e{exponent}")
     return tuple(out)
 
 

@@ -120,6 +120,31 @@ class TestGenerate:
         assert captured.err == "error: 'boom'\n"
 
 
+class TestUsageErrors:
+    @pytest.mark.parametrize("argv, command, message", [
+        (["certify", "--rays", "x", "--mode", "bogus"], "certify",
+         "argument --mode: invalid choice: 'bogus'"),
+        (["realify", "--rays", "x", "--K", "abc"], "realify",
+         "argument --K: invalid int value: 'abc'"),
+        ([], None, "the following arguments are required: command"),
+    ], ids=["invalid-choice", "invalid-int", "missing-subcommand"])
+    def test_usage_error_is_a_json_error(self, capsys, argv, command, message):
+        # not argparse's exit 2, which is the discrepancy code
+        code = main(argv)
+        captured = capsys.readouterr()
+        report = json.loads(captured.out)
+        assert code == EXIT_ERROR
+        assert report["status"] == "error" and report["command"] == command
+        assert report["results"]["error"].startswith(f"ArgumentError: {message}")
+        assert captured.err.startswith(f"error: {message}")
+
+    def test_help_exits_0(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["--help"])
+        assert exc.value.code == 0
+        assert "usage: ksembed" in capsys.readouterr().out
+
+
 STEPS = ("cmd_generate", "cmd_realify", "cmd_certify")
 
 
@@ -188,6 +213,15 @@ class TestForcedChecks:
         assert report["status"] == "error"
         for name in skipped:
             assert name in report["results"]["error"]
+        assert not out.exists()
+
+    def test_check_forced_both_on_and_off_is_an_error(self, capsys, tmp_path):
+        out = tmp_path / "rays.txt"
+        code, report = run(capsys, "generate", "--out", str(out),
+                           "--expect", "rays165", "--no-expect", "rays165")
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert "rays165" in report["results"]["error"]
         assert not out.exists()
 
     def test_evaluated_check_forced_on_toy_input(self, capsys, tmp_path):

@@ -288,7 +288,7 @@ class TestSpuriousExact:
     def test_global_shift_invariance(self, t):
         cfg = IMAGINARY_PAIR
         pa = PhaseAssignment(K=7, n=(0, 3))
-        shifted = pa.shifted(t)
+        shifted = PhaseAssignment(K=7, n=(t, 3 + t))
         r1 = verify_faithful(cfg, pa)
         r2 = verify_faithful(cfg, shifted)
         assert r1.spurious == r2.spurious
@@ -698,6 +698,20 @@ class TestExport:
             phase_apply_export(cfg, pa, 15)
         first = libmp.dps_to_prec(5)
         assert calls == [first, 2 * first]
+
+    @pytest.mark.parametrize("values, expected", [
+        # the interval holds 10^0, yet both of its ends round to 1
+        ([((1 << 200) - 1, 2)], ("1",)),
+        # the interval straddles the point halfway between two 15-digit
+        # neighbours, so its ends round apart
+        ([(1234567890123455 << 200, 1)], None),
+        # exact ties (err = 0) go to the even neighbour
+        ([(1234567890123455 << 200, 0), (1234567890123445 << 200, 0),
+          (-(1234567890123455 << 200), 0)],
+         ("1.23456789012346e+15", "1.23456789012344e+15", "-1.23456789012346e+15")),
+    ], ids=["power-of-ten-inside", "straddles-halfway", "exact-ties"])
+    def test_decimal_fields_decides_when_both_ends_agree(self, values, expected):
+        assert realify._decimal_fields(values, 200, 15) == expected
 
     def test_wide_real_ray_at_half_turn(self):
         # (5^30, 0, 0) = conftest.LIFT^30 (1, 0, 0): sin(pi) evaluated at 30
