@@ -217,16 +217,19 @@ def verify_faithful(
     distinct c are its set of keys, and a key is decoded the first time it
     is seen; the assembly scan shares the packing but reads 2A - B instead.
 
-    The exact criterion is cross-checked in fixed point once per distinct
-    inner product c, for every phase difference at once:
+    The exact criterion is cross-checked in fixed point once per primitive
+    direction (A, B)/gcd(A, B) of the distinct c, sign kept: c/|c|, and with
+    it every quantity below, is the same for c and its positive multiples.
 
-    - mpmath.libmp evaluates, on raw values at dps_to_prec(float_dps) bits
-      rounded to nearest, Re c/|c| and Im c/|c| for each distinct c, and
-      cos and sin of dn*pi/K together, one mpf_cos_sin call per distinct
-      candidate dn mod 2K (below); mpmath's global precision is neither
-      read nor changed;
-    - each value is rounded to an integer in units of 2^-bits, with
-      bits = ceil(float_dps * log2(10)) + 8;
+    - Re c/|c| and Im c/|c| are the integers nearest (2A - B)/|2c| and
+      sqrt3*B/|2c| in units of 2^-bits, bits = ceil(float_dps * log2(10))
+      + 8, from the exact integer |2c|^2 = (2A - B)^2 + 3B^2 and math.isqrt,
+      so each is within 1/2 unit;
+    - cos and sin of dn*pi/K come from one mpf_cos_sin call per distinct
+      candidate dn mod 2K (below), on raw mpmath.libmp values at
+      dps_to_prec(float_dps) bits rounded to nearest, each rounded to an
+      integer in the same units; mpmath's global precision is neither read
+      nor changed;
     - the normalized dot Re(e^{i dn pi/K} c)/|c| is then the integer
       (Re c/|c|)*cos - (Im c/|c|)*sin in units of 2^-2bits, and reads zero
       when its magnitude is below the fixed cutoff 10^-50.
@@ -237,21 +240,26 @@ def verify_faithful(
     both are below 10^-59, far under the cutoff.
 
     The normalized dot is cos(dn*pi/K + arg c), which vanishes exactly at
-    dn = x (mod K), x = K*atan2(Re c, Im c)/pi.  With x evaluated at
-    ``float_dps`` digits, the candidates floor(x), floor(x)+1, floor(x)+K
-    and floor(x)+K+1 (mod 2K) hold the integers nearest both zeros as long
-    as x is off by less than 1/2; every other dn lies more than 1/2 from a
-    zero, so its dot exceeds sin(pi/(2K)) in magnitude.  A guard raises
-    PrecisionDisagreement before the scan unless sin(pi/(2K)) exceeds the
-    cutoff plus both rounding bounds (it holds for K = 2^31 - 1 at 15
-    digits); then every other dn reads nonzero, as the exact criterion says
-    (a purely imaginary c has x = 0 or K, so dn = 0 and K are candidates),
-    and x is off by far less than 1/2.  So the dot is evaluated and compared
-    with the exact verdict at the candidates only: at 741 rays, 681 distinct
-    c and at most 2,724 dots cover the 274,170 pairs.  The float verdict
-    must agree with the exact one on every pair: PrecisionDisagreement is
-    raised at the first pair, in scan order, whose (c, dn) is a candidate
-    where the two differ.
+    dn = x (mod K), x = K*atan2(2 Re c, 2 Im c)/pi.  The locator (_zero_near)
+    makes one mpf_atan2 call at ``bits`` bits, within 2^(2-bits) since
+    |atan2| < 4, with 2 Im c = B*isqrt(3*4^bits)/2^bits, and divides K times
+    it by pi in integers, both in units of 2^-bits, so its quotient is
+    within K*2^(1-bits) of x.  The candidates are its nearest integer n0 and
+    n0 + K (mod 2K), and every other dn lies at least 1/2 - K*2^(1-bits)
+    from each zero.  A guard raises PrecisionDisagreement before the scan
+    unless sin((1/2 - 2^-8)*pi/K) exceeds the cutoff plus both rounding
+    bounds (it holds for K = 2^31 - 1 at 15 digits).  That makes
+    K < (pi/2)*10^(float_dps-1), and 2^bits >= 256*10^float_dps, so
+    K*2^(1-bits) < 2^-9 for every K the guard admits: every non-candidate's
+    dot exceeds sin((1/2 - 2^-8)*pi/K) in magnitude and reads nonzero, as
+    the exact criterion says.  A purely imaginary c has x = 0 or K, so its
+    candidates must be dn = 0 and K; the scan raises PrecisionDisagreement
+    if the locator puts them anywhere else.  So the dot is evaluated and
+    compared with the exact verdict at the candidates only: at 741 rays,
+    446 directions of 681 distinct c, and 586 distinct candidate dn, cover
+    the 274,170 pairs.  The float verdict must agree with the exact one on
+    every pair: PrecisionDisagreement is raised at the first pair, in scan
+    order, whose (c, dn) is a candidate where the two differ.
     """
     if len(pa.n) != cfg.n_rays:
         raise ValueError(
@@ -277,37 +285,39 @@ def verify_faithful(
         classes.setdefault(v % k, []).append(i)
     report = FaithfulnessReport()
     prec, rnd = libmp.dps_to_prec(float_dps), libmp.round_nearest
-    separation = _cos_sin(1, k2, prec)[1]  # sin(pi/2K)
+    separation = _cos_sin(127, 256 * k, prec)[1]  # sin((1/2 - 2^-8) pi/K)
     ten = libmp.from_int(10)
     bound = libmp.mpf_add(libmp.mpf_pow_int(ten, -50, prec, rnd),
                           libmp.mpf_shift(libmp.fone, 2 - bits), prec, rnd)
     bound = libmp.mpf_add(bound, libmp.mpf_pow_int(ten, 1 - float_dps, prec, rnd), prec, rnd)
     if libmp.mpf_le(separation, bound):
         raise PrecisionDisagreement(
-            f"K={k}: at {float_dps} digits, sin(pi/2K) = "
+            f"K={k}: at {float_dps} digits, sin(127pi/256K) = "
             f"{libmp.to_str(separation, 3)} does not exceed the 1e-50 cutoff "
             f"plus the rounding bound, {libmp.to_str(bound, 3)} in all"
         )
-    sqrt3 = libmp.mpf_sqrt(libmp.from_int(3), prec, rnd)
-    pi = libmp.mpf_pi(prec, rnd)
+    sqrt3 = math.isqrt(3 << 2 * bits)  # floor(sqrt3 * 2^bits)
 
     trig: dict[int, tuple[int, int]] = {}   # dn mod 2K -> (cos, sin)
 
-    def disagreements(c: tuple[int, int]) -> dict[int, int]:
-        """The candidate dn where the fixed-point verdict on c differs
-        from the exact one, each with its dot."""
-        a, b = c
+    def disagreements(a: int, b: int) -> dict[int, int]:
+        """The candidate dn where the fixed-point verdict on c = a + b*w, or
+        on any positive multiple of it, differs from the exact one, each
+        with its dot."""
         re = 2 * a - b  # 2 Re c; 2 Im c = sqrt3 * b
-        im = libmp.mpf_mul_int(sqrt3, b, prec, rnd)
-        twice_abs = libmp.mpf_shift(libmp.mpf_sqrt(libmp.from_int(a * a - a * b + b * b),
-                                                   prec, rnd), 1)
-        u0 = _fixed(libmp.mpf_div(libmp.from_int(re), twice_abs, prec, rnd), bits)
-        u1 = _fixed(libmp.mpf_div(im, twice_abs, prec, rnd), bits)
-        x = libmp.mpf_mul_int(libmp.mpf_atan2(libmp.from_int(re), im, prec, rnd), k, prec, rnd)
-        f = libmp.to_int(libmp.mpf_div(x, pi, prec, rnd), libmp.round_floor)
-        candidates = {(f + s) % k2 for s in (0, 1, k, k + 1)}
+        norm = re * re + 3 * b * b  # |2c|^2
+        # |Re c|/|c| and |Im c|/|c| rounded to nearest in units of 2^-bits:
+        # the nearest integer to sqrt(y) is (isqrt(floor(4y)) + 1) // 2
+        u0, u1 = ((math.isqrt((sq << 2 * bits + 2) // norm) + 1) >> 1
+                  for sq in (re * re, 3 * b * b))
+        u0, u1 = (-u0 if re < 0 else u0), (-u1 if b < 0 else u1)
+        n0 = _zero_near(libmp.from_int(re), libmp.from_man_exp(b * sqrt3, -bits), k, bits)
+        candidates = {n0 % k2, (n0 + k) % k2}
         imaginary = re == 0
-        assert not imaginary or {0, k} <= candidates
+        if imaginary and candidates != {0, k}:
+            raise PrecisionDisagreement(
+                f"c = {a} + {b}w is purely imaginary, so its dot is zero at dn = 0 "
+                f"and {k}, but the locator put the nearest dn at {sorted(candidates)}")
         differ = {}
         for dn in candidates:
             cs = trig.get(dn)
@@ -321,6 +331,7 @@ def verify_faithful(
     # an orthogonal pair (key 0) has real dot Re(e^{i dtheta} * 0) = 0
     seen = {0}
     imaginary: set[int] = set()  # keys of the nonzero purely imaginary c
+    directions: dict[tuple[int, int], dict[int, int]] = {}  # c/gcd -> {dn: dot}
     wrong: dict[int, dict[int, int]] = {}  # key of c -> {dn: dot}
     for i, row in enumerate(flat_lane_rows(flats, 1 << h, 1)):
         ni = ns[i]
@@ -328,10 +339,14 @@ def verify_faithful(
         if not seen.issuperset(row):  # most rows hold no new key
             for key in set(row) - seen:
                 seen.add(key)
-                c = decode(key)
-                if 2 * c[0] == c[1]:
+                a, b = decode(key)
+                if 2 * a == b:
                     imaginary.add(key)
-                w = disagreements(c)
+                g = gcd(a, b)
+                d = (a // g, b // g)
+                w = directions.get(d)
+                if w is None:
+                    w = directions[d] = disagreements(*d)
                 if w:
                     wrong[key] = w
         if wrong and not wrong.keys().isdisjoint(row):
@@ -465,6 +480,16 @@ def _export_row(vec, nk: int, k: int, precision: int, prec: int) -> tuple[str, .
         [(u * cw - v * rs, abs(u) * ew + abs(v) * err_re) for u, v in uv]
         + [(u * sw + v * rc, abs(u) * ew + abs(v) * err_im) for u, v in uv],
         2 * w + 1, precision)
+
+
+def _zero_near(y: tuple, x: tuple, k: int, bits: int) -> int:
+    """The integer nearest K*atan2(y, x)/pi, for raw mpf y and x: with
+    (y, x) = (2 Re c, 2 Im c), the dn nearest a zero of Re(e^{i dn pi/K} c).
+    atan2 is one mpf_atan2 call at ``bits`` bits, and the quotient by pi is
+    reduced in integers, both in units of 2^-bits."""
+    alpha = _fixed(libmp.mpf_atan2(y, x, bits, libmp.round_nearest), bits)
+    pi = libmp.pi_fixed(bits)
+    return (2 * k * alpha + pi) // (2 * pi)
 
 
 def _fixed(x: tuple, w: int) -> int:

@@ -1,10 +1,15 @@
 """Command-line behavior: reports, exit codes, artifacts, determinism."""
 
+import contextlib
 import hashlib
+import io
 import json
 import os
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ksembed import cli, configuration, realify, valuations
 from ksembed.cli import EXIT_DISCREPANCY, EXIT_ERROR, EXIT_OK, main
@@ -34,6 +39,34 @@ def rays_file(tmp_path_factory):
     code = main(["generate", "--out", str(path)])
     assert code == EXIT_OK
     return str(path)
+
+
+RAYS165 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rays165.txt"
+
+
+@st.composite
+def mutated_ray_files(draw):
+    """rays165.txt after one to three line mutations: a line deleted, a line
+    duplicated, or one whitespace-separated field of a line replaced (or
+    one appended) by a coordinate with a wide coefficient or by short text
+    over the file's own characters."""
+    lines = RAYS165.read_text().splitlines()
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        op = draw(st.sampled_from(("delete", "duplicate", "alter")))
+        if op == "delete":
+            del lines[i]
+        elif op == "duplicate":
+            lines.insert(i, lines[i])
+        else:
+            fields = lines[i].split()
+            j = draw(st.integers(0, len(fields)))
+            fields[j:j + 1] = [draw(st.one_of(
+                st.tuples(st.integers(-10**30, 10**30), st.integers(-3, 3)).map(
+                    lambda ab: f"{ab[0]},{ab[1]}"),
+                st.text(alphabet="0123456789,-+# \t", max_size=8)))]
+            lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
 
 
 def one_spurious_pair(cfg, pa):
@@ -547,3 +580,28 @@ class TestReport:
         assert report["results"]["certify"]["colorable"] is False
         assert ingests == []
         assert solves == {"search": 1, "replay": 1}
+
+
+@pytest.fixture(scope="module")
+def mutation_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("mutated")
+
+
+class TestMutatedRayFiles:
+    """A corrupted ray file ends every CLI path in one documented JSON
+    status, with its exit code, and never in a traceback."""
+
+    @pytest.mark.filterwarnings("ignore:165-ray configuration has")
+    @given(mutated_ray_files())
+    @settings(max_examples=30, deadline=None)
+    def test_every_run_ends_in_a_json_status(self, mutation_dir, text):
+        path = mutation_dir / "rays.txt"
+        path.write_text(text)
+        for argv in (["realify", "--rays", str(path)],
+                     ["certify", "--rays", str(path), "--mode", "color"]):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+                code = main(argv)
+            report = json.loads(out.getvalue())
+            assert {"ok": EXIT_OK, "discrepancy": EXIT_DISCREPANCY,
+                    "error": EXIT_ERROR}[report["status"]] == code

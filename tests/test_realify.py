@@ -473,6 +473,11 @@ def alternating(n_rays: int, k: int) -> tuple[int, ...]:
     return tuple(k * (i % 2) for i in range(n_rays))
 
 
+def random_phases(n_rays: int, k: int) -> tuple[int, ...]:
+    rng = random.Random(k)
+    return tuple(rng.randrange(2 * k) for _ in range(n_rays))
+
+
 class TestCrossCheckOracle:
     """verify_faithful, which evaluates the fixed-point dot once per distinct
     inner product at candidate phase differences, against the per-pair
@@ -489,6 +494,10 @@ class TestCrossCheckOracle:
     @example((165, ALL_165, 13, alternating(165, 13), 60))
     @example((741, ALL_741, 1009, last_ray_shifted(741, 1009), 15))
     @example((741, ALL_741, 1009, ALL_741, 60))
+    # past 2^53, where a double-precision locator misplaces the zeros
+    @example((165, ALL_165, 10**18 + 1, ALL_165, 60))
+    @example((165, ALL_165, 10**18 + 1, last_ray_shifted(165, 10**18 + 1), 60))
+    @example((165, ALL_165, 2**61 - 1, random_phases(165, 2**61 - 1), 30))
     def test_matches_pairwise_reference(self, case):
         n_rays, ids, k, ns, dps = case
         cfg = sub_config(n_rays, ids)
@@ -523,8 +532,35 @@ class TestCrossCheckOracle:
         assert verify_faithful(cfg, PhaseAssignment(K=1009, n=(0, 0, 0))).spurious == [
             (0, 1), (1, 2)]
 
+    @pytest.mark.parametrize("z", [EisensteinInt(2, 1), EisensteinInt(1, 2)],
+                             ids=["generic", "purely-imaginary"])
+    @pytest.mark.parametrize("dps", [15, 60])
+    def test_multiples_of_one_direction(self, z, dps):
+        # ray 0 meets rays 1, 2, 3 in c, 2c and -c: c and 2c are checked
+        # once, as one direction, and -c as the opposite direction
+        vecs = [VecC3.make(1, 0, 0), VecC3.make(z, 1, 0), VecC3.make(2 * z, 1, 0),
+                VecC3.make(-z, 1, 0)]
+        c = (z.a, z.b)
+        assert flat_inner_row(vecs[0].flat(), [v.flat() for v in vecs[1:]]) == [
+            c, (2 * c[0], 2 * c[1]), (-c[0], -c[1])]
+        cfg = unvalidated_config(*vecs)
+        for ns in ((0, 0, 0, 0), (0, 1009, 0, 1009), (0, 1009, 1009, 0), (0, 1, 2, 3)):
+            pa = PhaseAssignment(K=1009, n=ns)
+            assert verify_outcome(verify_faithful, cfg, pa, dps) == verify_outcome(
+                pairwise_verify_faithful, cfg, pa, dps)
+
+    def test_mislocated_zero_is_a_typed_error(self, monkeypatch):
+        # a locator one off puts the candidates of the purely imaginary
+        # c = i*sqrt3 at dn = 1 and K + 1, so its exact zeros at dn = 0 and K
+        # would go unchecked
+        locate = realify._zero_near
+        monkeypatch.setattr(realify, "_zero_near", lambda *args: locate(*args) + 1)
+        with pytest.raises(PrecisionDisagreement,
+                           match=r"c = 1 \+ 2w is purely imaginary.*at \[1, 1010\]"):
+            verify_faithful(IMAGINARY_PAIR, PhaseAssignment(K=1009, n=(0, 0)))
+
     def test_guard_refuses_before_scanning(self, monkeypatch):
-        # sin(pi/2K) ~ 1.6e-15 at K = 10^15 + 1 is within the rounding bound
+        # sin(127pi/256K) ~ 1.6e-15 at K = 10^15 + 1 is within the rounding bound
         # at 15 digits, where the per-pair check would read rounding noise
         def no_scan(*args):
             raise AssertionError("the guard must act before the scan")
@@ -751,8 +787,23 @@ class TestWorkCounts:
         assert calls == {"cos_sin": 740, "cos": 0, "sin": 0, "to_str": 0, "row": 741}
         calls.update(cos_sin=0, row=0)
         assert verify_faithful(cfg, pa).pairs_checked == 274170
-        # 1,104 distinct candidate dn, and sin(pi/2K) for the guard
-        assert calls == {"cos_sin": 1104 + 1, "cos": 0, "sin": 0, "to_str": 0, "row": 0}
+        # 586 distinct candidate dn, and sin(127pi/256K) for the guard
+        assert calls == {"cos_sin": 586 + 1, "cos": 0, "sin": 0, "to_str": 0, "row": 0}
+
+    def test_one_locator_call_per_direction(self, monkeypatch):
+        # the real rays (1, x, 0) meet in the real c = 1 + xy, all of one
+        # direction, and (1, 2w, 0) meets each in its own direction
+        vecs = [VecC3.make(1, x, 0) for x in range(1, 201)] + [VecC3.make(1, 2 * OMEGA, 0)]
+        flats = [v.flat() for v in vecs]
+        values = {c for i, f in enumerate(flats) for c in flat_inner_row(f, flats[i + 1:])}
+        values.discard((0, 0))
+        directions = {(a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in values}
+        calls = []
+        atan2 = libmp.mpf_atan2
+        monkeypatch.setattr(libmp, "mpf_atan2", lambda *args: calls.append(args) or atan2(*args))
+        fr = verify_faithful(rays_config(vecs), PhaseAssignment(K=1009, n=tuple(range(201))))
+        assert fr.faithful and fr.pairs_checked == 201 * 200 // 2
+        assert len(calls) == len(directions) == 201 < len(values)
 
     def test_independent_of_global_precision(self, full_config):
         cases = [(PhaseAssignment(K=1009, n=(0,) * 165), 60),
