@@ -25,8 +25,6 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from math import gcd
 
-from mpmath import libmp
-
 from .configuration import Configuration, ascii_digits
 from .exact import EisensteinInt, flat_lane_rows
 
@@ -225,39 +223,35 @@ def verify_faithful(
       sqrt3*B/|2c| in units of 2^-bits, bits = ceil(float_dps * log2(10))
       + 8, from the exact integer |2c|^2 = (2A - B)^2 + 3B^2 and math.isqrt,
       so each is within 1/2 unit;
-    - cos and sin of dn*pi/K come from one mpf_cos_sin call per distinct
-      candidate dn mod 2K (below), on raw mpmath.libmp values at
-      dps_to_prec(float_dps) bits rounded to nearest, each rounded to an
-      integer in the same units; mpmath's global precision is neither read
-      nor changed;
+    - cos and sin of dn*pi/K are integers C and S in the same units, one
+      _FixedPoint.cos_sin product of roots of unity per distinct candidate
+      dn mod 2K (below), each within 1 unit and exact at dn = 0 (mod K);
     - the normalized dot Re(e^{i dn pi/K} c)/|c| is then the integer
-      (Re c/|c|)*cos - (Im c/|c|)*sin in units of 2^-2bits, and reads zero
+      (Re c/|c|)*C - (Im c/|c|)*S in units of 2^-2bits, and reads zero
       when its magnitude is below the fixed cutoff 10^-50.
 
-    Every factor has |x| <= 1, so the fixed-point rounding moves the dot by
-    less than 2^(2-bits), and mpmath's own rounding at ``float_dps`` digits
-    by less than 10^(1-float_dps); at the default 60 digits (bits = 208)
-    both are below 10^-59, far under the cutoff.
+    Every factor has |x| <= 1, so the rounding moves the dot by at most
+    (3/sqrt2)*2^-bits + 2^-2bits < 2^(2-bits), below 10^-61 at the default
+    60 digits (bits = 208), far under the cutoff.
 
     The normalized dot is cos(dn*pi/K + arg c), which vanishes exactly at
     dn = x (mod K), x = K*atan2(2 Re c, 2 Im c)/pi.  The locator (_zero_near)
-    makes one mpf_atan2 call at ``bits`` bits, within 2^(2-bits) since
-    |atan2| < 4, with 2 Im c = B*isqrt(3*4^bits)/2^bits, and divides K times
-    it by pi in integers, both in units of 2^-bits, so its quotient is
-    within K*2^(1-bits) of x.  The candidates are its nearest integer n0 and
-    n0 + K (mod 2K), and every other dn lies at least 1/2 - K*2^(1-bits)
-    from each zero.  A guard raises PrecisionDisagreement before the scan
-    unless sin((1/2 - 2^-8)*pi/K) exceeds the cutoff plus both rounding
-    bounds (it holds for K = 2^31 - 1 at 15 digits).  That makes
-    K < (pi/2)*10^(float_dps-1), and 2^bits >= 256*10^float_dps, so
-    K*2^(1-bits) < 2^-9 for every K the guard admits: every non-candidate's
-    dot exceeds sin((1/2 - 2^-8)*pi/K) in magnitude and reads nonzero, as
-    the exact criterion says.  A purely imaginary c has x = 0 or K, so its
-    candidates must be dn = 0 and K; the scan raises PrecisionDisagreement
-    if the locator puts them anywhere else.  So the dot is evaluated and
-    compared with the exact verdict at the candidates only: at 741 rays,
-    446 directions of 681 distinct c, and 586 distinct candidate dn, cover
-    the 274,170 pairs.  The float verdict must agree with the exact one on
+    works at lbits = bit_length(K) + 12 bits, with 2 Im c rounded to
+    B*isqrt(3*4^lbits)/2^lbits (moving x by under 0.2*K*2^-lbits), so it is
+    within K*2^-lbits < 2^-12 of x.  The candidates are its nearest integer
+    n0 and n0 + K (mod 2K); every other dn lies at least 1/2 - 2^-12 from
+    each zero, where the dot exceeds sin((1/2 - 2^-8)*pi/K) in magnitude.  A
+    guard raises PrecisionDisagreement before the scan unless that exceeds
+    the cutoff plus the rounding bound, 10^-50 + 2^(2-bits), in an exact
+    integer comparison with sin(127pi/256K) from _cis less its error bound
+    (it admits K = 10^17 + 1 at 15 digits and refuses 10^18 + 1).  So every
+    non-candidate's dot reads nonzero, as the exact criterion says.  A
+    purely imaginary c has x = 0 or K, found exactly, so its candidates must
+    be dn = 0 and K; the scan raises PrecisionDisagreement if the locator
+    puts them anywhere else.  So the dot is evaluated and compared with the
+    exact verdict at the candidates only: at 741 rays, 446 directions of 681
+    distinct c, and 584 distinct candidate dn, cover the 274,170 pairs.
+    The float verdict must agree with the exact one on
     every pair: PrecisionDisagreement is raised at the first pair, in scan
     order, whose (c, dn) is a candidate where the two differ.
     """
@@ -284,19 +278,17 @@ def verify_faithful(
     for i, v in enumerate(ns):
         classes.setdefault(v % k, []).append(i)
     report = FaithfulnessReport()
-    prec, rnd = libmp.dps_to_prec(float_dps), libmp.round_nearest
-    separation = _cos_sin(127, 256 * k, prec)[1]  # sin((1/2 - 2^-8) pi/K)
-    ten = libmp.from_int(10)
-    bound = libmp.mpf_add(libmp.mpf_pow_int(ten, -50, prec, rnd),
-                          libmp.mpf_shift(libmp.fone, 2 - bits), prec, rnd)
-    bound = libmp.mpf_add(bound, libmp.mpf_pow_int(ten, 1 - float_dps, prec, rnd), prec, rnd)
-    if libmp.mpf_le(separation, bound):
+    fp = _FixedPoint(k, bits)
+    # sin(127pi/256K), within 2P units, against 10^-50 + 2^(2-bits) in all
+    sep, bound = _cis(127, 256 * k, fp.pi, fp.p)[1], (1 << fp.p) + (10**50 << (fp.p + 2 - bits))
+    if (sep - 2 * fp.p) * 10**50 <= bound:
         raise PrecisionDisagreement(
             f"K={k}: at {float_dps} digits, sin(127pi/256K) = "
-            f"{libmp.to_str(separation, 3)} does not exceed the 1e-50 cutoff "
-            f"plus the rounding bound, {libmp.to_str(bound, 3)} in all"
+            f"{_decimal_text(sep, 1 << fp.p, 3)} does not exceed the 1e-50 cutoff "
+            f"plus the rounding bound, {_decimal_text(bound, 10**50 << fp.p, 3)} in all"
         )
-    sqrt3 = math.isqrt(3 << 2 * bits)  # floor(sqrt3 * 2^bits)
+    lbits = k.bit_length() + 12  # the locator's: within 2^-12 of each zero
+    lpi, lsqrt3 = _pi(lbits), math.isqrt(3 << 2 * lbits)
 
     trig: dict[int, tuple[int, int]] = {}   # dn mod 2K -> (cos, sin)
 
@@ -311,7 +303,7 @@ def verify_faithful(
         u0, u1 = ((math.isqrt((sq << 2 * bits + 2) // norm) + 1) >> 1
                   for sq in (re * re, 3 * b * b))
         u0, u1 = (-u0 if re < 0 else u0), (-u1 if b < 0 else u1)
-        n0 = _zero_near(libmp.from_int(re), libmp.from_man_exp(b * sqrt3, -bits), k, bits)
+        n0 = _zero_near(re << lbits, b * lsqrt3, k, lpi, lbits)
         candidates = {n0 % k2, (n0 + k) % k2}
         imaginary = re == 0
         if imaginary and candidates != {0, k}:
@@ -322,7 +314,7 @@ def verify_faithful(
         for dn in candidates:
             cs = trig.get(dn)
             if cs is None:
-                cs = trig[dn] = tuple(_fixed(x, bits) for x in _cos_sin(dn, k, prec))
+                cs = trig[dn] = fp.cos_sin(dn)
             dot = u0 * cs[0] - u1 * cs[1]
             if (-threshold < dot < threshold) != (imaginary and dn % k == 0):
                 differ[dn] = dot
@@ -359,7 +351,7 @@ def verify_faithful(
                         f"pair ({i}, {j}): exact says "
                         f"{'zero' if exact_zero else 'nonzero'}, "
                         f"{float_dps}-digit value is "
-                        f"{libmp.to_str(libmp.from_man_exp(dot, -2 * bits), 8)}"
+                        f"{_decimal_text(dot, 1 << 2 * bits, 8)}"
                     )
         # is_spurious_exact: purely imaginary c and dn = 0 (mod K)
         mates = classes[ni % k]
@@ -405,25 +397,22 @@ def phase_apply_export(
 ) -> list[tuple[str, ...]]:
     """Evaluate each phase-adjusted realified ray as a 6-tuple of decimal
     strings of ``precision`` significant digits, each correctly rounded
-    (half to even) and laid out as libmp.to_str (what mp.nstr calls) lays
-    out a number, with a trailing ".0" dropped.
+    (half to even) and laid out as _decimal_fields lays it out.
 
     The rotation acts per complex coordinate z = a + b*w: twice the real
     and imaginary slots of e^{i theta} z are (2a - b)*cos - b*sqrt3*sin and
     (2a - b)*sin + b*sqrt3*cos.  A ray is evaluated in W-bit fixed point:
-    cos and sin of theta come from one mpf_cos_sin call at W + 8 bits,
-    rounded to nearest (_cos_sin), and are rounded to integers C and S in
-    units of 2^-W; sqrt3 is R = isqrt(3 * 4^W), so 0 <= sqrt3*2^W - R < 1.
+    cos and sin of theta are integers C and S in units of 2^-W from
+    _FixedPoint.cos_sin, a product of roots of unity from a table built
+    once per W; sqrt3 is R = isqrt(3 * 4^W), so 0 <= sqrt3*2^W - R < 1.
     Each slot is then one integer F in units of 2^-(2W+1), exact in the
     integers, within
 
         E = |2a - b| * e*2^W + |b| * (|S| + 2e*2^W)    (real slot)
         E = |2a - b| * e*2^W + |b| * (|C| + 2e*2^W)    (imaginary slot)
 
-    of the true value, where e bounds |C - cos*2^W| and |S - sin*2^W|.  The
-    angle, below 2pi and rounded three times, is off by less than 19 units
-    in 2^-(W+8), and mpf_cos_sin adds about one more, so both are within
-    1/2 + 21/256 units in 2^-W and e = 1 holds with room to spare.
+    of the true value, where e bounds |C - cos*2^W| and |S - sin*2^W|:
+    e = 1, as _FixedPoint proves.
 
     A field is "0" exactly when it is zero.  By the roots-of-unity argument
     in the module docstring, a field of e^{i theta} z with z != 0 vanishes
@@ -438,21 +427,30 @@ def phase_apply_export(
     [F - E, F + E] round to the same p digits, every value in it does, and
     an exact field (E = 0) is one correctly rounded division, so an exact
     tie goes to the even neighbour.  When the two ends round apart, the
-    whole ray is evaluated again at twice the bits.  The
-    first evaluation works at dps_to_prec(precision + EXPORT_GUARD_DIGITS)
-    bits; past dps_to_prec(precision + EXPORT_MAX_GUARD_DIGITS) bits
-    ExportUndecided is raised.  Both committed configurations export at
+    whole ray is evaluated again at twice the bits.  The first evaluation
+    works at W + 8 bits, those of precision + EXPORT_GUARD_DIGITS digits;
+    past those of precision + EXPORT_MAX_GUARD_DIGITS, ExportUndecided is
+    raised.  Both committed configurations export at
     the first evaluation.
     """
     check_precision(precision)
     if len(pa.n) != cfg.n_rays:
         raise ValueError("phase assignment does not cover the configuration")
-    first = libmp.dps_to_prec(precision + EXPORT_GUARD_DIGITS)
-    cap = libmp.dps_to_prec(precision + EXPORT_MAX_GUARD_DIGITS)
+    # the bits of d digits and one guard digit
+    first, cap = (max(1, round((precision + d + 1) * 3.3219280948873626))
+                  for d in (EXPORT_GUARD_DIGITS, EXPORT_MAX_GUARD_DIGITS))
+    ctx = Context(prec=precision, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    points: dict[int, _FixedPoint] = {}  # W + 8 -> W-bit fixed point, built at first use
+
+    def fixed_point(prec: int) -> _FixedPoint:
+        if prec not in points:
+            points[prec] = _FixedPoint(pa.K, prec - 8)
+        return points[prec]
+
     rows: list[tuple[str, ...]] = []
     for i, (ray, nk) in enumerate(zip(cfg.rays, pa.n)):
         prec = first
-        while (row := _export_row(ray.vec, nk, pa.K, precision, prec)) is None:
+        while (row := _export_row(ray.vec, nk, fixed_point(prec), ctx)) is None:
             if 2 * prec > cap:
                 raise ExportUndecided(
                     f"ray {i}: a field of {precision} digits is undecided "
@@ -462,52 +460,131 @@ def phase_apply_export(
     return rows
 
 
-def _export_row(vec, nk: int, k: int, precision: int, prec: int) -> tuple[str, ...] | None:
-    """The six fields of e^{i*pi*nk/k} vec as phase_apply_export writes
-    them, from one evaluation in W = prec - 8 bit fixed point; None when
-    some field is undecided at this W."""
-    w = prec - 8
-    if nk % k:
-        c, s = (_fixed(x, w) for x in _cos_sin(nk, k, prec))
+def _export_row(vec, nk: int, fp: _FixedPoint, ctx: Context) -> tuple[str, ...] | None:
+    """The six fields of e^{i*pi*nk/K} vec as phase_apply_export writes
+    them, from one evaluation in fp's W-bit fixed point, rounded in ``ctx``;
+    None when some field is undecided at this W."""
+    w = fp.w
+    if nk % fp.k:
+        c, s = fp.cos_sin(nk)
         ew = 1 << w  # e = 1 unit in 2^-W, in units of 2^-2W
     else:  # theta = 0 or pi, exactly
         c, s, ew = (1 << w) if nk == 0 else -(1 << w), 0, 0
-    r = math.isqrt(3 << 2 * w)  # floor(sqrt3 * 2^W)
-    cw, sw, rc, rs = c << w, s << w, r * c, r * s
+    cw, sw, rc, rs = c << w, s << w, fp.sqrt3 * c, fp.sqrt3 * s
     err_re, err_im = abs(s) + 2 * ew, abs(c) + 2 * ew
     uv = [(2 * z.a - z.b, z.b) for z in vec]
     return _decimal_fields(
         [(u * cw - v * rs, abs(u) * ew + abs(v) * err_re) for u, v in uv]
         + [(u * sw + v * rc, abs(u) * ew + abs(v) * err_im) for u, v in uv],
-        2 * w + 1, precision)
+        2 * w + 1, ctx)
 
 
-def _zero_near(y: tuple, x: tuple, k: int, bits: int) -> int:
-    """The integer nearest K*atan2(y, x)/pi, for raw mpf y and x: with
-    (y, x) = (2 Re c, 2 Im c), the dn nearest a zero of Re(e^{i dn pi/K} c).
-    atan2 is one mpf_atan2 call at ``bits`` bits, and the quotient by pi is
-    reduced in integers, both in units of 2^-bits."""
-    alpha = _fixed(libmp.mpf_atan2(y, x, bits, libmp.round_nearest), bits)
-    pi = libmp.pi_fixed(bits)
-    return (2 * k * alpha + pi) // (2 * pi)
+def _zero_near(y: int, x: int, k: int, pi: int, bits: int) -> int:
+    """The integer nearest K*atan2(y, x)/pi, for integers y, x not both 0
+    and pi within 1 unit of 2^-bits: with (y, x) = (2 Re c, 2 Im c), the dn
+    nearest a zero of Re(e^{i dn pi/K} c).  By octant, atan2(y, x) =
+    M*pi/4 + S*atan(s/r), 0 <= s <= r, S = +-1: K*M/4 is exact, and the
+    rest, from _atan, is within K*(5/4)/(pi*2^bits - 1) < 0.4*K*2^-bits."""
+    s, r, m, sign = (abs(y), abs(x), 0, 1) if abs(y) <= abs(x) else (abs(x), abs(y), 2, -1)
+    if x < 0:
+        m, sign = 4 - m, -sign
+    if y < 0:
+        m, sign = -m, -sign
+    return (k * (m * pi + 4 * sign * _atan(s, r, bits)) + 2 * pi) // (4 * pi)
 
 
-def _fixed(x: tuple, w: int) -> int:
-    """The raw mpf ``x`` in units of 2^-w, rounded to nearest, ties to even."""
-    return libmp.to_int(libmp.mpf_shift(x, w), libmp.round_nearest)
+def _atan(s: int, r: int, p: int) -> int:
+    """atan(s/r) within 1 unit of 2^-p, for integers 0 <= s <= r, r > 0,
+    p >= 16.  At q = p + G bits, t = floor(s*2^q/r) is halved in angle h =
+    isqrt(p/2) + 1 times, t <- t/(1 + isqrt(1 + t^2)), each of slope <= 1/2
+    and adding under 5/4 units, so t ends within 5/2 units and below 2^-h;
+    the series t - t^3/3 + ... adds under 2 units a term, for at most n =
+    p//h + 2 terms, and a tail under 1.  2^G >= 2^h*(4n + 8) is twice 2^h
+    times that."""
+    h = math.isqrt(p // 2) + 1
+    q = p + h + (4 * (p // h + 2) + 7).bit_length()
+    one = 1 << q
+    t = (s << q) // r
+    for _ in range(h):
+        t = (t << q) // (one + math.isqrt(one * one + t * t))
+    t2, total, power, j = t * t >> q, t, t, 1
+    while power:
+        power, j = power * t2 >> q, j + 2
+        total += -(power // j) if j & 2 else power // j
+    return ((total << h) + (1 << (q - p - 1))) >> (q - p)
 
 
-def _decimal_fields(values, shift: int, precision: int) -> tuple[str, ...] | None:
+def _pi(p: int) -> int:
+    """pi within 1 unit of 2^-p, p >= 10, by Machin's formula
+    16 atan(1/5) - 4 atan(1/239) from _atan at p + 6 bits, within 20 units
+    there."""
+    return (16 * _atan(1, 5, p + 6) - 4 * _atan(1, 239, p + 6) + 32) >> 6
+
+
+def _cis(r: int, k: int, pi: int, p: int) -> tuple[int, int]:
+    """cos and sin of pi*r/k, each within 2p units of 2^-p, for k > 0,
+    p >= 10 and pi within 1 unit.  With q nearest 2r/k, the angle is
+    q*pi/2 + phi exactly, phi = pi*(2r - q*k)/(2k), |phi| <= pi/4, rounded
+    to within 3/4 unit; e^{i phi} is its Taylor series, each term
+    floor(t*|phi|/(j*2^p)) within 4/3 units (|phi| < 0.8) until one is 0,
+    by j = p, which leaves a tail under 1/2; then times i^q."""
+    q = (4 * r + k) // (2 * k)
+    phi = (pi * (2 * r - q * k) + k) // (2 * k)
+    a = abs(phi)
+    parts = [0, 0, 0, 0]  # the sums of the terms with j = 0, 1, 2, 3 (mod 4)
+    t, j = 1 << p, 0
+    while t:
+        parts[j & 3] += t
+        j += 1
+        t = (t * a >> p) // j
+    c, s = parts[0] - parts[2], parts[1] - parts[3]
+    if phi < 0:
+        s = -s
+    for _ in range(q % 4):  # times i
+        c, s = -s, c
+    return c, s
+
+
+class _FixedPoint:
+    """W-bit fixed point for the phases pi*n/K, built once per
+    verify_faithful call and per export precision: sqrt3 = floor(sqrt3*2^W),
+    pi within 1 unit of 2^-P, and a table of e^{i pi 2^j/K}, j < L =
+    bit_length(2K), from _cis at P = W + g bits, g = bit_length(L*(W + 64))
+    + 4, each part within e = 2P units.  cos_sin(n) multiplies the entries
+    of the set bits of n mod 2K, each product rounded at P bits, to within
+    2L*(sqrt2*e + 1) <= 6LP units; as 2^g >= 12LP, rounding to W bits gives
+    |C - cos*2^W| <= 1 and |S - sin*2^W| <= 1, exact at n = 0 (mod K)."""
+
+    def __init__(self, k: int, w: int):
+        size = (2 * k).bit_length()
+        self.g = (size * (w + 64)).bit_length() + 4
+        self.k, self.w, self.p = k, w, w + self.g
+        self.pi = _pi(self.p)
+        self.sqrt3 = math.isqrt(3 << 2 * w)
+        self.table = [_cis(pow(2, j, 2 * k), k, self.pi, self.p) for j in range(size)]
+
+    def cos_sin(self, n: int) -> tuple[int, int]:
+        n %= 2 * self.k
+        if n % self.k == 0:
+            return (1 << self.w) if n == 0 else -(1 << self.w), 0
+        p, g = self.p, self.g
+        (c, s), *rest = [root for j, root in enumerate(self.table) if n >> j & 1]
+        for rc, rs in rest:  # rounded to nearest at P bits
+            c, s = (c * rc - s * rs + (1 << p - 1)) >> p, (c * rs + s * rc + (1 << p - 1)) >> p
+        return (c + (1 << g - 1)) >> g, (s + (1 << g - 1)) >> g
+
+
+def _decimal_fields(values, shift: int, ctx: Context) -> tuple[str, ...] | None:
     """Each f / 2^shift, known to within err / 2^shift for (f, err) in
-    ``values``, correctly rounded half to even to ``precision`` significant
-    digits by ``decimal`` and laid out as libmp.to_str lays it out, less a
-    trailing ".0"; "0" when f = err = 0, and one exact division when
-    err = 0.  Rounding is monotone, so a field is decided when both ends of
+    ``values``, correctly rounded half to even to p = ctx.prec significant
+    digits by ``decimal``; "0" when f = err = 0, and one exact division
+    when err = 0.  Written positionally when -max(p//3, 5) < exponent < p,
+    else as mantissa "e" exponent.  Rounding is monotone, so a field is decided when both ends of
     [f - err, f + err] round to the same decimal; the ends are first
     rounded outward to units of 2^cut, cut = shift // 2, which only widens
     the interval and halves the operands.  None when some field is not
     decided."""
-    ctx = Context(prec=precision, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
+    precision = ctx.prec
     cut = shift // 2
     unit = Decimal(1 << (shift - cut))
     min_fixed = min(-(precision // 3), -5)
@@ -532,12 +609,9 @@ def _decimal_fields(values, shift: int, precision: int) -> tuple[str, ...] | Non
     return tuple(out)
 
 
-def _cos_sin(n: int, k: int, prec: int) -> tuple[tuple, tuple]:
-    """cos and sin of pi*n/k as raw mpf at ``prec`` bits, from one
-    mpf_cos_sin call; the angle is rounded as mp.pi * n / k rounds it."""
-    rnd = libmp.round_nearest
-    theta = libmp.mpf_mul_int(libmp.mpf_pi(prec, rnd), n, prec, rnd)
-    return libmp.mpf_cos_sin(libmp.mpf_div(theta, libmp.from_int(k), prec, rnd), prec, rnd)
+def _decimal_text(num: int, den: int, digits: int) -> str:
+    """num/den to ``digits`` significant digits, for messages."""
+    return format(Context(prec=digits).divide(Decimal(num), Decimal(den)), "g")
 
 
 # --- file formats ----------------------------------------------------------

@@ -13,7 +13,6 @@ from pathlib import Path
 import mpmath as mp
 import pytest
 from mpmath import libmp
-from mpmath.libmp import libelefun
 from conftest import lifted
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
@@ -73,7 +72,8 @@ def unvalidated_config(*vecs) -> Configuration:
 def pairwise_verify_faithful(cfg, pa, float_dps=60):
     """Reference for verify_faithful: the fixed-point cross-check evaluated
     on every non-orthogonal pair, with the same units, the same cutoff and
-    the same error text."""
+    the same error text, at bits + 64 working bits, so that each fixed-point
+    value is within 1/2 unit of 2^-bits."""
     if len(pa.n) != cfg.n_rays:
         raise ValueError(
             f"phase assignment covers {len(pa.n)} rays, configuration has {cfg.n_rays}"
@@ -84,7 +84,7 @@ def pairwise_verify_faithful(cfg, pa, float_dps=60):
     bits = math.ceil(float_dps * math.log2(10)) + 8
     threshold = math.ceil(Fraction(1, 10**50) * (1 << (2 * bits)))
     spurious, pairs_checked = [], 0
-    with mp.workdps(float_dps):
+    with mp.workprec(bits + 64):
         sqrt3 = mp.sqrt(3)
 
         def fixed(x):
@@ -115,11 +115,16 @@ def pairwise_verify_faithful(cfg, pa, float_dps=60):
                         f"pair ({i}, {j}): exact says "
                         f"{'zero' if exact_zero else 'nonzero'}, "
                         f"{float_dps}-digit value is "
-                        f"{mp.nstr(mp.ldexp(dot, -2 * bits), 8)}"
+                        f"{decimal_text(dot, 1 << 2 * bits, 8)}"
                     )
                 if exact_zero:
                     spurious.append((i, j))
     return realify.FaithfulnessReport(spurious=spurious, pairs_checked=pairs_checked)
+
+
+def decimal_text(num, den, digits):
+    return format(decimal.Context(prec=digits).divide(decimal.Decimal(num),
+                                                      decimal.Decimal(den)), "g")
 
 
 def reference_phase_apply_export(cfg, pa, precision=20):
@@ -443,11 +448,19 @@ class TestVerifyFaithful:
         fr = verify_faithful(IMAGINARY_PAIR, pa)
         assert fr.spurious == [(0, 1)]
 
-    def test_low_precision_cross_check_disagrees(self, full_config):
+    def test_low_precision_cross_check_disagrees(self, full_config, monkeypatch):
         # only the last ray is shifted, by dn = K: its purely imaginary
-        # pairs are exactly spurious, but sin(pi) at 15 digits is ~1e-16,
-        # above the 1e-50 cutoff, so the cross-check disagrees on the last
-        # pairs of the scan; at 60 digits it agrees on every pair
+        # pairs are exactly spurious.  With sin(pi) one unit off, at 15
+        # digits 2^-58 ~ 3.5e-18, above the 1e-50 cutoff, the cross-check disagrees
+        # on the last pairs of the scan; at 60 digits one unit is 2^-208 ~ 2.4e-63,
+        # under the cutoff, and it agrees on every pair
+        cos_sin = realify._FixedPoint.cos_sin
+
+        def sin_pi_off(fp, n):
+            c, s = cos_sin(fp, n)
+            return c, s + (n % (2 * fp.k) == fp.k)
+
+        monkeypatch.setattr(realify._FixedPoint, "cos_sin", sin_pi_off)
         pa = PhaseAssignment(K=1009, n=(0,) * 164 + (1009,))
         with pytest.raises(PrecisionDisagreement, match=r", 164\): exact says zero"):
             verify_faithful(full_config, pa, float_dps=15)
@@ -560,17 +573,33 @@ class TestCrossCheckOracle:
             verify_faithful(IMAGINARY_PAIR, PhaseAssignment(K=1009, n=(0, 0)))
 
     def test_guard_refuses_before_scanning(self, monkeypatch):
-        # sin(127pi/256K) ~ 1.6e-15 at K = 10^15 + 1 is within the rounding bound
-        # at 15 digits, where the per-pair check would read rounding noise
+        # sin(127pi/256K) ~ 1.6e-18 at K = 10^18 + 1 is below the rounding
+        # bound 2^(2-bits) ~ 1.4e-17 at 15 digits (bits = 58), where the
+        # per-pair check would read rounding noise
         def no_scan(*args):
             raise AssertionError("the guard must act before the scan")
 
         monkeypatch.setattr(realify, "flat_lane_rows", no_scan)
-        pa = PhaseAssignment(K=10**15 + 1, n=(0, 1))
-        with pytest.raises(PrecisionDisagreement, match=r"K=1000000000000001: at 15 digits"):
+        pa = PhaseAssignment(K=10**18 + 1, n=(0, 1))
+        with pytest.raises(PrecisionDisagreement,
+                           match=r"K=1000000000000000001: at 15 digits, sin\(127pi/256K\) = "
+                                 r"1\.56e-18 does not exceed .* 1\.39e-17 in all"):
             verify_faithful(IMAGINARY_PAIR, pa, float_dps=15)
         # the patched kernel is the one the scan computes its rows with
         with pytest.raises(AssertionError, match="the guard must act"):
+            verify_faithful(IMAGINARY_PAIR, pa)
+
+    @pytest.mark.parametrize("dn, spurious", [(1, []), (10**17 + 1, [(0, 1)])])
+    def test_guard_passes_at_15_digits_below_its_bound(self, dn, spurious):
+        # sin(127pi/256K) ~ 1.6e-17 at K = 10^17 + 1 exceeds 1.4e-17
+        pa = PhaseAssignment(K=10**17 + 1, n=(0, dn))
+        assert verify_outcome(verify_faithful, IMAGINARY_PAIR, pa, 15) == verify_outcome(
+            pairwise_verify_faithful, IMAGINARY_PAIR, pa, 15) == (spurious, [], 1)
+
+    def test_guard_refuses_at_60_digits_past_the_cutoff(self):
+        # sin(127pi/256K) ~ 1.6e-51 at K = 10^51 + 1 is below the 1e-50 cutoff
+        pa = PhaseAssignment(K=10**51 + 1, n=(0, 1))
+        with pytest.raises(PrecisionDisagreement, match=r"K=10{50}1: at 60 digits"):
             verify_faithful(IMAGINARY_PAIR, pa)
 
     def test_guard_passes_at_60_digits(self):
@@ -679,9 +708,9 @@ class TestExport:
         precs = []
         real_row = realify._export_row
 
-        def recording_row(vec, nk, k, precision, prec):
-            precs.append(prec)
-            return real_row(vec, nk, k, precision, prec)
+        def recording_row(vec, nk, fp, ctx):
+            precs.append(fp.w + 8)
+            return real_row(vec, nk, fp, ctx)
 
         monkeypatch.setattr(realify, "_export_row", recording_row)
         monkeypatch.setattr(realify, "EXPORT_GUARD_DIGITS", -10)
@@ -702,9 +731,9 @@ class TestExport:
         real_slots = []
         real_fields = realify._decimal_fields
 
-        def recording_fields(values, shift, precision):
+        def recording_fields(values, shift, ctx):
             real_slots.append(values[0])
-            return real_fields(values, shift, precision)
+            return real_fields(values, shift, ctx)
 
         monkeypatch.setattr(realify, "_decimal_fields", recording_fields)
         monkeypatch.setattr(realify, "EXPORT_GUARD_DIGITS", -10)
@@ -723,9 +752,9 @@ class TestExport:
         calls = []
         real_row = realify._export_row
 
-        def counting_row(*args):
-            calls.append(args[-1])
-            return real_row(*args)
+        def counting_row(vec, nk, fp, ctx):
+            calls.append(fp.w + 8)
+            return real_row(vec, nk, fp, ctx)
 
         monkeypatch.setattr(realify, "_export_row", counting_row)
         monkeypatch.setattr(realify, "EXPORT_GUARD_DIGITS", -10)
@@ -747,7 +776,8 @@ class TestExport:
          ("1.23456789012346e+15", "1.23456789012344e+15", "-1.23456789012346e+15")),
     ], ids=["power-of-ten-inside", "straddles-halfway", "exact-ties"])
     def test_decimal_fields_decides_when_both_ends_agree(self, values, expected):
-        assert realify._decimal_fields(values, 200, 15) == expected
+        ctx = decimal.Context(prec=15, rounding=decimal.ROUND_HALF_EVEN)
+        assert realify._decimal_fields(values, 200, ctx) == expected
 
     def test_wide_real_ray_at_half_turn(self):
         # (5^30, 0, 0) = conftest.LIFT^30 (1, 0, 0): sin(pi) evaluated at 30
@@ -757,13 +787,110 @@ class TestExport:
         assert rows == [("-9.31322574615479e+20", "0", "0", "0", "0", "0")]
 
 
+TRIG_KS = (5, 7, 11, 13, 1009, 1223, 10**18 + 1, 2**61 - 1)
+
+
+def mp_fixed(x, p):
+    """The real mpf x in units of 2^-p, unrounded."""
+    return mp.ldexp(x, p)
+
+
+class TestIntegerTrig:
+    """The integer helpers against mpmath at 64 or more bits beyond theirs."""
+
+    @pytest.mark.parametrize("p", [10, 11, 16, 31, 58, 64, 112, 208, 1000, 3400])
+    def test_pi_within_one_unit(self, p):
+        with mp.workprec(p + 64):
+            assert abs(realify._pi(p) - mp_fixed(mp.pi, p)) <= 1
+
+    @pytest.mark.parametrize("dps", [15, 20, 60, 1000])
+    @pytest.mark.parametrize("k", TRIG_KS)
+    def test_cos_sin_within_one_unit(self, k, dps):
+        w = libmp.dps_to_prec(dps)
+        fp = realify._FixedPoint(k, w)
+        rng = random.Random(k * dps)
+        ns = [rng.randrange(2 * k) for _ in range(4 if dps == 1000 else 40)]
+        ns += [1, 2, k - 1, k + 1, 2 * k - 1]
+        with mp.workprec(w + 64):
+            for n in ns:
+                c, s = fp.cos_sin(n)
+                theta = mp.pi * n / k
+                assert abs(c - mp_fixed(mp.cos(theta), w)) <= 1, n
+                assert abs(s - mp_fixed(mp.sin(theta), w)) <= 1, n
+        # exact at n = 0 (mod K), as the zero fields and verdicts need
+        assert [fp.cos_sin(n) for n in (0, k, 2 * k, -k)] == [
+            (1 << w, 0), (-(1 << w), 0), (1 << w, 0), (-(1 << w), 0)]
+
+    @pytest.mark.parametrize("precision", [15, 16, 20, 33, 40, 60, 100, 333, 1000])
+    def test_export_works_at_dps_to_prec(self, precision, monkeypatch):
+        # the first evaluation's W + 8 is mpmath's width for precision + 15 digits
+        widths = []
+        real_row = realify._export_row
+
+        def recording_row(vec, nk, fp, ctx):
+            widths.append(fp.w + 8)
+            return real_row(vec, nk, fp, ctx)
+
+        monkeypatch.setattr(realify, "_export_row", recording_row)
+        phase_apply_export(sub_config(165, [7]), PhaseAssignment(K=1009, n=(1,)), precision)
+        assert widths == [libmp.dps_to_prec(precision + realify.EXPORT_GUARD_DIGITS)]
+
+    @given(st.integers(0, 2**300), st.integers(1, 2**300), st.sampled_from((16, 22, 58, 208)))
+    @settings(max_examples=200, deadline=None)
+    @example(0, 1, 16)
+    @example(1, 1, 16)
+    @example(2**300, 2**300, 208)
+    @example(1, 2**300, 58)
+    def test_atan_within_one_unit(self, s, r, p):
+        s, r = min(s, r), max(s, r)
+        with mp.workprec(p + 64):
+            ref = mp_fixed(mp.atan(mp.mpf(s) / r), p)
+        assert abs(realify._atan(s, r, p) - ref) <= 1
+
+    @given(st.integers(-2**240, 2**240), st.integers(-2**240, 2**240),
+           st.sampled_from(TRIG_KS), st.sampled_from((12, 40, 200)))
+    @settings(max_examples=300, deadline=None)
+    def test_locator_against_atan2(self, y, x, k, extra):
+        # at bit_length(K) + 12 bits, as verify_faithful runs it, and above
+        if y or x:
+            assert self.locator_agrees(y, x, k, k.bit_length() + extra)
+
+    @pytest.mark.parametrize("y, x", [
+        (0, 5), (0, -5), (5, 0), (-5, 0),  # the axes
+        (5, 5), (5, -5), (-5, 5), (-5, -5),  # octant boundaries
+        (2**200, 2**200 - 1), (2**200 - 1, 2**200), (-(2**200), 2**200 - 1),
+        (0, 3 * 2**200), (0, -(3 * 2**200)),  # re = 0: c purely imaginary
+    ])
+    @pytest.mark.parametrize("k", TRIG_KS)
+    def test_locator_edges(self, y, x, k):
+        bits = k.bit_length() + 12
+        assert self.locator_agrees(y, x, k, bits)
+        if y == 0:  # zeros at dn = 0 and K exactly
+            assert realify._zero_near(y, x, k, realify._pi(bits), bits) == (0 if x > 0 else k)
+
+    @staticmethod
+    def locator_agrees(y, x, k, bits):
+        """_zero_near is within K*2^(1-bits) of K*atan2(y, x)/pi, by mpf_atan2:
+        the integer nearest it, or either one when that is not decided."""
+        n0 = realify._zero_near(y, x, k, realify._pi(bits), bits)
+        prec = bits + k.bit_length() + 64
+        with mp.workprec(prec):
+            alpha = mp.mpf(libmp.mpf_atan2(libmp.from_int(y), libmp.from_int(x), prec,
+                                            libmp.round_nearest))
+            target = k * alpha / mp.pi
+            slack = mp.ldexp(k, 1 - bits)
+            return (mp.floor(target - slack + mp.mpf(1) / 2) <= n0
+                    <= mp.floor(target + slack + mp.mpf(1) / 2))
+
+
 class TestWorkCounts:
-    """The realification arithmetic runs on raw mpmath.libmp values: one
-    mpf_cos_sin call per angle (none for export's exact 0 and pi), and no
-    use of mpmath's global precision."""
+    """The realification arithmetic runs in integers: one table of roots of
+    unity per verify_faithful call and per export precision, one
+    _FixedPoint.cos_sin product per angle (none for export's exact 0 and
+    pi), one locator call per direction, and no use of mpmath."""
 
     def test_one_cos_sin_call_per_angle(self, monkeypatch):
-        calls = {"cos_sin": 0, "cos": 0, "sin": 0, "to_str": 0, "row": 0}
+        calls = {"cos_sin": 0, "cis": 0, "row": 0}
 
         def counting(name, fn):
             def wrapper(*args, **kwargs):
@@ -771,24 +898,22 @@ class TestWorkCounts:
                 return fn(*args, **kwargs)
             return wrapper
 
-        # mp.cos and mp.sin reach mpf_cos_sin through libelefun's own name
-        cos_sin = counting("cos_sin", libmp.mpf_cos_sin)
-        monkeypatch.setattr(libmp, "mpf_cos_sin", cos_sin)
-        monkeypatch.setattr(libelefun, "mpf_cos_sin", cos_sin)
-        monkeypatch.setattr(mp, "cos", counting("cos", mp.cos))
-        monkeypatch.setattr(mp, "sin", counting("sin", mp.sin))
-        monkeypatch.setattr(libmp, "to_str", counting("to_str", libmp.to_str))
+        monkeypatch.setattr(realify._FixedPoint, "cos_sin",
+                            counting("cos_sin", realify._FixedPoint.cos_sin))
+        monkeypatch.setattr(realify, "_cis", counting("cis", realify._cis))
         monkeypatch.setattr(realify, "_export_row", counting("row", realify._export_row))
         cfg = committed_config(741)
         pa = rational_phase_search(cfg, 1009, "distinct")
         phase_apply_export(cfg, pa, 20)
         # one per ray but ray 0, whose n = 0 needs none; one evaluation per
-        # ray (no retry), and no field through libmp.to_str
-        assert calls == {"cos_sin": 740, "cos": 0, "sin": 0, "to_str": 0, "row": 741}
-        calls.update(cos_sin=0, row=0)
+        # ray (no retry), so one table of bit_length(2K) = 11 roots
+        assert calls == {"cos_sin": 740, "cis": 11, "row": 741}
+        calls.update(cos_sin=0, cis=0, row=0)
         assert verify_faithful(cfg, pa).pairs_checked == 274170
-        # 586 distinct candidate dn, and sin(127pi/256K) for the guard
-        assert calls == {"cos_sin": 586 + 1, "cos": 0, "sin": 0, "to_str": 0, "row": 0}
+        # 584 distinct candidate dn, one table, and sin(127pi/256K) for the
+        # guard; the real c, whose zeros lie at the half-integers +-K/2, share
+        # the candidates (K + 1)/2 and (3K + 1)/2 whatever their sign
+        assert calls == {"cos_sin": 584, "cis": 11 + 1, "row": 0}
 
     def test_one_locator_call_per_direction(self, monkeypatch):
         # the real rays (1, x, 0) meet in the real c = 1 + xy, all of one
@@ -799,8 +924,8 @@ class TestWorkCounts:
         values.discard((0, 0))
         directions = {(a // math.gcd(a, b), b // math.gcd(a, b)) for a, b in values}
         calls = []
-        atan2 = libmp.mpf_atan2
-        monkeypatch.setattr(libmp, "mpf_atan2", lambda *args: calls.append(args) or atan2(*args))
+        locate = realify._zero_near
+        monkeypatch.setattr(realify, "_zero_near", lambda *args: calls.append(args) or locate(*args))
         fr = verify_faithful(rays_config(vecs), PhaseAssignment(K=1009, n=tuple(range(201))))
         assert fr.faithful and fr.pairs_checked == 201 * 200 // 2
         assert len(calls) == len(directions) == 201 < len(values)
