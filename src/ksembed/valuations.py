@@ -9,11 +9,13 @@ its sum relaxes to at most 1.
 The solver is an in-repo propagation/backtracking engine (no external
 dependencies, so certificates replay from this module alone).  Assignments
 are bitmasks over rays, relabelled by branching rank so the branch ray is
-the lowest free bit.  Contexts are bitmasks over their indices, one per
-slot: the contexts whose first, second or third ray is zero.  A _Problem
-holds the tables of one configuration, built once by _build_tables; its
-neighbor tables turn setting a ray to 1 (which zeroes its neighbors) into one
-OR per mask, with no loop over the neighbors.  Each search is
+the lowest free bit.  Contexts are bitmasks over their indices: the
+uncovered must-cover contexts, and one mask per slot of those among them
+whose first, second or third ray is not zero (the slot is alive).  A
+_Problem holds the AND masks of one configuration, built once by
+_build_tables, so setting a ray to 0, or to 1 (which zeroes its neighbors
+and covers its contexts), is one AND per context mask, with no loop over the
+neighbors.  Each search is
 ``_solve(problem, must_cover, budget)``: the contexts to cover are a set of
 indices, all-zero contexts among them count against the uncovered budget,
 and once the budget is saturated the third ray of every open two-zero
@@ -112,23 +114,28 @@ class _Problem:
     """A configuration as _solve reads it: ray ``order[i]`` is bit i (rays
     relabelled by branching rank), contexts keep their indices.
 
-    ``adj[i]`` holds the neighbors of bit i, ``rays[c]`` the bits of context
-    c, ``slot[k][r]`` the contexts whose k-th ray is r, ``near[k][r]`` the OR
-    of ``slot[k][s]`` over the neighbors s of r (the k-th slots zeroed when r
-    goes to 1), and ``cover[r]`` the contexts of r.
+    ``adj[i]`` holds the neighbors of bit i and ``rays[c]`` the bits of
+    context c.  The rest are AND masks over the context bits, which keep the
+    contexts a ray's value leaves alive: ``zero[k][r]`` all but those whose
+    k-th ray is r (r set to 0), ``one[k][r]`` all but r's contexts and those
+    whose k-th ray is a neighbor of r (r set to 1), and ``uncover[r]`` all
+    but r's contexts.
     """
 
     order: tuple[int, ...]
     adj: tuple[int, ...]
     rays: tuple[tuple[int, int, int], ...]
-    slot: tuple[tuple[int, ...], ...]
-    near: tuple[tuple[int, ...], ...]
-    cover: tuple[int, ...]
+    zero: tuple[tuple[int, ...], ...]
+    one: tuple[tuple[int, ...], ...]
+    uncover: tuple[int, ...]
 
 
 def _build_tables(adj, contexts, order) -> _Problem:
     """The _Problem of neighbor bitmasks ``adj`` and ray triples ``contexts``,
-    both by ray id, branched in ``order``."""
+    both by ray id, branched in ``order``.  The slot masks (the contexts
+    whose k-th ray is r) are built first; one pass over the rays then ORs
+    each ray's neighbor slots and complements them at once, so the build
+    holds no OR table beside the slot masks, and the problem holds none."""
     rank = [0] * len(adj)
     for i, r in enumerate(order):
         rank[r] = i
@@ -138,8 +145,11 @@ def _build_tables(adj, contexts, order) -> _Problem:
         for k, r in enumerate(ctx):
             slot[k][r] |= 1 << c
     s0, s1, s2 = slot
-    radj, n0, n1, n2 = [], [], [], []
-    for r in order:
+    full = (1 << len(rays)) - 1
+    # full itself where r is in no k-th slot: one shared int, not a copy
+    zero = tuple(tuple(full ^ m if m else full for m in sk) for sk in slot)
+    radj, uncover, one0, one1, one2 = [], [], [], [], []
+    for i, r in enumerate(order):
         m = adj[r]
         out = a = b = c = 0
         while m:
@@ -150,17 +160,19 @@ def _build_tables(adj, contexts, order) -> _Problem:
             b |= s1[s]
             c |= s2[s]
             m ^= 1 << top
+        cover = s0[i] | s1[i] | s2[i]
         radj.append(out)
-        n0.append(a)
-        n1.append(b)
-        n2.append(c)
+        uncover.append(full ^ cover)
+        one0.append(full ^ (a | cover))
+        one1.append(full ^ (b | cover))
+        one2.append(full ^ (c | cover))
     return _Problem(
         order=tuple(order),
         adj=tuple(radj),
         rays=rays,
-        slot=tuple(map(tuple, slot)),
-        near=(tuple(n0), tuple(n1), tuple(n2)),
-        cover=tuple(a | b | c for a, b, c in zip(s0, s1, s2)),
+        zero=zero,
+        one=(tuple(one0), tuple(one1), tuple(one2)),
+        uncover=tuple(uncover),
     )
 
 
@@ -190,58 +202,67 @@ def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, Solv
     conflict is more all-zero must-cover contexts than ``budget``; at it,
     every open two-zero must-cover context forces its third ray to 1.
 
-    A state is (ones, zeros, covered, z0, z1, z2): ones and zeros over rays in
-    rank order, the rest over context indices.  covered has a ray set to 1
-    (contexts outside ``must_cover`` start there), and zk has its k-th ray
-    zero, so z0 & z1 & z2 is all-zero and z0 ^ z1 ^ z2 ^ (z0 | z1 | z2)
-    exactly two-zero.  Setting r to 0 ORs ``slot[k][r]`` into zk; setting it
-    to 1 ORs adj[r] into zeros and ``near[k][r]`` into zk, so no free ray, nor
+    A state is (ones, zeros, unc, a0, a1, a2): ones and zeros over rays in
+    rank order, the rest over context indices.  unc holds the uncovered
+    must-cover contexts (no ray set to 1; contexts outside ``must_cover``
+    never enter it), and ak those of them whose k-th ray is not zero, so
+    ak is a subset of unc, unc ^ (a0 | a1 | a2) is all-zero and
+    a0 ^ a1 ^ a2 ^ (a0 & a1 & a2) exactly two-zero.  Setting r to 0 ANDs
+    ``zero[k][r]`` into ak; setting it to 1 ORs adj[r] into zeros and ANDs
+    ``uncover[r]`` into unc and ``one[k][r]`` into ak, so no free ray, nor
     the third ray of an open two-zero context, has a neighbor set to 1.  The
     branch ray is the lowest free bit.  The forcing sweep takes the lowest
     open two-zero context at or above a floor that moves past each forced
     context: the order of a scan of the sorted ``must_cover`` that forces as
     it goes (a force that opens an earlier context waits for the next sweep),
     so node and propagation counts, and every certificate, follow that scan.
+    A sweep goes on past the conflict it meets, and its forces count; it
+    updates only unc and the ak, and its forced rays reach ones and zeros
+    only if the state survives.
     """
-    adj, rays, cover = problem.adj, problem.rays, problem.cover
-    s0, s1, s2 = problem.slot
-    n0, n1, n2 = problem.near
+    adj, rays, uncover = problem.adj, problem.rays, problem.uncover
+    z0, z1, z2 = problem.zero
+    o0, o1, o2 = problem.one
     full = (1 << len(adj)) - 1
-    covered = (1 << len(rays)) - 1
+    unc = 0
     for c in must_cover:
-        covered &= ~(1 << c)
+        unc |= 1 << c
     nodes = propagations = 0
     # depth-first over an explicit stack of open states: the 0-branch is
     # pushed under the 1-branch, so the 1-subtree is exhausted first, as in
     # the recursive formulation, and the counts match it
-    stack = [(0, 0, covered, 0, 0, 0)]
+    stack = [(0, 0, unc, unc, unc, unc)]
+    forced = []  # one list, reused: a new one per state would feed the cyclic GC
     while stack:
-        ones, zeros, covered, z0, z1, z2 = stack.pop()
+        ones, zeros, unc, a0, a1, a2 = stack.pop()
+        forced.clear()
         while True:  # propagate
-            uncovered = (z0 & z1 & z2 & ~covered).bit_count()
+            uncovered = (unc ^ (a0 | a1 | a2)).bit_count()
             if uncovered != budget:  # over it a conflict, under it no force
                 break
             # one sweep: contexts that open below the floor wait for the next
             floor = 0
             while True:
-                open2 = ((z0 ^ z1 ^ z2 ^ (z0 | z1 | z2)) & ~covered) >> floor
+                open2 = (a0 ^ a1 ^ a2 ^ (a0 & a1 & a2)) >> floor
                 if not open2:
                     break
                 c = floor + (open2 & -open2).bit_length() - 1
                 i, j, k = rays[c]
-                r = k if (z0 >> c) & (z1 >> c) & 1 else j if (z0 >> c) & 1 else i
-                ones |= 1 << r
-                zeros |= adj[r]
-                covered |= cover[r]
-                z0 |= n0[r]
-                z1 |= n1[r]
-                z2 |= n2[r]
+                r = i if (a0 >> c) & 1 else j if (a1 >> c) & 1 else k
+                forced.append(r)
+                unc &= uncover[r]
+                a0 &= o0[r]
+                a1 &= o1[r]
+                a2 &= o2[r]
                 propagations += 1
                 floor = c + 1
             if not floor:
                 break
         if uncovered > budget:
             continue
+        for r in forced:
+            ones |= 1 << r
+            zeros |= adj[r]
         nodes += 1
         free = full & ~ones & ~zeros
         if not free:
@@ -251,9 +272,9 @@ def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, Solv
             return mask, SolveStats(nodes, propagations)
         bit = free & -free
         r = bit.bit_length() - 1
-        stack.append((ones, zeros | bit, covered, z0 | s0[r], z1 | s1[r], z2 | s2[r]))
-        stack.append((ones | bit, zeros | adj[r], covered | cover[r],
-                      z0 | n0[r], z1 | n1[r], z2 | n2[r]))
+        stack.append((ones, zeros | bit, unc, a0 & z0[r], a1 & z1[r], a2 & z2[r]))
+        stack.append((ones | bit, zeros | adj[r], unc & uncover[r],
+                      a0 & o0[r], a1 & o1[r], a2 & o2[r]))
     return None, SolveStats(nodes, propagations)
 
 
@@ -342,7 +363,7 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     another, in subproblem order; the first satisfiable one raises
     InconsistentCertificates.
     """
-    # each public entry point builds its own problem (under 1 ms at 165 rays)
+    # each public entry point builds its own problem (about 0.6 ms at 165 rays)
     # rather than sharing one through a cache
     color = ks_colorable(cfg)
     n_ctx = len(cfg.contexts)

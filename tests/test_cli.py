@@ -605,3 +605,32 @@ class TestMutatedRayFiles:
             report = json.loads(out.getvalue())
             assert {"ok": EXIT_OK, "discrepancy": EXIT_DISCREPANCY,
                     "error": EXIT_ERROR}[report["status"]] == code
+
+
+@pytest.fixture(scope="module")
+def rays165_contexts():
+    return [ctx.ray_ids for ctx in ingest_rays(RAYS165.read_text()).contexts]
+
+
+class TestSubconfigurationRayFiles:
+    """The lines of rays165.txt for the rays of 1 to 12 of its contexts make a
+    valid ray file; certifying it ends in one JSON object, never a traceback."""
+
+    @given(st.lists(st.integers(0, 129), min_size=1, max_size=12, unique=True))
+    @settings(max_examples=25, deadline=None)
+    def test_certify_all_ends_in_one_json_status(self, mutation_dir, rays165_contexts,
+                                                 picked):
+        lines = [ln for ln in RAYS165.read_text().splitlines() if not ln.startswith("#")]
+        ids = sorted({r for c in picked for r in rays165_contexts[c]})
+        path = mutation_dir / "subconfiguration.txt"
+        path.write_text("".join(lines[r] + "\n" for r in ids))
+        out = io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+            code = main(["certify", "--rays", str(path), "--mode", "all"])
+        report = json.loads(out.getvalue())
+        assert {"ok": EXIT_OK, "discrepancy": EXIT_DISCREPANCY,
+                "error": EXIT_ERROR}[report["status"]] == code
+        assert report["status"] == "ok", report
+        results = report["results"]
+        assert results["witness_covered"] == results["best"]
+        assert results["bounds"] == [0, results["best"]]

@@ -156,6 +156,16 @@ def solve_counts(solver, *args):
     return mask, stats.nodes, stats.propagations
 
 
+def scan_instance(cfg, order):
+    """cfg as scan_solve reads it: neighbor masks and contexts by ray id, in
+    the branching ``order``."""
+    adj = [0] * cfg.n_rays
+    for i, j in cfg.edges:
+        adj[i] |= 1 << j
+        adj[j] |= 1 << i
+    return adj, [ctx.ray_ids for ctx in cfg.contexts], order
+
+
 class TestEngineAgainstScan:
     @given(small_problems())
     @settings(max_examples=300, deadline=None)
@@ -185,6 +195,32 @@ class TestEngineAgainstScan:
         assert solve_counts(scan_solve, adj, contexts, order, range(4), 0) == (585, 6, 3)
         assert solve_counts(_solve, _build_tables(adj, contexts, order),
                             range(4), 0) == (585, 6, 3)
+
+    # at published scale the context masks are 130 bits wide; the draws
+    # above stop at 16 contexts
+    def test_published_escalation(self, full_config):
+        problem = _make_problem(full_config)
+        instance = scan_instance(full_config, problem.order)
+        got = [solve_counts(_solve, problem, range(130), budget) for budget in range(3)]
+        assert got == [solve_counts(scan_solve, *instance, range(130), budget)
+                       for budget in range(3)]
+        # budgets 0 and 1 are UNSAT, budget 2 holds the witness
+        assert [counts[1:] for counts in got] == [(11, 369), (316, 9671), (109, 2094)]
+        assert [mask is None for mask, _, _ in got] == [True, True, False]
+
+    def test_published_seeded_must_cover_subsets(self, full_config):
+        problem = _make_problem(full_config)
+        instance = scan_instance(full_config, problem.order)
+        # most subsets of fewer than 100 contexts are covered in a few nodes
+        rng = random.Random(22)
+        results = set()
+        for _ in range(30):
+            must = sorted(rng.sample(range(130), rng.randint(100, 130)))
+            budget = rng.randint(0, 3)
+            got = solve_counts(_solve, problem, must, budget)
+            assert got == solve_counts(scan_solve, *instance, must, budget), (must, budget)
+            results.add(got[0] is None)
+        assert results == {True, False}
 
 
 class TestEngineProblem:
@@ -270,6 +306,14 @@ class TestCheckValuation:
                 assert real_ok
 
 
+@pytest.fixture(scope="module")
+def stress_config():
+    """The 741-ray, 490-context closure at norm bound 18, as committed for
+    the benchmark."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rays741.txt"
+    return ingest_rays(path.read_text())
+
+
 class TestColorability:
     def test_single_context_sat(self):
         cfg = single_context()
@@ -296,14 +340,18 @@ class TestColorability:
         r2 = ks_colorable(full_config)
         assert (r1.nodes, r1.propagations) == (r2.nodes, r2.propagations)
 
-    def test_stress_configuration_unsat(self):
-        # the 741-ray, 490-context closure at norm bound 18, as committed for
-        # the benchmark
-        path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rays741.txt"
-        cfg = ingest_rays(path.read_text())
-        assert (cfg.n_rays, len(cfg.contexts)) == (741, 490)
-        res = ks_colorable(cfg)
+    def test_stress_configuration_unsat(self, stress_config):
+        assert (stress_config.n_rays, len(stress_config.contexts)) == (741, 490)
+        res = ks_colorable(stress_config)
         assert (res.satisfiable, res.nodes, res.propagations) == (False, 11, 865)
+
+    @pytest.mark.parametrize("excluded, nodes, propagations", [
+        (0, 11, 865), (1, 24, 1961), (2, 20, 1556), (245, 11, 864), (489, 11, 860)])
+    def test_stress_single_exclusions(self, stress_config, excluded, nodes, propagations):
+        # budget-0 cover checks of all contexts but one: 490-bit context masks
+        must = set(range(490)) - {excluded}
+        mask, stats = _solve(_make_problem(stress_config), must, 0)
+        assert (mask, stats.nodes, stats.propagations) == (None, nodes, propagations)
 
     def test_contextless_configuration_rejected(self, full_config):
         lonely = subconfiguration(full_config, [0, 1])
