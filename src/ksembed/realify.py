@@ -5,8 +5,9 @@ phase choice, but non-orthogonal pairs can collapse onto spurious real
 orthogonality.  For a pair with inner product c != 0 the real dot product of
 the images is Re(e^{i(theta_l - theta_k)} c), so each pair forbids at most
 two phase differences.  This module provides the rational search
-theta_k = n_k*pi/K and exact plus high-precision verification that an
-assignment is faithful.
+theta_k = n_k*pi/K, the exact verification that an assignment is faithful,
+a fixed-point cross-check of it decided by its own error bound, and the
+decimal export of the images.
 
 The exact zero test rests on an algebraic fact: Re(e^{i*dn*pi/K} c) = 0 iff
 e^{2i*dn*pi/K} = -conj(c)/c.  The left side is a K-th root of unity; the
@@ -22,7 +23,6 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
-from fractions import Fraction
 from math import gcd
 
 from .configuration import Configuration, ascii_digits
@@ -47,8 +47,9 @@ class ExportUndecided(RuntimeError):
 
 
 class PrecisionDisagreement(RuntimeError):
-    """Exact and high-precision floating verdicts differ for some pair, or
-    the precision is too low for the cross-check to separate them at this K."""
+    """The fixed-point cross-check contradicts the exact verdict on some
+    inner product and phase difference, beyond its error bound, or stays
+    undecided up to the cross-check's working-precision cap."""
 
 
 STRATEGIES = ("distinct", "backtracking", "greedy-random")
@@ -189,11 +190,13 @@ def _backtracking_search(iadj: list[list[int]], n: int, k: int) -> list[int]:
     return ns
 
 
-def verify_faithful(
-    cfg: Configuration,
-    pa: PhaseAssignment,
-    float_dps: int = 60,
-) -> FaithfulnessReport:
+# the cross-check's first working precision, which decides every candidate
+# of both committed configurations at K = 1009, and the most that its
+# doublings may reach, about the export's own cap of 6,650 bits
+VERIFY_FIRST_BITS, VERIFY_MAX_BITS = 64, 8192
+
+
+def verify_faithful(cfg: Configuration, pa: PhaseAssignment) -> FaithfulnessReport:
     """Check all unordered ray pairs for the faithfulness conditions.
 
     The pass reads only the rays, not ``cfg.edges`` or ``cfg.imaginary_pairs``:
@@ -218,42 +221,40 @@ def verify_faithful(
     The exact criterion is cross-checked in fixed point once per primitive
     direction (A, B)/gcd(A, B) of the distinct c, sign kept: c/|c|, and with
     it every quantity below, is the same for c and its positive multiples.
+    At a working precision of ``bits``:
 
     - Re c/|c| and Im c/|c| are the integers nearest (2A - B)/|2c| and
-      sqrt3*B/|2c| in units of 2^-bits, bits = ceil(float_dps * log2(10))
-      + 8, from the exact integer |2c|^2 = (2A - B)^2 + 3B^2 and math.isqrt,
-      so each is within 1/2 unit;
-    - cos and sin of dn*pi/K are integers C and S in the same units, one
-      _FixedPoint.cos_sin product of roots of unity per distinct candidate
-      dn mod 2K (below), each within 1 unit and exact at dn = 0 (mod K);
+      sqrt3*B/|2c| in units of 2^-bits, from the exact integer
+      |2c|^2 = (2A - B)^2 + 3B^2 and math.isqrt, so each is within 1/2 unit;
+    - cos and sin of dn*pi/K are integers C and S in the same units, from
+      one _FixedPoint.cos_sin product of roots of unity, each within 1 unit
+      and exact at dn = 0 (mod K);
     - the normalized dot Re(e^{i dn pi/K} c)/|c| is then the integer
-      (Re c/|c|)*C - (Im c/|c|)*S in units of 2^-2bits, and reads zero
-      when its magnitude is below the fixed cutoff 10^-50.
+      (Re c/|c|)*C - (Im c/|c|)*S in units of 2^-2bits.
 
     Every factor has |x| <= 1, so the rounding moves the dot by at most
-    (3/sqrt2)*2^-bits + 2^-2bits < 2^(2-bits), below 10^-61 at the default
-    60 digits (bits = 208), far under the cutoff.
+    (3/sqrt2)*2^-bits + 2^-2bits < 2^(2-bits): E = 2^(bits+2) units.
 
     The normalized dot is cos(dn*pi/K + arg c), which vanishes exactly at
     dn = x (mod K), x = K*atan2(2 Re c, 2 Im c)/pi.  The locator (_zero_near)
     works at lbits = bit_length(K) + 12 bits, with 2 Im c rounded to
     B*isqrt(3*4^lbits)/2^lbits (moving x by under 0.2*K*2^-lbits), so it is
     within K*2^-lbits < 2^-12 of x.  The candidates are its nearest integer
-    n0 and n0 + K (mod 2K); every other dn lies at least 1/2 - 2^-12 from
-    each zero, where the dot exceeds sin((1/2 - 2^-8)*pi/K) in magnitude.  A
-    guard raises PrecisionDisagreement before the scan unless that exceeds
-    the cutoff plus the rounding bound, 10^-50 + 2^(2-bits), in an exact
-    integer comparison with sin(127pi/256K) from _cis less its error bound
-    (it admits K = 10^17 + 1 at 15 digits and refuses 10^18 + 1).  So every
-    non-candidate's dot reads nonzero, as the exact criterion says.  A
-    purely imaginary c has x = 0 or K, found exactly, so its candidates must
-    be dn = 0 and K; the scan raises PrecisionDisagreement if the locator
-    puts them anywhere else.  So the dot is evaluated and compared with the
-    exact verdict at the candidates only: at 741 rays, 446 directions of 681
-    distinct c, and 584 distinct candidate dn, cover the 274,170 pairs.
-    The float verdict must agree with the exact one on
-    every pair: PrecisionDisagreement is raised at the first pair, in scan
-    order, whose (c, dn) is a candidate where the two differ.
+    n0 and n0 + K (mod 2K).  Every other dn lies at least 1/2 - 2^-12 from
+    each zero, where |dot| >= sin((1/2 - 2^-12)*pi/K) > 0, as the exact
+    criterion says, so it needs no evaluation.  A purely imaginary c has
+    x = 0 or K, found exactly, so its candidates must be dn = 0 and K;
+    PrecisionDisagreement is raised if the locator puts them anywhere else.
+
+    Each candidate is decided against E.  Where the exact verdict is zero
+    (c purely imaginary), |dot| <= E must hold, else PrecisionDisagreement
+    ("exact says zero") is raised.  Where it is nonzero, |dot| > E settles
+    it; otherwise the direction's undecided candidates are evaluated again
+    at twice the bits, starting from VERIFY_FIRST_BITS, and past
+    VERIFY_MAX_BITS PrecisionDisagreement names c, dn and the bits reached.
+    At 741 rays and K = 1009, 446 directions of 681 distinct c, and 584
+    distinct candidate dn, cover the 274,170 pairs, all decided at the
+    first precision.
     """
     if len(pa.n) != cfg.n_rays:
         raise ValueError(
@@ -271,62 +272,65 @@ def verify_faithful(
         b = ((key + (1 << (h - 1))) & ((1 << h) - 1)) - (1 << (h - 1))
         return (key - b) >> h, b
 
-    bits = math.ceil(float_dps * math.log2(10)) + 8
-    # for an integer dot, |dot| < ceil(t) iff |dot| < t: the cutoff is exact
-    threshold = math.ceil(Fraction(1, 10**50) * (1 << (2 * bits)))
     classes: dict[int, list[int]] = {}  # n mod K -> its rays, in index order
     for i, v in enumerate(ns):
         classes.setdefault(v % k, []).append(i)
     report = FaithfulnessReport()
-    fp = _FixedPoint(k, bits)
-    # sin(127pi/256K), within 2P units, against 10^-50 + 2^(2-bits) in all
-    sep, bound = _cis(127, 256 * k, fp.pi, fp.p)[1], (1 << fp.p) + (10**50 << (fp.p + 2 - bits))
-    if (sep - 2 * fp.p) * 10**50 <= bound:
-        raise PrecisionDisagreement(
-            f"K={k}: at {float_dps} digits, sin(127pi/256K) = "
-            f"{_decimal_text(sep, 1 << fp.p, 3)} does not exceed the 1e-50 cutoff "
-            f"plus the rounding bound, {_decimal_text(bound, 10**50 << fp.p, 3)} in all"
-        )
     lbits = k.bit_length() + 12  # the locator's: within 2^-12 of each zero
     lpi, lsqrt3 = _pi(lbits), math.isqrt(3 << 2 * lbits)
+    points: dict[int, _FixedPoint] = {}  # bits -> fixed point, built at first use
+    trig: dict[tuple[int, int], tuple[int, int]] = {}  # (bits, dn mod 2K) -> (cos, sin)
 
-    trig: dict[int, tuple[int, int]] = {}   # dn mod 2K -> (cos, sin)
-
-    def disagreements(a: int, b: int) -> dict[int, int]:
-        """The candidate dn where the fixed-point verdict on c = a + b*w, or
-        on any positive multiple of it, differs from the exact one, each
-        with its dot."""
+    def cross_check(a: int, b: int) -> None:
+        """Decide the fixed-point verdict on c = a + b*w, and so on every
+        positive multiple of it, at each candidate dn, and raise
+        PrecisionDisagreement where it differs from the exact one."""
         re = 2 * a - b  # 2 Re c; 2 Im c = sqrt3 * b
         norm = re * re + 3 * b * b  # |2c|^2
-        # |Re c|/|c| and |Im c|/|c| rounded to nearest in units of 2^-bits:
-        # the nearest integer to sqrt(y) is (isqrt(floor(4y)) + 1) // 2
-        u0, u1 = ((math.isqrt((sq << 2 * bits + 2) // norm) + 1) >> 1
-                  for sq in (re * re, 3 * b * b))
-        u0, u1 = (-u0 if re < 0 else u0), (-u1 if b < 0 else u1)
         n0 = _zero_near(re << lbits, b * lsqrt3, k, lpi, lbits)
-        candidates = {n0 % k2, (n0 + k) % k2}
-        imaginary = re == 0
-        if imaginary and candidates != {0, k}:
+        undecided = sorted({n0 % k2, (n0 + k) % k2})
+        zero = re == 0
+        if zero and undecided != [0, k]:
             raise PrecisionDisagreement(
                 f"c = {a} + {b}w is purely imaginary, so its dot is zero at dn = 0 "
-                f"and {k}, but the locator put the nearest dn at {sorted(candidates)}")
-        differ = {}
-        for dn in candidates:
-            cs = trig.get(dn)
-            if cs is None:
-                cs = trig[dn] = fp.cos_sin(dn)
-            dot = u0 * cs[0] - u1 * cs[1]
-            if (-threshold < dot < threshold) != (imaginary and dn % k == 0):
-                differ[dn] = dot
-        return differ
+                f"and {k}, but the locator put the nearest dn at {undecided}")
+        bits = VERIFY_FIRST_BITS
+        while True:
+            # |Re c|/|c| and |Im c|/|c| rounded to nearest in units of 2^-bits:
+            # the nearest integer to sqrt(y) is (isqrt(floor(4y)) + 1) // 2
+            u0, u1 = ((math.isqrt((sq << 2 * bits + 2) // norm) + 1) >> 1
+                      for sq in (re * re, 3 * b * b))
+            u0, u1 = (-u0 if re < 0 else u0), (-u1 if b < 0 else u1)
+            bound = 1 << bits + 2
+            rest = []
+            for dn in undecided:
+                cs = trig.get((bits, dn))
+                if cs is None:
+                    if bits not in points:
+                        points[bits] = _FixedPoint(k, bits)
+                    cs = trig[bits, dn] = points[bits].cos_sin(dn)
+                dot = u0 * cs[0] - u1 * cs[1]
+                if zero and abs(dot) > bound:
+                    raise PrecisionDisagreement(
+                        f"c = {a} + {b}w, dn = {dn}: exact says zero, the {bits}-bit "
+                        f"value {_decimal_text(dot, 1 << 2 * bits, 8)} exceeds its "
+                        f"error bound 2^{2 - bits}")
+                if not zero and abs(dot) <= bound:
+                    rest.append(dn)
+            if not rest:
+                return
+            if 2 * bits > VERIFY_MAX_BITS:
+                raise PrecisionDisagreement(
+                    f"c = {a} + {b}w, dn = {rest[0]}: exact says nonzero, and the "
+                    f"value is within its error bound 2^{2 - bits} at {bits} bits, "
+                    f"the last before the {VERIFY_MAX_BITS}-bit cap")
+            undecided, bits = rest, 2 * bits
 
     # an orthogonal pair (key 0) has real dot Re(e^{i dtheta} * 0) = 0
     seen = {0}
     imaginary: set[int] = set()  # keys of the nonzero purely imaginary c
-    directions: dict[tuple[int, int], dict[int, int]] = {}  # c/gcd -> {dn: dot}
-    wrong: dict[int, dict[int, int]] = {}  # key of c -> {dn: dot}
+    directions: set[tuple[int, int]] = set()  # the c/gcd cross-checked
     for i, row in enumerate(flat_lane_rows(flats, 1 << h, 1)):
-        ni = ns[i]
         report.pairs_checked += len(row)
         if not seen.issuperset(row):  # most rows hold no new key
             for key in set(row) - seen:
@@ -336,25 +340,11 @@ def verify_faithful(
                     imaginary.add(key)
                 g = gcd(a, b)
                 d = (a // g, b // g)
-                w = directions.get(d)
-                if w is None:
-                    w = directions[d] = disagreements(*d)
-                if w:
-                    wrong[key] = w
-        if wrong and not wrong.keys().isdisjoint(row):
-            for j, key in enumerate(row, i + 1):
-                dn = (ns[j] - ni) % k2
-                dot = wrong.get(key, {}).get(dn)
-                if dot is not None:
-                    exact_zero = key in imaginary and dn % k == 0
-                    raise PrecisionDisagreement(
-                        f"pair ({i}, {j}): exact says "
-                        f"{'zero' if exact_zero else 'nonzero'}, "
-                        f"{float_dps}-digit value is "
-                        f"{_decimal_text(dot, 1 << 2 * bits, 8)}"
-                    )
+                if d not in directions:
+                    directions.add(d)
+                    cross_check(*d)
         # is_spurious_exact: purely imaginary c and dn = 0 (mod K)
-        mates = classes[ni % k]
+        mates = classes[ns[i] % k]
         for j in mates[bisect_right(mates, i):]:
             if row[j - i - 1] in imaginary:
                 report.spurious.append((i, j))
@@ -465,11 +455,9 @@ def _export_row(vec, nk: int, fp: _FixedPoint, ctx: Context) -> tuple[str, ...] 
     them, from one evaluation in fp's W-bit fixed point, rounded in ``ctx``;
     None when some field is undecided at this W."""
     w = fp.w
-    if nk % fp.k:
-        c, s = fp.cos_sin(nk)
-        ew = 1 << w  # e = 1 unit in 2^-W, in units of 2^-2W
-    else:  # theta = 0 or pi, exactly
-        c, s, ew = (1 << w) if nk == 0 else -(1 << w), 0, 0
+    c, s = fp.cos_sin(nk)
+    # e = 1 unit of 2^-W, in units of 2^-2W; 0 at theta = 0 or pi, where C and S are exact
+    ew = 1 << w if nk % fp.k else 0
     cw, sw, rc, rs = c << w, s << w, fp.sqrt3 * c, fp.sqrt3 * s
     err_re, err_im = abs(s) + 2 * ew, abs(c) + 2 * ew
     uv = [(2 * z.a - z.b, z.b) for z in vec]
@@ -546,11 +534,11 @@ def _cis(r: int, k: int, pi: int, p: int) -> tuple[int, int]:
 
 
 class _FixedPoint:
-    """W-bit fixed point for the phases pi*n/K, built once per
-    verify_faithful call and per export precision: sqrt3 = floor(sqrt3*2^W),
-    pi within 1 unit of 2^-P, and a table of e^{i pi 2^j/K}, j < L =
-    bit_length(2K), from _cis at P = W + g bits, g = bit_length(L*(W + 64))
-    + 4, each part within e = 2P units.  cos_sin(n) multiplies the entries
+    """W-bit fixed point for the phases pi*n/K, built once per working
+    precision of a verify_faithful or phase_apply_export call:
+    sqrt3 = floor(sqrt3*2^W), pi within 1 unit of 2^-P, and a table of
+    e^{i pi 2^j/K}, j < L = bit_length(2K), from _cis at P = W + g bits,
+    g = bit_length(L*(W + 64)) + 4, each part within e = 2P units.  cos_sin(n) multiplies the entries
     of the set bits of n mod 2K, each product rounded at P bits, to within
     2L*(sqrt2*e + 1) <= 6LP units; as 2^g >= 12LP, rounding to W bits gives
     |C - cos*2^W| <= 1 and |S - sin*2^W| <= 1, exact at n = 0 (mod K)."""

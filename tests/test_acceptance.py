@@ -106,12 +106,12 @@ class TestAcceptance:
         t0 = time.perf_counter()
         for strategy in ("distinct", "backtracking", "greedy-random"):
             pa = rational_phase_search(full_config, 1009, strategy, rng_seed=0)
-            fr = verify_faithful(full_config, pa, float_dps=60)
+            fr = verify_faithful(full_config, pa)
             assert fr.pairs_checked == 13530
             assert fr.spurious == []
             assert fr.missing == []
         report("criterion 4 (faithful realification)", time.perf_counter() - t0,
-               10.0, "K=1009, all 3 strategies, 13530 pairs, exact = 60-digit")
+               10.0, "K=1009, all 3 strategies, 13530 pairs, exact = fixed point")
 
     def test_criterion_5_canonical_map_unfaithful(self, full_config):
         t0 = time.perf_counter()

@@ -7,7 +7,6 @@ import math
 import random
 import re
 import time
-from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -69,11 +68,14 @@ def unvalidated_config(*vecs) -> Configuration:
                          adjacency=adjacency)
 
 
-def pairwise_verify_faithful(cfg, pa, float_dps=60):
+def pairwise_verify_faithful(cfg, pa):
     """Reference for verify_faithful: the fixed-point cross-check evaluated
-    on every non-orthogonal pair, with the same units, the same cutoff and
-    the same error text, at bits + 64 working bits, so that each fixed-point
-    value is within 1/2 unit of 2^-bits."""
+    on every non-orthogonal pair, with the same units and the same rule, at
+    bits + 64 working bits, so that each fixed-point value is within 1/2
+    unit of 2^-bits.  From realify.VERIFY_FIRST_BITS, a dot within its
+    bound 2^(bits+2) units must be exactly zero, and one beyond it must
+    not; an exactly nonzero dot within it is evaluated again at twice the
+    bits, up to realify.VERIFY_MAX_BITS."""
     if len(pa.n) != cfg.n_rays:
         raise ValueError(
             f"phase assignment covers {len(pa.n)} rays, configuration has {cfg.n_rays}"
@@ -81,44 +83,52 @@ def pairwise_verify_faithful(cfg, pa, float_dps=60):
     k, ns = pa.K, pa.n
     k2 = 2 * k
     flats = [ray.vec.flat() for ray in cfg.rays]
-    bits = math.ceil(float_dps * math.log2(10)) + 8
-    threshold = math.ceil(Fraction(1, 10**50) * (1 << (2 * bits)))
     spurious, pairs_checked = [], 0
-    with mp.workprec(bits + 64):
-        sqrt3 = mp.sqrt(3)
+    units, trig = {}, {}  # (bits, c) and (bits, dn) -> fixed-point pair
 
-        def fixed(x):
-            return int(mp.nint(mp.ldexp(x, bits)))
+    def fixed(bits, *xs):
+        return tuple(int(mp.nint(mp.ldexp(x, bits))) for x in xs)
 
-        trig, units = {}, {}
-        for i in range(cfg.n_rays - 1):
-            row = flat_inner_row(flats[i], flats[i + 1:])
-            pairs_checked += len(row)
-            for j, c in enumerate(row, i + 1):
-                a, b = c
-                if not (a or b):
-                    continue
-                dn = (ns[j] - ns[i]) % k2
-                exact_zero = 2 * a == b and dn % k == 0
-                cs = trig.get(dn)
-                if cs is None:
-                    theta = mp.pi * dn / k
-                    cs = trig[dn] = (fixed(mp.cos(theta)), fixed(mp.sin(theta)))
-                u = units.get(c)
+    for i in range(cfg.n_rays - 1):
+        row = flat_inner_row(flats[i], flats[i + 1:])
+        pairs_checked += len(row)
+        for j, c in enumerate(row, i + 1):
+            a, b = c
+            if not (a or b):
+                continue
+            dn = (ns[j] - ns[i]) % k2
+            exact_zero = 2 * a == b and dn % k == 0
+            g = math.gcd(a, b)
+            bits = realify.VERIFY_FIRST_BITS
+            while True:
+                u = units.get((bits, c))
                 if u is None:
-                    twice_abs = 2 * mp.sqrt(a * a - a * b + b * b)
-                    u = units[c] = (fixed((2 * a - b) / twice_abs),
-                                    fixed(sqrt3 * b / twice_abs))
+                    with mp.workprec(bits + 64):
+                        twice_abs = 2 * mp.sqrt(a * a - a * b + b * b)
+                        u = units[bits, c] = fixed(bits, (2 * a - b) / twice_abs,
+                                                   mp.sqrt(3) * b / twice_abs)
+                cs = trig.get((bits, dn))
+                if cs is None:
+                    with mp.workprec(bits + 64):
+                        theta = mp.pi * dn / k
+                        cs = trig[bits, dn] = fixed(bits, mp.cos(theta), mp.sin(theta))
                 dot = u[0] * cs[0] - u[1] * cs[1]
-                if (-threshold < dot < threshold) != exact_zero:
-                    raise PrecisionDisagreement(
-                        f"pair ({i}, {j}): exact says "
-                        f"{'zero' if exact_zero else 'nonzero'}, "
-                        f"{float_dps}-digit value is "
-                        f"{decimal_text(dot, 1 << 2 * bits, 8)}"
-                    )
+                if abs(dot) > 1 << bits + 2:
+                    if exact_zero:
+                        raise PrecisionDisagreement(
+                            f"c = {a // g} + {b // g}w, dn = {dn}: exact says zero, "
+                            f"the {bits}-bit value {decimal_text(dot, 1 << 2 * bits, 8)} "
+                            f"exceeds its error bound 2^{2 - bits}")
+                    break
                 if exact_zero:
                     spurious.append((i, j))
+                    break
+                if 2 * bits > realify.VERIFY_MAX_BITS:
+                    raise PrecisionDisagreement(
+                        f"c = {a // g} + {b // g}w, dn = {dn}: exact says nonzero, and the "
+                        f"value is within its error bound 2^{2 - bits} at {bits} bits, "
+                        f"the last before the {realify.VERIFY_MAX_BITS}-bit cap")
+                bits *= 2
     return realify.FaithfulnessReport(spurious=spurious, pairs_checked=pairs_checked)
 
 
@@ -192,10 +202,10 @@ def rays_config(vecs) -> Configuration:
                          contexts=[], adjacency=[set() for _ in rays])
 
 
-def verify_outcome(verify, cfg, pa, float_dps):
+def verify_outcome(verify, cfg, pa):
     """(spurious, missing, pairs_checked), or (exception type, message)."""
     try:
-        fr = verify(cfg, pa, float_dps=float_dps)
+        fr = verify(cfg, pa)
     except Exception as exc:
         return type(exc), str(exc)
     return fr.spurious, fr.missing, fr.pairs_checked
@@ -206,9 +216,9 @@ ORACLE_KS = (5, 7, 11, 13, 1009, 10007, 100003, 2**31 - 1)
 
 @st.composite
 def oracle_cases(draw):
-    """A random subconfiguration of a committed configuration, a K, phases
-    uniform mod 2K or multiples of K (so dn = 0 and dn = K both occur), and
-    a precision."""
+    """A random subconfiguration of a committed configuration, a K, and
+    phases uniform mod 2K or multiples of K (so dn = 0 and dn = K both
+    occur)."""
     n_rays = draw(st.sampled_from((165, 741)))
     ids = sorted(draw(st.sets(st.integers(0, n_rays - 1), min_size=2, max_size=40)))
     k = draw(st.sampled_from(ORACLE_KS))
@@ -217,8 +227,7 @@ def oracle_cases(draw):
     else:
         phase = st.integers(0, 1).map(lambda m: m * k)
     ns = tuple(draw(st.lists(phase, min_size=len(ids), max_size=len(ids))))
-    dps = draw(st.sampled_from((15, 30, 60)))
-    return n_rays, tuple(ids), k, ns, dps
+    return n_rays, tuple(ids), k, ns
 
 
 EXPORT_PRECISIONS = (15, 16, 20, 33, 40, 60)
@@ -245,6 +254,12 @@ def export_cases(draw):
 IMAGINARY_PAIR = unvalidated_config(
     VecC3.make(1, 1, 0), VecC3.make(1, 2 * OMEGA, 0)
 )  # inner product 1 + 2w = i*sqrt(3)
+
+# B = 10^51 + 1 and A = (B + 1)/2: the inner product's real part is 1/2
+NEARLY_IMAGINARY_PAIR = unvalidated_config(
+    VecC3.make(0, 1, 0),
+    VecC3.make(1, EisensteinInt((10**51 + 2) // 2, 10**51 + 1), 0),
+)
 
 
 class TestSpuriousExact:
@@ -448,24 +463,28 @@ class TestVerifyFaithful:
         fr = verify_faithful(IMAGINARY_PAIR, pa)
         assert fr.spurious == [(0, 1)]
 
-    def test_low_precision_cross_check_disagrees(self, full_config, monkeypatch):
-        # only the last ray is shifted, by dn = K: its purely imaginary
-        # pairs are exactly spurious.  With sin(pi) one unit off, at 15
-        # digits 2^-58 ~ 3.5e-18, above the 1e-50 cutoff, the cross-check disagrees
-        # on the last pairs of the scan; at 60 digits one unit is 2^-208 ~ 2.4e-63,
-        # under the cutoff, and it agrees on every pair
+    @pytest.mark.parametrize("units_off, raises", [(1, False), (8, True)])
+    def test_kernel_fault_beyond_the_bound_disagrees(self, full_config, monkeypatch,
+                                                     units_off, raises):
+        # sin(pi) off by 8 units puts the dot of every purely imaginary c at
+        # dn = K 8 units of 2^-bits from zero, past its bound of 4; one unit
+        # off stays within it.  Both candidates of each direction are
+        # evaluated, whatever phase differences the pairs have
         cos_sin = realify._FixedPoint.cos_sin
 
         def sin_pi_off(fp, n):
             c, s = cos_sin(fp, n)
-            return c, s + (n % (2 * fp.k) == fp.k)
+            return c, s + units_off * (n % (2 * fp.k) == fp.k)
 
         monkeypatch.setattr(realify._FixedPoint, "cos_sin", sin_pi_off)
-        pa = PhaseAssignment(K=1009, n=(0,) * 164 + (1009,))
-        with pytest.raises(PrecisionDisagreement, match=r", 164\): exact says zero"):
-            verify_faithful(full_config, pa, float_dps=15)
-        fr = verify_faithful(full_config, pa)
-        assert fr.spurious == scan_spurious_zero_phases(full_config)
+        pa = PhaseAssignment(K=1009, n=ALL_165)
+        if raises:
+            with pytest.raises(PrecisionDisagreement,
+                               match=r"c = -?\d+ \+ -?\d+w, dn = 1009: exact says zero, "
+                                     r"the 64-bit value -?4\.3368087e-19 exceeds"):
+                verify_faithful(full_config, pa)
+        else:
+            assert verify_faithful(full_config, pa).faithful
 
     def test_all_orthogonal_configuration_accepts_zero_phases(self):
         # no non-orthogonal pairs, so the canonical map is already faithful
@@ -491,44 +510,70 @@ def random_phases(n_rays: int, k: int) -> tuple[int, ...]:
     return tuple(rng.randrange(2 * k) for _ in range(n_rays))
 
 
+ORACLE_EXAMPLES = [
+    (165, ALL_165, 1009, ALL_165),
+    (165, ALL_165, 1009, (0,) * 165),
+    (165, ALL_165, 1009, last_ray_shifted(165, 1009)),
+    (165, ALL_165, 11, alternating(165, 11)),
+    (165, ALL_165, 1009, alternating(165, 1009)),
+    (165, ALL_165, 13, alternating(165, 13)),
+    (741, ALL_741, 1009, last_ray_shifted(741, 1009)),
+    (741, ALL_741, 1009, ALL_741),
+    # past 2^53, where a double-precision locator misplaces the zeros
+    (165, ALL_165, 10**18 + 1, ALL_165),
+    (165, ALL_165, 10**18 + 1, last_ray_shifted(165, 10**18 + 1)),
+    (165, ALL_165, 2**61 - 1, random_phases(165, 2**61 - 1)),
+]
+
+
+def with_oracle_examples(test):
+    """``test``, a Hypothesis test of oracle_cases, with each case of
+    ORACLE_EXAMPLES as an explicit example."""
+    for case in ORACLE_EXAMPLES:
+        test = example(case)(test)
+    return test
+
+
+@pytest.fixture
+def fixed_point_widths(monkeypatch):
+    """The W of each _FixedPoint built while the test runs, in order."""
+    widths = []
+    build = realify._FixedPoint.__init__
+
+    def recording_build(fp, k, w):
+        widths.append(w)
+        build(fp, k, w)
+
+    monkeypatch.setattr(realify._FixedPoint, "__init__", recording_build)
+    return widths
+
+
 class TestCrossCheckOracle:
     """verify_faithful, which evaluates the fixed-point dot once per distinct
     inner product at candidate phase differences, against the per-pair
     reference: the same report, or the same exception and message."""
 
+    @with_oracle_examples
     @given(oracle_cases())
     @settings(max_examples=60, deadline=None)
-    @example((165, ALL_165, 1009, ALL_165, 60))
-    @example((165, ALL_165, 1009, (0,) * 165, 15))
-    @example((165, ALL_165, 1009, last_ray_shifted(165, 1009), 15))
-    @example((165, ALL_165, 1009, last_ray_shifted(165, 1009), 30))
-    @example((165, ALL_165, 11, alternating(165, 11), 15))
-    @example((165, ALL_165, 1009, alternating(165, 1009), 30))
-    @example((165, ALL_165, 13, alternating(165, 13), 60))
-    @example((741, ALL_741, 1009, last_ray_shifted(741, 1009), 15))
-    @example((741, ALL_741, 1009, ALL_741, 60))
-    # past 2^53, where a double-precision locator misplaces the zeros
-    @example((165, ALL_165, 10**18 + 1, ALL_165, 60))
-    @example((165, ALL_165, 10**18 + 1, last_ray_shifted(165, 10**18 + 1), 60))
-    @example((165, ALL_165, 2**61 - 1, random_phases(165, 2**61 - 1), 30))
     def test_matches_pairwise_reference(self, case):
-        n_rays, ids, k, ns, dps = case
+        n_rays, ids, k, ns = case
         cfg = sub_config(n_rays, ids)
         pa = PhaseAssignment(K=k, n=ns)
-        assert verify_outcome(verify_faithful, cfg, pa, dps) == verify_outcome(
-            pairwise_verify_faithful, cfg, pa, dps)
+        assert verify_outcome(verify_faithful, cfg, pa) == verify_outcome(
+            pairwise_verify_faithful, cfg, pa)
 
     @given(oracle_cases(), st.integers(1, 43))
     @settings(max_examples=30, deadline=None)
     def test_matches_pairwise_reference_on_wide_lanes(self, case, k_m):
         # the rays M^k v (conftest.LIFT) have coefficients near 5^k and inner
         # products 25^k c, so the key lanes A*2^h + B run past 64 bits
-        n_rays, ids, k, ns, dps = case
+        n_rays, ids, k, ns = case
         vecs = lifted([committed_config(n_rays).rays[i].vec for i in ids], k_m)
         cfg = configuration_from_vectors(vecs, strict=False)
         pa = PhaseAssignment(K=k, n=ns)
-        assert verify_outcome(verify_faithful, cfg, pa, dps) == verify_outcome(
-            pairwise_verify_faithful, cfg, pa, dps)
+        assert verify_outcome(verify_faithful, cfg, pa) == verify_outcome(
+            pairwise_verify_faithful, cfg, pa)
 
     @pytest.mark.parametrize("m", [1, 14, 10**30])
     def test_key_holds_the_largest_b(self, m):
@@ -540,17 +585,19 @@ class TestCrossCheckOracle:
         cfg = unvalidated_config(u, v, u)
         for ns in ((0, 0, 0), (0, 1, 2)):
             pa = PhaseAssignment(K=1009, n=ns)
-            assert verify_outcome(verify_faithful, cfg, pa, 60) == verify_outcome(
-                pairwise_verify_faithful, cfg, pa, 60)
+            assert verify_outcome(verify_faithful, cfg, pa) == verify_outcome(
+                pairwise_verify_faithful, cfg, pa)
         assert verify_faithful(cfg, PhaseAssignment(K=1009, n=(0, 0, 0))).spurious == [
             (0, 1), (1, 2)]
 
     @pytest.mark.parametrize("z", [EisensteinInt(2, 1), EisensteinInt(1, 2)],
                              ids=["generic", "purely-imaginary"])
-    @pytest.mark.parametrize("dps", [15, 60])
-    def test_multiples_of_one_direction(self, z, dps):
+    @pytest.mark.parametrize("first_bits", [15, 60])
+    def test_multiples_of_one_direction(self, z, first_bits, monkeypatch):
         # ray 0 meets rays 1, 2, 3 in c, 2c and -c: c and 2c are checked
-        # once, as one direction, and -c as the opposite direction
+        # once, as one direction, and -c as the opposite direction, from a
+        # first precision that needs doubling (15 bits) or not (60)
+        monkeypatch.setattr(realify, "VERIFY_FIRST_BITS", first_bits)
         vecs = [VecC3.make(1, 0, 0), VecC3.make(z, 1, 0), VecC3.make(2 * z, 1, 0),
                 VecC3.make(-z, 1, 0)]
         c = (z.a, z.b)
@@ -559,8 +606,8 @@ class TestCrossCheckOracle:
         cfg = unvalidated_config(*vecs)
         for ns in ((0, 0, 0, 0), (0, 1009, 0, 1009), (0, 1009, 1009, 0), (0, 1, 2, 3)):
             pa = PhaseAssignment(K=1009, n=ns)
-            assert verify_outcome(verify_faithful, cfg, pa, dps) == verify_outcome(
-                pairwise_verify_faithful, cfg, pa, dps)
+            assert verify_outcome(verify_faithful, cfg, pa) == verify_outcome(
+                pairwise_verify_faithful, cfg, pa)
 
     def test_mislocated_zero_is_a_typed_error(self, monkeypatch):
         # a locator one off puts the candidates of the purely imaginary
@@ -572,46 +619,64 @@ class TestCrossCheckOracle:
                            match=r"c = 1 \+ 2w is purely imaginary.*at \[1, 1010\]"):
             verify_faithful(IMAGINARY_PAIR, PhaseAssignment(K=1009, n=(0, 0)))
 
-    def test_guard_refuses_before_scanning(self, monkeypatch):
-        # sin(127pi/256K) ~ 1.6e-18 at K = 10^18 + 1 is below the rounding
-        # bound 2^(2-bits) ~ 1.4e-17 at 15 digits (bits = 58), where the
-        # per-pair check would read rounding noise
-        def no_scan(*args):
-            raise AssertionError("the guard must act before the scan")
-
-        monkeypatch.setattr(realify, "flat_lane_rows", no_scan)
-        pa = PhaseAssignment(K=10**18 + 1, n=(0, 1))
-        with pytest.raises(PrecisionDisagreement,
-                           match=r"K=1000000000000000001: at 15 digits, sin\(127pi/256K\) = "
-                                 r"1\.56e-18 does not exceed .* 1\.39e-17 in all"):
-            verify_faithful(IMAGINARY_PAIR, pa, float_dps=15)
-        # the patched kernel is the one the scan computes its rows with
-        with pytest.raises(AssertionError, match="the guard must act"):
-            verify_faithful(IMAGINARY_PAIR, pa)
-
     @pytest.mark.parametrize("dn, spurious", [(1, []), (10**17 + 1, [(0, 1)])])
     def test_guard_passes_at_15_digits_below_its_bound(self, dn, spurious):
-        # sin(127pi/256K) ~ 1.6e-17 at K = 10^17 + 1 exceeds 1.4e-17
+        # at K = 10^17 + 1, dn = 1 is no candidate of c = i*sqrt3, so it is
+        # decided unevaluated, and dn = K is one of its exact zeros
         pa = PhaseAssignment(K=10**17 + 1, n=(0, dn))
-        assert verify_outcome(verify_faithful, IMAGINARY_PAIR, pa, 15) == verify_outcome(
-            pairwise_verify_faithful, IMAGINARY_PAIR, pa, 15) == (spurious, [], 1)
-
-    def test_guard_refuses_at_60_digits_past_the_cutoff(self):
-        # sin(127pi/256K) ~ 1.6e-51 at K = 10^51 + 1 is below the 1e-50 cutoff
-        pa = PhaseAssignment(K=10**51 + 1, n=(0, 1))
-        with pytest.raises(PrecisionDisagreement, match=r"K=10{50}1: at 60 digits"):
-            verify_faithful(IMAGINARY_PAIR, pa)
+        assert verify_outcome(verify_faithful, IMAGINARY_PAIR, pa) == verify_outcome(
+            pairwise_verify_faithful, IMAGINARY_PAIR, pa) == (spurious, [], 1)
 
     def test_guard_passes_at_60_digits(self):
         pa = PhaseAssignment(K=10**15 + 1, n=(0, 1))
         fr = verify_faithful(IMAGINARY_PAIR, pa)
         assert fr.faithful and fr.pairs_checked == 1
 
-    @pytest.mark.parametrize("dps", [15, 60])
-    def test_guard_passes_at_largest_oracle_k(self, full_config, dps):
+    @pytest.mark.parametrize("first_bits", [15, 60])
+    def test_guard_passes_at_largest_oracle_k(self, full_config, first_bits, monkeypatch):
+        monkeypatch.setattr(realify, "VERIFY_FIRST_BITS", first_bits)
         pa = rational_phase_search(full_config, 2**31 - 1, "distinct")
-        fr = verify_faithful(full_config, pa, float_dps=dps)
+        fr = verify_faithful(full_config, pa)
         assert fr.faithful and fr.pairs_checked == 13530
+
+    def test_741_rays_at_k_past_10_to_the_51(self):
+        # a candidate dot of a non-imaginary c is near pi/K ~ 3e-51 or
+        # smaller here, decided only after doubling past 64 and 128 bits
+        cfg = committed_config(741)
+        fr = verify_faithful(cfg, rational_phase_search(cfg, 10**51 + 1))
+        assert fr.faithful and fr.spurious == [] and fr.pairs_checked == 274170
+
+    def test_nearly_imaginary_c_is_decided_by_doubling(self, fixed_point_widths):
+        # c = <(0, 1, 0), (1, A + Bw, 0)> has 2 Re c = 2A - B = 1 and
+        # |c| ~ 8.7e50, so its dot at dn = 0 is Re c/|c| ~ 5.8e-52: nonzero,
+        # decided at 256 bits, the first doubling whose bound is below it
+        pa = PhaseAssignment(K=1009, n=(0, 0))
+        assert verify_outcome(verify_faithful, NEARLY_IMAGINARY_PAIR, pa) == verify_outcome(
+            pairwise_verify_faithful, NEARLY_IMAGINARY_PAIR, pa) == ([], [], 1)
+        assert fixed_point_widths == [64, 128, 256]
+
+    def test_cap_is_a_typed_error(self, monkeypatch):
+        # with the cap at 128 bits the same dot stays undecided
+        monkeypatch.setattr(realify, "VERIFY_MAX_BITS", 128)
+        (a, b), = flat_inner_row(NEARLY_IMAGINARY_PAIR.rays[0].vec.flat(),
+                                 [NEARLY_IMAGINARY_PAIR.rays[1].vec.flat()])
+        with pytest.raises(PrecisionDisagreement,
+                           match=rf"^c = {a} \+ {b}w, dn = 0: exact says nonzero, .* "
+                                 r"at 128 bits, the last before the 128-bit cap$"):
+            verify_faithful(NEARLY_IMAGINARY_PAIR, PhaseAssignment(K=1009, n=(0, 0)))
+
+    @pytest.mark.parametrize("case", ORACLE_EXAMPLES)
+    def test_doubling_from_8_bits_gives_the_same_reports(self, case, monkeypatch,
+                                                          fixed_point_widths):
+        # at 8 bits the bound 2^-6 holds candidate dots of every example, so
+        # some directions are decided only after one or more doublings
+        n_rays, ids, k, ns = case
+        cfg, pa = sub_config(n_rays, ids), PhaseAssignment(K=k, n=ns)
+        expected = verify_outcome(verify_faithful, cfg, pa)
+        monkeypatch.setattr(realify, "VERIFY_FIRST_BITS", 8)
+        fixed_point_widths.clear()
+        assert verify_outcome(verify_faithful, cfg, pa) == expected
+        assert fixed_point_widths[:2] == [8, 16]
 
 
 class TestExport:
@@ -885,9 +950,9 @@ class TestIntegerTrig:
 
 class TestWorkCounts:
     """The realification arithmetic runs in integers: one table of roots of
-    unity per verify_faithful call and per export precision, one
-    _FixedPoint.cos_sin product per angle (none for export's exact 0 and
-    pi), one locator call per direction, and no use of mpmath."""
+    unity per working precision of a verify_faithful or export call, one
+    _FixedPoint.cos_sin product per angle, one locator call per direction,
+    and no use of mpmath."""
 
     def test_one_cos_sin_call_per_angle(self, monkeypatch):
         calls = {"cos_sin": 0, "cis": 0, "row": 0}
@@ -905,15 +970,15 @@ class TestWorkCounts:
         cfg = committed_config(741)
         pa = rational_phase_search(cfg, 1009, "distinct")
         phase_apply_export(cfg, pa, 20)
-        # one per ray but ray 0, whose n = 0 needs none; one evaluation per
-        # ray (no retry), so one table of bit_length(2K) = 11 roots
-        assert calls == {"cos_sin": 740, "cis": 11, "row": 741}
+        # one per ray; one evaluation per ray (no retry), so one table of
+        # bit_length(2K) = 11 roots
+        assert calls == {"cos_sin": 741, "cis": 11, "row": 741}
         calls.update(cos_sin=0, cis=0, row=0)
         assert verify_faithful(cfg, pa).pairs_checked == 274170
-        # 584 distinct candidate dn, one table, and sin(127pi/256K) for the
-        # guard; the real c, whose zeros lie at the half-integers +-K/2, share
-        # the candidates (K + 1)/2 and (3K + 1)/2 whatever their sign
-        assert calls == {"cos_sin": 584, "cis": 11 + 1, "row": 0}
+        # 584 distinct candidate dn, all decided at the first precision, so
+        # one table; the real c, whose zeros lie at the half-integers +-K/2,
+        # share the candidates (K + 1)/2 and (3K + 1)/2 whatever their sign
+        assert calls == {"cos_sin": 584, "cis": 11, "row": 0}
 
     def test_one_locator_call_per_direction(self, monkeypatch):
         # the real rays (1, x, 0) meet in the real c = 1 + xy, all of one
@@ -931,16 +996,16 @@ class TestWorkCounts:
         assert len(calls) == len(directions) == 201 < len(values)
 
     def test_independent_of_global_precision(self, full_config):
-        cases = [(PhaseAssignment(K=1009, n=(0,) * 165), 60),
-                 (PhaseAssignment(K=1009, n=last_ray_shifted(165, 1009)), 15),
-                 (PhaseAssignment(K=10**15 + 1, n=ALL_165), 15),
-                 (rational_phase_search(full_config, 1009, "distinct"), 60)]
-        expected = [(verify_outcome(verify_faithful, full_config, pa, dps),
-                     phase_apply_export(full_config, pa, 20)) for pa, dps in cases]
+        cases = [PhaseAssignment(K=1009, n=(0,) * 165),
+                 PhaseAssignment(K=1009, n=last_ray_shifted(165, 1009)),
+                 PhaseAssignment(K=10**15 + 1, n=ALL_165),
+                 rational_phase_search(full_config, 1009, "distinct")]
+        expected = [(verify_outcome(verify_faithful, full_config, pa),
+                     phase_apply_export(full_config, pa, 20)) for pa in cases]
         with mp.workdps(5):
             prec = mp.mp.prec
-            for (pa, dps), (outcome, rows) in zip(cases, expected):
-                assert verify_outcome(verify_faithful, full_config, pa, dps) == outcome
+            for pa, (outcome, rows) in zip(cases, expected):
+                assert verify_outcome(verify_faithful, full_config, pa) == outcome
                 assert mp.mp.prec == prec
                 assert phase_apply_export(full_config, pa, 20) == rows
                 assert mp.mp.prec == prec
