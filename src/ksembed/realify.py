@@ -6,8 +6,9 @@ orthogonality.  For a pair with inner product c != 0 the real dot product of
 the images is Re(e^{i(theta_l - theta_k)} c), so each pair forbids at most
 two phase differences.  This module provides the rational search
 theta_k = n_k*pi/K, the exact verification that an assignment is faithful,
-a fixed-point cross-check of it decided by its own error bound, and the
-decimal export of the images.
+a cross-check of it that locates in fixed point the phase difference at
+which each inner product's real dot vanishes, and the decimal export of the
+images.
 
 The exact zero test rests on an algebraic fact: Re(e^{i*dn*pi/K} c) = 0 iff
 e^{2i*dn*pi/K} = -conj(c)/c.  The left side is a K-th root of unity; the
@@ -23,6 +24,7 @@ import random
 from bisect import bisect_right
 from dataclasses import dataclass, field
 from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
+from fractions import Fraction
 from math import gcd
 
 from .configuration import Configuration, ascii_digits
@@ -48,8 +50,9 @@ class ExportUndecided(RuntimeError):
 
 class PrecisionDisagreement(RuntimeError):
     """The fixed-point cross-check contradicts the exact verdict on some
-    inner product and phase difference, beyond its error bound, or stays
-    undecided up to the cross-check's working-precision cap."""
+    inner product: the zero it locates for a purely imaginary one is off
+    0 or K, or the zero of another stays within its error bound of an
+    integer up to the cross-check's working-precision cap."""
 
 
 STRATEGIES = ("distinct", "backtracking", "greedy-random")
@@ -190,7 +193,7 @@ def _backtracking_search(iadj: list[list[int]], n: int, k: int) -> list[int]:
     return ns
 
 
-# the cross-check's first working precision, which decides every candidate
+# the cross-check's first working precision, which decides every direction
 # of both committed configurations at K = 1009, and the most that its
 # doublings may reach, about the export's own cap of 6,650 bits
 VERIFY_FIRST_BITS, VERIFY_MAX_BITS = 64, 8192
@@ -218,43 +221,28 @@ def verify_faithful(cfg: Configuration, pa: PhaseAssignment) -> FaithfulnessRepo
     distinct c are its set of keys, and a key is decoded the first time it
     is seen; the assembly scan shares the packing but reads 2A - B instead.
 
-    The exact criterion is cross-checked in fixed point once per primitive
-    direction (A, B)/gcd(A, B) of the distinct c, sign kept: c/|c|, and with
-    it every quantity below, is the same for c and its positive multiples.
-    At a working precision of ``bits``:
+    The exact criterion is cross-checked once per primitive direction
+    (A, B)/gcd(A, B) of the distinct c, sign kept: arg c, and with it
+    everything below, is the same for c and its positive multiples.  The
+    dot Re(e^{i dn pi/K} c) = |c|*cos(dn*pi/K + arg c) vanishes exactly at
+    dn = x (mod K), x = K*atan2(2 Re c, 2 Im c)/pi, so the exact criterion
+    says that x is an integer iff c is purely imaginary (then x = 0 or K).
+    The locator (_zero_near) works at ``bits`` bits, with 2 Im c rounded to
+    B*isqrt(3*4^bits)/2^bits, which moves x by under 0.1*K*2^-bits; it
+    returns the integer n0 nearest its value of x and the exact offset of
+    that value from n0, and its value is within K*2^-bits of x.
 
-    - Re c/|c| and Im c/|c| are the integers nearest (2A - B)/|2c| and
-      sqrt3*B/|2c| in units of 2^-bits, from the exact integer
-      |2c|^2 = (2A - B)^2 + 3B^2 and math.isqrt, so each is within 1/2 unit;
-    - cos and sin of dn*pi/K are integers C and S in the same units, from
-      one _FixedPoint.cos_sin product of roots of unity, each within 1 unit
-      and exact at dn = 0 (mod K);
-    - the normalized dot Re(e^{i dn pi/K} c)/|c| is then the integer
-      (Re c/|c|)*C - (Im c/|c|)*S in units of 2^-2bits.
+    - c purely imaginary: the locator finds x exactly, so n0 must be 0
+      (mod K) and the offset exactly 0; otherwise PrecisionDisagreement.
+    - otherwise: |offset| > K*2^-bits settles the direction, for x is then
+      off n0 and, as |offset| <= 1/2, strictly between n0 - 1 and n0 + 1,
+      so no dn is a zero, as the exact criterion says.  The directions not
+      so settled are located again at twice the bits, from
+      VERIFY_FIRST_BITS; past VERIFY_MAX_BITS PrecisionDisagreement names
+      c, the nearest dn and the bits reached.
 
-    Every factor has |x| <= 1, so the rounding moves the dot by at most
-    (3/sqrt2)*2^-bits + 2^-2bits < 2^(2-bits): E = 2^(bits+2) units.
-
-    The normalized dot is cos(dn*pi/K + arg c), which vanishes exactly at
-    dn = x (mod K), x = K*atan2(2 Re c, 2 Im c)/pi.  The locator (_zero_near)
-    works at lbits = bit_length(K) + 12 bits, with 2 Im c rounded to
-    B*isqrt(3*4^lbits)/2^lbits (moving x by under 0.2*K*2^-lbits), so it is
-    within K*2^-lbits < 2^-12 of x.  The candidates are its nearest integer
-    n0 and n0 + K (mod 2K).  Every other dn lies at least 1/2 - 2^-12 from
-    each zero, where |dot| >= sin((1/2 - 2^-12)*pi/K) > 0, as the exact
-    criterion says, so it needs no evaluation.  A purely imaginary c has
-    x = 0 or K, found exactly, so its candidates must be dn = 0 and K;
-    PrecisionDisagreement is raised if the locator puts them anywhere else.
-
-    Each candidate is decided against E.  Where the exact verdict is zero
-    (c purely imaginary), |dot| <= E must hold, else PrecisionDisagreement
-    ("exact says zero") is raised.  Where it is nonzero, |dot| > E settles
-    it; otherwise the direction's undecided candidates are evaluated again
-    at twice the bits, starting from VERIFY_FIRST_BITS, and past
-    VERIFY_MAX_BITS PrecisionDisagreement names c, dn and the bits reached.
-    At 741 rays and K = 1009, 446 directions of 681 distinct c, and 584
-    distinct candidate dn, cover the 274,170 pairs, all decided at the
-    first precision.
+    At 741 rays and K = 1009 the 681 distinct c fall in 446 directions, all
+    decided at the first precision.
     """
     if len(pa.n) != cfg.n_rays:
         raise ValueError(
@@ -276,60 +264,11 @@ def verify_faithful(cfg: Configuration, pa: PhaseAssignment) -> FaithfulnessRepo
     for i, v in enumerate(ns):
         classes.setdefault(v % k, []).append(i)
     report = FaithfulnessReport()
-    lbits = k.bit_length() + 12  # the locator's: within 2^-12 of each zero
-    lpi, lsqrt3 = _pi(lbits), math.isqrt(3 << 2 * lbits)
-    points: dict[int, _FixedPoint] = {}  # bits -> fixed point, built at first use
-    trig: dict[tuple[int, int], tuple[int, int]] = {}  # (bits, dn mod 2K) -> (cos, sin)
-
-    def cross_check(a: int, b: int) -> None:
-        """Decide the fixed-point verdict on c = a + b*w, and so on every
-        positive multiple of it, at each candidate dn, and raise
-        PrecisionDisagreement where it differs from the exact one."""
-        re = 2 * a - b  # 2 Re c; 2 Im c = sqrt3 * b
-        norm = re * re + 3 * b * b  # |2c|^2
-        n0 = _zero_near(re << lbits, b * lsqrt3, k, lpi, lbits)
-        undecided = sorted({n0 % k2, (n0 + k) % k2})
-        zero = re == 0
-        if zero and undecided != [0, k]:
-            raise PrecisionDisagreement(
-                f"c = {a} + {b}w is purely imaginary, so its dot is zero at dn = 0 "
-                f"and {k}, but the locator put the nearest dn at {undecided}")
-        bits = VERIFY_FIRST_BITS
-        while True:
-            # |Re c|/|c| and |Im c|/|c| rounded to nearest in units of 2^-bits:
-            # the nearest integer to sqrt(y) is (isqrt(floor(4y)) + 1) // 2
-            u0, u1 = ((math.isqrt((sq << 2 * bits + 2) // norm) + 1) >> 1
-                      for sq in (re * re, 3 * b * b))
-            u0, u1 = (-u0 if re < 0 else u0), (-u1 if b < 0 else u1)
-            bound = 1 << bits + 2
-            rest = []
-            for dn in undecided:
-                cs = trig.get((bits, dn))
-                if cs is None:
-                    if bits not in points:
-                        points[bits] = _FixedPoint(k, bits)
-                    cs = trig[bits, dn] = points[bits].cos_sin(dn)
-                dot = u0 * cs[0] - u1 * cs[1]
-                if zero and abs(dot) > bound:
-                    raise PrecisionDisagreement(
-                        f"c = {a} + {b}w, dn = {dn}: exact says zero, the {bits}-bit "
-                        f"value {_decimal_text(dot, 1 << 2 * bits, 8)} exceeds its "
-                        f"error bound 2^{2 - bits}")
-                if not zero and abs(dot) <= bound:
-                    rest.append(dn)
-            if not rest:
-                return
-            if 2 * bits > VERIFY_MAX_BITS:
-                raise PrecisionDisagreement(
-                    f"c = {a} + {b}w, dn = {rest[0]}: exact says nonzero, and the "
-                    f"value is within its error bound 2^{2 - bits} at {bits} bits, "
-                    f"the last before the {VERIFY_MAX_BITS}-bit cap")
-            undecided, bits = rest, 2 * bits
 
     # an orthogonal pair (key 0) has real dot Re(e^{i dtheta} * 0) = 0
     seen = {0}
     imaginary: set[int] = set()  # keys of the nonzero purely imaginary c
-    directions: set[tuple[int, int]] = set()  # the c/gcd cross-checked
+    directions: set[tuple[int, int]] = set()  # the c/gcd, cross-checked below
     for i, row in enumerate(flat_lane_rows(flats, 1 << h, 1)):
         report.pairs_checked += len(row)
         if not seen.issuperset(row):  # most rows hold no new key
@@ -339,15 +278,36 @@ def verify_faithful(cfg: Configuration, pa: PhaseAssignment) -> FaithfulnessRepo
                 if 2 * a == b:
                     imaginary.add(key)
                 g = gcd(a, b)
-                d = (a // g, b // g)
-                if d not in directions:
-                    directions.add(d)
-                    cross_check(*d)
+                directions.add((a // g, b // g))
         # is_spurious_exact: purely imaginary c and dn = 0 (mod K)
         mates = classes[ns[i] % k]
         for j in mates[bisect_right(mates, i):]:
             if row[j - i - 1] in imaginary:
                 report.spurious.append((i, j))
+
+    # each direction's zero, located again at twice the bits while not settled
+    bits, undecided = VERIFY_FIRST_BITS, directions
+    while undecided:
+        pi, sqrt3 = _pi(bits), math.isqrt(3 << 2 * bits)
+        rest = []
+        for a, b in undecided:
+            re = 2 * a - b  # 2 Re c; 2 Im c = sqrt3 * b
+            n0, offset = _zero_near(re << bits, b * sqrt3, k, pi, bits)
+            if re == 0:
+                if n0 % k or offset:
+                    raise PrecisionDisagreement(
+                        f"c = {a} + {b}w is purely imaginary, so its dot is zero at dn = 0 "
+                        f"and {k}, but the locator put the nearest dn at "
+                        f"{sorted({n0 % k2, (n0 + k) % k2})}, "
+                        f"{float(offset):.3g} from its zero")
+            elif abs(offset.numerator) << bits <= k * offset.denominator:
+                if 2 * bits > VERIFY_MAX_BITS:
+                    raise PrecisionDisagreement(
+                        f"c = {a} + {b}w, dn = {n0 % k2}: exact says nonzero, and the "
+                        f"locator's zero is within its error bound K*2^-{bits} of dn at "
+                        f"{bits} bits, the last before the {VERIFY_MAX_BITS}-bit cap")
+                rest.append((a, b))
+        undecided, bits = rest, 2 * bits
     return report
 
 
@@ -467,18 +427,23 @@ def _export_row(vec, nk: int, fp: _FixedPoint, ctx: Context) -> tuple[str, ...] 
         2 * w + 1, ctx)
 
 
-def _zero_near(y: int, x: int, k: int, pi: int, bits: int) -> int:
-    """The integer nearest K*atan2(y, x)/pi, for integers y, x not both 0
-    and pi within 1 unit of 2^-bits: with (y, x) = (2 Re c, 2 Im c), the dn
-    nearest a zero of Re(e^{i dn pi/K} c).  By octant, atan2(y, x) =
-    M*pi/4 + S*atan(s/r), 0 <= s <= r, S = +-1: K*M/4 is exact, and the
-    rest, from _atan, is within K*(5/4)/(pi*2^bits - 1) < 0.4*K*2^-bits."""
+def _zero_near(y: int, x: int, k: int, pi: int, bits: int) -> tuple[int, Fraction]:
+    """The integer n0 nearest the value L' found for L = K*atan2(y, x)/pi,
+    and the exact offset L' - n0, for integers y, x not both 0 and pi
+    within 1 unit of 2^-bits, bits >= 16: with (y, x) = (2 Re c, 2 Im c),
+    n0 is the dn nearest a zero of Re(e^{i dn pi/K} c).  By octant,
+    atan2(y, x) = M*pi/4 + S*atan(s/r), 0 <= s <= r, S = +-1: K*M/4 is
+    exact, and the rest, from _atan, is within K*(5/4)/(pi*2^bits - 1)
+    < 0.4*K*2^-bits, so |L' - L| < 0.4*K*2^-bits and |L' - n0| <= 1/2.
+    L' is exactly 0 or K when y = 0."""
     s, r, m, sign = (abs(y), abs(x), 0, 1) if abs(y) <= abs(x) else (abs(x), abs(y), 2, -1)
     if x < 0:
         m, sign = 4 - m, -sign
     if y < 0:
         m, sign = -m, -sign
-    return (k * (m * pi + 4 * sign * _atan(s, r, bits)) + 2 * pi) // (4 * pi)
+    t = k * (m * pi + 4 * sign * _atan(s, r, bits))  # L' = t/(4 pi)
+    n0 = (t + 2 * pi) // (4 * pi)
+    return n0, Fraction(t - 4 * pi * n0, 4 * pi)
 
 
 def _atan(s: int, r: int, p: int) -> int:
@@ -535,7 +500,7 @@ def _cis(r: int, k: int, pi: int, p: int) -> tuple[int, int]:
 
 class _FixedPoint:
     """W-bit fixed point for the phases pi*n/K, built once per working
-    precision of a verify_faithful or phase_apply_export call:
+    precision of a phase_apply_export call:
     sqrt3 = floor(sqrt3*2^W), pi within 1 unit of 2^-P, and a table of
     e^{i pi 2^j/K}, j < L = bit_length(2K), from _cis at P = W + g bits,
     g = bit_length(L*(W + 64)) + 4, each part within e = 2P units.  cos_sin(n) multiplies the entries
@@ -595,11 +560,6 @@ def _decimal_fields(values, shift: int, ctx: Context) -> tuple[str, ...] | None:
             mantissa = mantissa.rstrip("0")
             out.append(f"{mantissa}{'0' if mantissa.endswith('.') else ''}e{exponent}")
     return tuple(out)
-
-
-def _decimal_text(num: int, den: int, digits: int) -> str:
-    """num/den to ``digits`` significant digits, for messages."""
-    return format(Context(prec=digits).divide(Decimal(num), Decimal(den)), "g")
 
 
 # --- file formats ----------------------------------------------------------

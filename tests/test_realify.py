@@ -7,6 +7,7 @@ import math
 import random
 import re
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import mpmath as mp
@@ -463,29 +464,6 @@ class TestVerifyFaithful:
         fr = verify_faithful(IMAGINARY_PAIR, pa)
         assert fr.spurious == [(0, 1)]
 
-    @pytest.mark.parametrize("units_off, raises", [(1, False), (8, True)])
-    def test_kernel_fault_beyond_the_bound_disagrees(self, full_config, monkeypatch,
-                                                     units_off, raises):
-        # sin(pi) off by 8 units puts the dot of every purely imaginary c at
-        # dn = K 8 units of 2^-bits from zero, past its bound of 4; one unit
-        # off stays within it.  Both candidates of each direction are
-        # evaluated, whatever phase differences the pairs have
-        cos_sin = realify._FixedPoint.cos_sin
-
-        def sin_pi_off(fp, n):
-            c, s = cos_sin(fp, n)
-            return c, s + units_off * (n % (2 * fp.k) == fp.k)
-
-        monkeypatch.setattr(realify._FixedPoint, "cos_sin", sin_pi_off)
-        pa = PhaseAssignment(K=1009, n=ALL_165)
-        if raises:
-            with pytest.raises(PrecisionDisagreement,
-                               match=r"c = -?\d+ \+ -?\d+w, dn = 1009: exact says zero, "
-                                     r"the 64-bit value -?4\.3368087e-19 exceeds"):
-                verify_faithful(full_config, pa)
-        else:
-            assert verify_faithful(full_config, pa).faithful
-
     def test_all_orthogonal_configuration_accepts_zero_phases(self):
         # no non-orthogonal pairs, so the canonical map is already faithful
         cfg = configuration_from_vectors(mub_bases()[0])
@@ -535,23 +513,26 @@ def with_oracle_examples(test):
 
 
 @pytest.fixture
-def fixed_point_widths(monkeypatch):
-    """The W of each _FixedPoint built while the test runs, in order."""
-    widths = []
-    build = realify._FixedPoint.__init__
+def locator_precisions(monkeypatch):
+    """The working precisions of the _zero_near calls made while the test
+    runs, each once, in the order of first use."""
+    precisions = []
+    locate = realify._zero_near
 
-    def recording_build(fp, k, w):
-        widths.append(w)
-        build(fp, k, w)
+    def recording_locate(y, x, k, pi, bits):
+        if bits not in precisions:
+            precisions.append(bits)
+        return locate(y, x, k, pi, bits)
 
-    monkeypatch.setattr(realify._FixedPoint, "__init__", recording_build)
-    return widths
+    monkeypatch.setattr(realify, "_zero_near", recording_locate)
+    return precisions
 
 
 class TestCrossCheckOracle:
-    """verify_faithful, which evaluates the fixed-point dot once per distinct
-    inner product at candidate phase differences, against the per-pair
-    reference: the same report, or the same exception and message."""
+    """verify_faithful, which locates the zero phase difference once per
+    direction of the distinct inner products, against the per-pair
+    reference, which evaluates every dot: the same report, or the same
+    exception and message."""
 
     @with_oracle_examples
     @given(oracle_cases())
@@ -592,11 +573,11 @@ class TestCrossCheckOracle:
 
     @pytest.mark.parametrize("z", [EisensteinInt(2, 1), EisensteinInt(1, 2)],
                              ids=["generic", "purely-imaginary"])
-    @pytest.mark.parametrize("first_bits", [15, 60])
+    @pytest.mark.parametrize("first_bits", [16, 60])
     def test_multiples_of_one_direction(self, z, first_bits, monkeypatch):
         # ray 0 meets rays 1, 2, 3 in c, 2c and -c: c and 2c are checked
-        # once, as one direction, and -c as the opposite direction, from a
-        # first precision that needs doubling (15 bits) or not (60)
+        # once, as one direction, and -c as the opposite direction, from the
+        # least precision the locator is proven at (16 bits) or above it
         monkeypatch.setattr(realify, "VERIFY_FIRST_BITS", first_bits)
         vecs = [VecC3.make(1, 0, 0), VecC3.make(z, 1, 0), VecC3.make(2 * z, 1, 0),
                 VecC3.make(-z, 1, 0)]
@@ -610,19 +591,63 @@ class TestCrossCheckOracle:
                 pairwise_verify_faithful, cfg, pa)
 
     def test_mislocated_zero_is_a_typed_error(self, monkeypatch):
-        # a locator one off puts the candidates of the purely imaginary
-        # c = i*sqrt3 at dn = 1 and K + 1, so its exact zeros at dn = 0 and K
-        # would go unchecked
+        # the purely imaginary c = i*sqrt3 has its zeros at dn = 0 and K
+        # exactly; a locator one off puts them at dn = 1 and K + 1
         locate = realify._zero_near
-        monkeypatch.setattr(realify, "_zero_near", lambda *args: locate(*args) + 1)
+
+        def one_off(*args):
+            n0, offset = locate(*args)
+            return n0 + 1, offset
+
+        monkeypatch.setattr(realify, "_zero_near", one_off)
         with pytest.raises(PrecisionDisagreement,
-                           match=r"c = 1 \+ 2w is purely imaginary.*at \[1, 1010\]"):
+                           match=r"c = 1 \+ 2w is purely imaginary.*at \[1, 1010\], 0 from"):
             verify_faithful(IMAGINARY_PAIR, PhaseAssignment(K=1009, n=(0, 0)))
+
+    def test_zero_off_the_integer_is_a_typed_error(self, monkeypatch):
+        # the same zeros, with n0 right but a nonzero offset
+        locate = realify._zero_near
+
+        def off_the_integer(*args):
+            n0, offset = locate(*args)
+            return n0, offset + Fraction(1, 4)
+
+        monkeypatch.setattr(realify, "_zero_near", off_the_integer)
+        with pytest.raises(PrecisionDisagreement,
+                           match=r"c = 1 \+ 2w is purely imaginary.*at \[0, 1009\], 0.25 from"):
+            verify_faithful(IMAGINARY_PAIR, PhaseAssignment(K=1009, n=(0, 0)))
+
+    @pytest.mark.parametrize("fault, raises", [
+        (lambda k, bits, offset: Fraction(0), True),
+        (lambda k, bits, offset: offset - Fraction(k, 1 << bits + 1), False),
+    ], ids=["zero-on-an-integer", "within-the-bound"])
+    def test_locator_fault_is_a_typed_error(self, monkeypatch, fault, raises):
+        # c = 2 + w, 2 Re c = 3 and 2 Im c = sqrt3, has its zeros at
+        # dn = K/3 (mod K): n0 = 336 and offset 1/3 at K = 1009.  A locator
+        # that puts them on an integer is never settled, while one off by
+        # half its bound still settles the direction at the first precision
+        locate = realify._zero_near
+
+        def faulty(y, x, k, pi, bits):
+            n0, offset = locate(y, x, k, pi, bits)
+            assert n0 == 336 and abs(offset - Fraction(1, 3)) <= Fraction(k, 1 << bits)
+            return n0, fault(k, bits, offset)
+
+        monkeypatch.setattr(realify, "_zero_near", faulty)
+        cfg = unvalidated_config(VecC3.make(1, 0, 0), VecC3.make(EisensteinInt(2, 1), 1, 0))
+        pa = PhaseAssignment(K=1009, n=(0, 336))
+        if raises:
+            with pytest.raises(PrecisionDisagreement,
+                               match=r"^c = 2 \+ 1w, dn = 336: exact says nonzero, .* at "
+                                     r"8192 bits, the last before the 8192-bit cap$"):
+                verify_faithful(cfg, pa)
+        else:
+            assert verify_outcome(verify_faithful, cfg, pa) == ([], [], 1)
 
     @pytest.mark.parametrize("dn, spurious", [(1, []), (10**17 + 1, [(0, 1)])])
     def test_guard_passes_at_15_digits_below_its_bound(self, dn, spurious):
-        # at K = 10^17 + 1, dn = 1 is no candidate of c = i*sqrt3, so it is
-        # decided unevaluated, and dn = K is one of its exact zeros
+        # at K = 10^17 + 1, c = i*sqrt3 has its zeros at dn = 0 and K
+        # exactly: dn = 1 is not one of them, dn = K is
         pa = PhaseAssignment(K=10**17 + 1, n=(0, dn))
         assert verify_outcome(verify_faithful, IMAGINARY_PAIR, pa) == verify_outcome(
             pairwise_verify_faithful, IMAGINARY_PAIR, pa) == (spurious, [], 1)
@@ -632,7 +657,7 @@ class TestCrossCheckOracle:
         fr = verify_faithful(IMAGINARY_PAIR, pa)
         assert fr.faithful and fr.pairs_checked == 1
 
-    @pytest.mark.parametrize("first_bits", [15, 60])
+    @pytest.mark.parametrize("first_bits", [16, 60])
     def test_guard_passes_at_largest_oracle_k(self, full_config, first_bits, monkeypatch):
         monkeypatch.setattr(realify, "VERIFY_FIRST_BITS", first_bits)
         pa = rational_phase_search(full_config, 2**31 - 1, "distinct")
@@ -640,20 +665,21 @@ class TestCrossCheckOracle:
         assert fr.faithful and fr.pairs_checked == 13530
 
     def test_741_rays_at_k_past_10_to_the_51(self):
-        # a candidate dot of a non-imaginary c is near pi/K ~ 3e-51 or
-        # smaller here, decided only after doubling past 64 and 128 bits
+        # the locator's bound K*2^-bits is past 1/2, so no direction is
+        # settled, until the bits are doubled past 64 and 128
         cfg = committed_config(741)
         fr = verify_faithful(cfg, rational_phase_search(cfg, 10**51 + 1))
         assert fr.faithful and fr.spurious == [] and fr.pairs_checked == 274170
 
-    def test_nearly_imaginary_c_is_decided_by_doubling(self, fixed_point_widths):
+    def test_nearly_imaginary_c_is_decided_by_doubling(self, locator_precisions):
         # c = <(0, 1, 0), (1, A + Bw, 0)> has 2 Re c = 2A - B = 1 and
-        # |c| ~ 8.7e50, so its dot at dn = 0 is Re c/|c| ~ 5.8e-52: nonzero,
-        # decided at 256 bits, the first doubling whose bound is below it
+        # |c| ~ 8.7e50, so its zero lies K*atan2(1, sqrt3*B)/pi ~ 1.9e-49
+        # from dn = 0: not on it, decided at 256 bits, the first doubling
+        # whose bound K*2^-bits is below that
         pa = PhaseAssignment(K=1009, n=(0, 0))
         assert verify_outcome(verify_faithful, NEARLY_IMAGINARY_PAIR, pa) == verify_outcome(
             pairwise_verify_faithful, NEARLY_IMAGINARY_PAIR, pa) == ([], [], 1)
-        assert fixed_point_widths == [64, 128, 256]
+        assert locator_precisions == [64, 128, 256]
 
     def test_cap_is_a_typed_error(self, monkeypatch):
         # with the cap at 128 bits the same dot stays undecided
@@ -667,16 +693,43 @@ class TestCrossCheckOracle:
 
     @pytest.mark.parametrize("case", ORACLE_EXAMPLES)
     def test_doubling_from_8_bits_gives_the_same_reports(self, case, monkeypatch,
-                                                          fixed_point_widths):
-        # at 8 bits the bound 2^-6 holds candidate dots of every example, so
-        # some directions are decided only after one or more doublings
+                                                          locator_precisions):
+        # the first precision is forced down to 16 bits, not the 8 of this
+        # test's name: 16 is the least _atan is proven at.  It settles every
+        # direction of 165 rays at K <= 1009, while the 741-ray directions
+        # need one doubling and K >= 10^18, where K*2^-bits >= 1/2 up to
+        # 32 bits, three
         n_rays, ids, k, ns = case
         cfg, pa = sub_config(n_rays, ids), PhaseAssignment(K=k, n=ns)
         expected = verify_outcome(verify_faithful, cfg, pa)
-        monkeypatch.setattr(realify, "VERIFY_FIRST_BITS", 8)
-        fixed_point_widths.clear()
+        monkeypatch.setattr(realify, "VERIFY_FIRST_BITS", 16)
+        locator_precisions.clear()
         assert verify_outcome(verify_faithful, cfg, pa) == expected
-        assert fixed_point_widths[:2] == [8, 16]
+        doublings = 3 if k >= 10**18 else 1 if n_rays == 741 else 0
+        assert locator_precisions == [16 << d for d in range(doublings + 1)]
+
+    @given(st.integers(-2**64, 2**64), st.integers(-2**64, 2**64), st.booleans(),
+           st.integers(0, (2**256 - 5) // 6), st.sampled_from((1, 5)),
+           st.sampled_from(("uniform", "0 or K", "zero")), st.integers(0, 2**257))
+    @settings(max_examples=40, deadline=None)
+    @example(1, 1, False, (2**256 - 5) // 6, 5, "zero", 0)
+    @example(3, 0, True, (2**256 - 5) // 6, 5, "zero", 0)
+    def test_random_directions_at_huge_k(self, a, b, imaginary, m, r, phase, u):
+        # rays (1, 0, 0) and (z, 1, 0) meet in c = z, of any direction, at
+        # K = 6m + r, coprime to 6, up to 2^256; dn is uniform mod 2K, 0 or
+        # K, or the integer nearest a zero of the dot, where |dot| <~ |c|*pi/K
+        if imaginary:
+            b = 2 * a
+        k = 6 * m + r
+        cfg = unvalidated_config(VecC3.make(1, 0, 0), VecC3.make(EisensteinInt(a, b), 1, 0))
+        (ca, cb), = flat_inner_row(cfg.rays[0].vec.flat(), [cfg.rays[1].vec.flat()])
+        with mp.workprec(2 * k.bit_length() + 64):
+            zero = int(mp.nint(k * mp.atan2(2 * ca - cb, mp.sqrt(3) * cb) / mp.pi))
+        dn = {"uniform": u % (2 * k), "0 or K": u % 2 * k, "zero": zero % (2 * k)}[phase]
+        pa = PhaseAssignment(K=k, n=(0, dn))
+        exact = (ca or cb) and is_spurious_exact(EisensteinInt(ca, cb), dn, k)
+        assert verify_outcome(verify_faithful, cfg, pa) == verify_outcome(
+            pairwise_verify_faithful, cfg, pa) == ([(0, 1)] if exact else [], [], 1)
 
 
 class TestExport:
@@ -853,6 +906,12 @@ class TestExport:
 
 
 TRIG_KS = (5, 7, 11, 13, 1009, 1223, 10**18 + 1, 2**61 - 1)
+LOCATOR_EDGES = [
+    (0, 5), (0, -5), (5, 0), (-5, 0),  # the axes
+    (5, 5), (5, -5), (-5, 5), (-5, -5),  # octant boundaries
+    (2**200, 2**200 - 1), (2**200 - 1, 2**200), (-(2**200), 2**200 - 1),
+    (0, 3 * 2**200), (0, -(3 * 2**200)),  # re = 0: c purely imaginary
+]
 
 
 def mp_fixed(x, p):
@@ -916,28 +975,45 @@ class TestIntegerTrig:
            st.sampled_from(TRIG_KS), st.sampled_from((12, 40, 200)))
     @settings(max_examples=300, deadline=None)
     def test_locator_against_atan2(self, y, x, k, extra):
-        # at bit_length(K) + 12 bits, as verify_faithful runs it, and above
         if y or x:
             assert self.locator_agrees(y, x, k, k.bit_length() + extra)
 
-    @pytest.mark.parametrize("y, x", [
-        (0, 5), (0, -5), (5, 0), (-5, 0),  # the axes
-        (5, 5), (5, -5), (-5, 5), (-5, -5),  # octant boundaries
-        (2**200, 2**200 - 1), (2**200 - 1, 2**200), (-(2**200), 2**200 - 1),
-        (0, 3 * 2**200), (0, -(3 * 2**200)),  # re = 0: c purely imaginary
-    ])
+    @pytest.mark.parametrize("y, x", LOCATOR_EDGES)
     @pytest.mark.parametrize("k", TRIG_KS)
     def test_locator_edges(self, y, x, k):
         bits = k.bit_length() + 12
         assert self.locator_agrees(y, x, k, bits)
         if y == 0:  # zeros at dn = 0 and K exactly
-            assert realify._zero_near(y, x, k, realify._pi(bits), bits) == (0 if x > 0 else k)
+            assert realify._zero_near(y, x, k, realify._pi(bits), bits) == (
+                0 if x > 0 else k, 0)
+
+    @given(st.one_of(st.sampled_from(LOCATOR_EDGES),
+                     st.tuples(st.integers(-2**240, 2**240), st.integers(-2**240, 2**240))),
+           st.sampled_from(TRIG_KS), st.sampled_from((16, 64, 128, 256)))
+    @settings(max_examples=300, deadline=None)
+    def test_locator_within_its_bound(self, c, k, bits):
+        # as verify_faithful calls it, with (re, b) = (2 Re c, 2 Im c/sqrt3):
+        # n0 + offset is within K*2^-bits of K*atan2(re, sqrt3*b)/pi, the
+        # bound that settles a direction; exact when c is purely imaginary
+        re, b = c
+        if not (re or b):
+            return
+        n0, offset = realify._zero_near(re << bits, b * math.isqrt(3 << 2 * bits), k,
+                                        realify._pi(bits), bits)
+        assert abs(offset) <= Fraction(1, 2)
+        with mp.workprec(bits + k.bit_length() + 64):
+            target = k * mp.atan2(re, mp.sqrt(3) * b) / mp.pi
+            located = n0 + mp.mpf(offset.numerator) / offset.denominator
+            assert abs(located - target) <= mp.ldexp(k, -bits)
+        if re == 0:
+            assert (n0, offset) == (0 if b > 0 else k, 0)
 
     @staticmethod
     def locator_agrees(y, x, k, bits):
-        """_zero_near is within K*2^(1-bits) of K*atan2(y, x)/pi, by mpf_atan2:
-        the integer nearest it, or either one when that is not decided."""
-        n0 = realify._zero_near(y, x, k, realify._pi(bits), bits)
+        """_zero_near's n0 is within K*2^(1-bits) of K*atan2(y, x)/pi, by
+        mpf_atan2: the integer nearest it, or either one when that is not
+        decided."""
+        n0, _ = realify._zero_near(y, x, k, realify._pi(bits), bits)
         prec = bits + k.bit_length() + 64
         with mp.workprec(prec):
             alpha = mp.mpf(libmp.mpf_atan2(libmp.from_int(y), libmp.from_int(x), prec,
@@ -950,9 +1026,9 @@ class TestIntegerTrig:
 
 class TestWorkCounts:
     """The realification arithmetic runs in integers: one table of roots of
-    unity per working precision of a verify_faithful or export call, one
-    _FixedPoint.cos_sin product per angle, one locator call per direction,
-    and no use of mpmath."""
+    unity per working precision of an export call, one _FixedPoint.cos_sin
+    product per angle, one locator call per direction and precision, no
+    cosine or sine in verify_faithful, and no use of mpmath."""
 
     def test_one_cos_sin_call_per_angle(self, monkeypatch):
         calls = {"cos_sin": 0, "cis": 0, "row": 0}
@@ -975,10 +1051,8 @@ class TestWorkCounts:
         assert calls == {"cos_sin": 741, "cis": 11, "row": 741}
         calls.update(cos_sin=0, cis=0, row=0)
         assert verify_faithful(cfg, pa).pairs_checked == 274170
-        # 584 distinct candidate dn, all decided at the first precision, so
-        # one table; the real c, whose zeros lie at the half-integers +-K/2,
-        # share the candidates (K + 1)/2 and (3K + 1)/2 whatever their sign
-        assert calls == {"cos_sin": 584, "cis": 11, "row": 0}
+        # the cross-check locates zeros by atan2 alone
+        assert calls == {"cos_sin": 0, "cis": 0, "row": 0}
 
     def test_one_locator_call_per_direction(self, monkeypatch):
         # the real rays (1, x, 0) meet in the real c = 1 + xy, all of one
