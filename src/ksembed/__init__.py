@@ -15,7 +15,6 @@ from .exact import (
 )
 from .configuration import (
     Configuration,
-    Context,
     Ray,
     build_contexts,
     canonicalize,

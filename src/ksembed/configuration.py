@@ -120,28 +120,20 @@ class Ray:
     sq_norm: int
 
 
-@dataclass(frozen=True, slots=True)
-class Context:
-    """A sorted triple of ray ids that are pairwise Hermitian-orthogonal."""
-
-    ray_ids: tuple[int, int, int]
-
-    def __iter__(self):
-        return iter(self.ray_ids)
-
-
 @dataclass(frozen=True)
 class Configuration:
     """Rays plus their orthogonality edges and 3-element contexts.
 
     ``edges`` are the id pairs (i < j) with zero Hermitian inner product,
     ``imaginary_pairs`` those with a nonzero purely imaginary one: the only
-    pairs a phase-adjusted realification can make spuriously orthogonal."""
+    pairs a phase-adjusted realification can make spuriously orthogonal.
+    ``contexts`` are sorted triples of ray ids that are pairwise
+    Hermitian-orthogonal."""
 
     rays: list[Ray]
     edges: frozenset[tuple[int, int]]
     imaginary_pairs: frozenset[tuple[int, int]]
-    contexts: list[Context]
+    contexts: list[tuple[int, int, int]]
     adjacency: list[set[int]] = field(repr=False)
 
     @property
@@ -150,9 +142,6 @@ class Configuration:
 
     def pair_inner(self, i: int, j: int) -> EisensteinInt:
         return hermitian_inner(self.rays[i].vec, self.rays[j].vec)
-
-    def degree(self, i: int) -> int:
-        return len(self.adjacency[i])
 
 
 def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
@@ -190,18 +179,17 @@ def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
                 adjacency[j].add(i)
             else:
                 imaginary.add((i, j))
-    contexts = build_contexts(rays, edges, adjacency, strict=strict)
+    contexts = build_contexts(edges, adjacency, strict=strict)
     return Configuration(rays=rays, edges=frozenset(edges),
                          imaginary_pairs=frozenset(imaginary), contexts=contexts,
                          adjacency=adjacency)
 
 
 def build_contexts(
-    rays: list[Ray],
     edges: set[tuple[int, int]],
     adjacency: list[set[int]],
     strict: bool = True,
-) -> list[Context]:
+) -> list[tuple[int, int, int]]:
     """All triangles of the orthogonality graph, as sorted id triples.
 
     Validates the hypergraph shape: no triangle may extend to a 4-clique
@@ -211,15 +199,15 @@ def build_contexts(
     otherwise.  Non-strict mode serves partial ray files, where lone rays and
     uncompleted orthogonal pairs are legitimate.
     """
-    n = len(rays)
-    triangles: list[Context] = []
+    n = len(adjacency)
+    triangles: list[tuple[int, int, int]] = []
     covered_edges: set[tuple[int, int]] = set()
     for i, j in sorted(edges):
         for k in sorted(adjacency[i] & adjacency[j]):
             if k > j:
-                triangles.append(Context((i, j, k)))
+                triangles.append((i, j, k))
                 covered_edges.update([(i, j), (i, k), (j, k)])
-    for i, j, k in (t.ray_ids for t in triangles):
+    for i, j, k in triangles:
         extension = adjacency[i] & adjacency[j] & adjacency[k]
         if extension:
             raise NonTriangleClique(

@@ -237,12 +237,13 @@ def verify_faithful(cfg: Configuration, pa: PhaseAssignment) -> FaithfulnessRepo
     - otherwise: |offset| > K*2^-bits settles the direction, for x is then
       off n0 and, as |offset| <= 1/2, strictly between n0 - 1 and n0 + 1,
       so no dn is a zero, as the exact criterion says.  The directions not
-      so settled are located again at twice the bits, from
-      VERIFY_FIRST_BITS; past VERIFY_MAX_BITS PrecisionDisagreement names
-      c, the nearest dn and the bits reached.
+      so settled are located again at twice the bits; past VERIFY_MAX_BITS
+      PrecisionDisagreement names c, the nearest dn and the bits reached.
 
-    At 741 rays and K = 1009 the 681 distinct c fall in 446 directions, all
-    decided at the first precision.
+    The first precision is VERIFY_FIRST_BITS, doubled while K*2^-bits >= 1/2
+    (no offset could then settle) but not past VERIFY_MAX_BITS.  At 741 rays
+    and K = 1009 the 681 distinct c fall in 446 directions, all decided at
+    64 bits; at K = 10^51 + 1 the first precision is 256 bits.
     """
     if len(pa.n) != cfg.n_rays:
         raise ValueError(
@@ -285,8 +286,11 @@ def verify_faithful(cfg: Configuration, pa: PhaseAssignment) -> FaithfulnessRepo
             if row[j - i - 1] in imaginary:
                 report.spurious.append((i, j))
 
-    # each direction's zero, located again at twice the bits while not settled
+    # each direction's zero, located again at twice the bits while not settled;
+    # no offset (at most 1/2) can settle while K*2^-bits >= 1/2
     bits, undecided = VERIFY_FIRST_BITS, directions
+    while k >> (bits - 1) and 2 * bits <= VERIFY_MAX_BITS:
+        bits *= 2
     while undecided:
         pi, sqrt3 = _pi(bits), math.isqrt(3 << 2 * bits)
         rest = []

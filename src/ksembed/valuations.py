@@ -183,8 +183,8 @@ def _make_problem(cfg: Configuration) -> _Problem:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     # descending degree, stable by id: propagation fires earlier, determinism kept
-    order = sorted(range(n), key=lambda i: (-cfg.degree(i), i))
-    return _build_tables(adj, [ctx.ray_ids for ctx in cfg.contexts], order)
+    order = sorted(range(n), key=lambda i: (-adj[i].bit_count(), i))
+    return _build_tables(adj, cfg.contexts, order)
 
 
 @dataclass

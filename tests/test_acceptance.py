@@ -83,7 +83,7 @@ class TestAcceptance:
         # lies in at least one context (build_contexts re-verified here)
         covered = set()
         for ctx in cfg.contexts:
-            i, j, k = ctx.ray_ids
+            i, j, k = ctx
             assert not (cfg.adjacency[i] & cfg.adjacency[j] & cfg.adjacency[k])
             covered.update({(i, j), (i, k), (j, k)})
         assert set(cfg.edges) <= covered
@@ -153,7 +153,7 @@ class TestAcceptance:
         while checked < 50:
             size = rng.choice([8, 10, 12, 14, 16, 18, 20])
             ctx = full_config.contexts[rng.randrange(130)]
-            ids = set(ctx.ray_ids)
+            ids = set(ctx)
             while len(ids) < size:
                 ids.add(rng.randrange(165))
             sub = subconfiguration(full_config, sorted(ids))
@@ -167,7 +167,7 @@ class TestAcceptance:
             covered = np.zeros(masks.shape, dtype=np.int32)
             all_one = np.ones(masks.shape, dtype=bool)
             for c3 in sub.contexts:
-                i, j, k = c3.ray_ids
+                i, j, k = c3
                 s = ((masks >> i) & 1) + ((masks >> j) & 1) + ((masks >> k) & 1)
                 covered += (s == 1).astype(np.int32)
                 all_one &= s == 1

@@ -41,16 +41,17 @@ def rays_file(tmp_path_factory):
     return str(path)
 
 
-RAYS165 = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rays165.txt"
+DATA = Path(__file__).resolve().parents[1] / "perfbench" / "data"
+RAYS165, RAYS741 = DATA / "rays165.txt", DATA / "rays741.txt"
 
 
 @st.composite
-def mutated_ray_files(draw):
-    """rays165.txt after one to three line mutations: a line deleted, a line
-    duplicated, or one whitespace-separated field of a line replaced (or
-    one appended) by a coordinate with a wide coefficient or by short text
-    over the file's own characters."""
-    lines = RAYS165.read_text().splitlines()
+def mutated_ray_files(draw, path):
+    """The ray file at ``path`` after one to three line mutations: a line
+    deleted, a line duplicated, or one whitespace-separated field of a line
+    replaced (or one appended) by a coordinate with a wide coefficient or by
+    short text over the file's own characters."""
+    lines = path.read_text().splitlines()
     for _ in range(draw(st.integers(1, 3))):
         i = draw(st.integers(0, len(lines) - 1))
         op = draw(st.sampled_from(("delete", "duplicate", "alter")))
@@ -592,9 +593,20 @@ class TestMutatedRayFiles:
     status, with its exit code, and never in a traceback."""
 
     @pytest.mark.filterwarnings("ignore:165-ray configuration has")
-    @given(mutated_ray_files())
+    @given(mutated_ray_files(RAYS165))
     @settings(max_examples=30, deadline=None)
     def test_every_run_ends_in_a_json_status(self, mutation_dir, text):
+        self.check_every_run(mutation_dir, text)
+
+    @given(mutated_ray_files(RAYS741))
+    @settings(max_examples=10, deadline=None)
+    def test_every_stress_run_ends_in_a_json_status(self, mutation_dir, text):
+        # fewer examples than at 165 rays: a wide coefficient sends the
+        # 741-ray scans through lanes wider than 8 bytes, the slow path
+        self.check_every_run(mutation_dir, text)
+
+    @staticmethod
+    def check_every_run(mutation_dir, text):
         path = mutation_dir / "rays.txt"
         path.write_text(text)
         for argv in (["realify", "--rays", str(path)],
@@ -609,7 +621,7 @@ class TestMutatedRayFiles:
 
 @pytest.fixture(scope="module")
 def rays165_contexts():
-    return [ctx.ray_ids for ctx in ingest_rays(RAYS165.read_text()).contexts]
+    return ingest_rays(RAYS165.read_text()).contexts
 
 
 class TestSubconfigurationRayFiles:

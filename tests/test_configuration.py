@@ -18,7 +18,6 @@ from ksembed.configuration import (
     DuplicateRay,
     NonTriangleClique,
     ParseError,
-    Ray,
     ZeroVector,
     build_contexts,
     canonicalize,
@@ -233,9 +232,7 @@ class TestClosure:
         cfg2 = closure_generate(seed)
         assert [r.vec for r in cfg2.rays] == [r.vec for r in full_config.rays]
         assert cfg2.edges == full_config.edges
-        assert [c.ray_ids for c in cfg2.contexts] == [
-            c.ray_ids for c in full_config.contexts
-        ]
+        assert cfg2.contexts == full_config.contexts
 
     def test_empty_seed_rejected(self):
         with pytest.raises(ZeroVector):
@@ -323,7 +320,7 @@ class TestContexts:
         from ksembed.exact import E_ZERO
 
         for ctx in full_config.contexts:
-            i, j, k = ctx.ray_ids
+            i, j, k = ctx
             u, v, w = (full_config.rays[x].vec for x in (i, j, k))
             assert hermitian_inner(u, v).is_zero()
             assert hermitian_inner(u, w).is_zero()
@@ -338,7 +335,7 @@ class TestContexts:
     def test_every_edge_in_some_context(self, full_config):
         in_ctx = set()
         for ctx in full_config.contexts:
-            i, j, k = ctx.ray_ids
+            i, j, k = ctx
             in_ctx.update({(i, j), (i, k), (j, k)})
         assert set(full_config.edges) <= in_ctx
 
@@ -354,11 +351,10 @@ class TestContexts:
 
     def test_triangle_that_extends_rejected(self):
         # a synthetic K4: no four rays of C^3 are pairwise orthogonal
-        rays = [Ray(i, v, v.sq_norm()) for i, v in enumerate(mub_seed()[:4])]
         edges = {(i, j) for i in range(4) for j in range(i + 1, 4)}
         adjacency = [set(range(4)) - {i} for i in range(4)]
         with pytest.raises(NonTriangleClique, match=r"triangle \(0, 1, 2\) extends by \[3\]"):
-            build_contexts(rays, edges, adjacency)
+            build_contexts(edges, adjacency)
 
     def test_isolated_ray_rejected_when_strict(self):
         vecs = mub_bases()[0] + [VecC3.make(1, 1, 1)]
@@ -380,16 +376,14 @@ class TestRayFiles:
         again = ingest_rays(text)
         assert [r.vec for r in again.rays] == [r.vec for r in cfg.rays]
         assert again.edges == cfg.edges
-        assert [c.ray_ids for c in again.contexts] == [c.ray_ids for c in cfg.contexts]
+        assert again.contexts == cfg.contexts
 
     def test_full_configuration_round_trip(self, full_config):
         text = export_rays(full_config)
         again = ingest_rays(text)
         assert [r.vec for r in again.rays] == [r.vec for r in full_config.rays]
         assert again.edges == full_config.edges
-        assert [c.ray_ids for c in again.contexts] == [
-            c.ray_ids for c in full_config.contexts
-        ]
+        assert again.contexts == full_config.contexts
         assert export_rays(again) == text
 
     def test_parse_error_carries_line_number(self):
@@ -464,7 +458,7 @@ def committed_id_lists(draw):
     n = draw(st.sampled_from((165, 741)))
     ids = draw(st.lists(st.integers(0, n - 1), max_size=60))
     for ctx in draw(st.lists(st.sampled_from(committed(n).contexts), max_size=6)):
-        ids += ctx.ray_ids
+        ids += ctx
     return n, draw(st.permutations(ids))
 
 
@@ -487,16 +481,16 @@ class TestSubconfiguration:
                                if i in remap and j in remap}
         assert sub.adjacency == [{j for e in sub.edges if i in e for j in e if j != i}
                                  for i in range(len(keep))]
-        assert [c.ray_ids for c in sub.contexts] == [
+        assert sub.contexts == [
             tuple(remap[r] for r in c) for c in cfg.contexts if all(r in remap for r in c)]
 
     def test_induced_structure(self, full_config):
         ctx = full_config.contexts[0]
-        ids = sorted(set(ctx.ray_ids) | {100, 120, 140})
+        ids = sorted(set(ctx) | {100, 120, 140})
         sub = subconfiguration(full_config, ids)
         assert sub.n_rays == len(ids)
         # the chosen context survives with remapped ids
-        assert any(len(c.ray_ids) == 3 for c in sub.contexts)
+        assert any(len(c) == 3 for c in sub.contexts)
         for i, j in sub.edges:
             assert hermitian_inner(sub.rays[i].vec, sub.rays[j].vec).is_zero()
 

@@ -664,12 +664,14 @@ class TestCrossCheckOracle:
         fr = verify_faithful(full_config, pa)
         assert fr.faithful and fr.pairs_checked == 13530
 
-    def test_741_rays_at_k_past_10_to_the_51(self):
-        # the locator's bound K*2^-bits is past 1/2, so no direction is
-        # settled, until the bits are doubled past 64 and 128
+    def test_741_rays_at_k_past_10_to_the_51(self, locator_precisions):
+        # the locator's bound K*2^-bits is past 1/2 up to 128 bits, where no
+        # direction could settle, so the first precision is 256 bits, and
+        # it decides every direction
         cfg = committed_config(741)
         fr = verify_faithful(cfg, rational_phase_search(cfg, 10**51 + 1))
         assert fr.faithful and fr.spurious == [] and fr.pairs_checked == 274170
+        assert locator_precisions == [256]
 
     def test_nearly_imaginary_c_is_decided_by_doubling(self, locator_precisions):
         # c = <(0, 1, 0), (1, A + Bw, 0)> has 2 Re c = 2A - B = 1 and
@@ -697,16 +699,16 @@ class TestCrossCheckOracle:
         # the first precision is forced down to 16 bits, not the 8 of this
         # test's name: 16 is the least _atan is proven at.  It settles every
         # direction of 165 rays at K <= 1009, while the 741-ray directions
-        # need one doubling and K >= 10^18, where K*2^-bits >= 1/2 up to
-        # 32 bits, three
+        # need one doubling.  At K >= 10^18, K*2^-bits >= 1/2 up to 32 bits,
+        # so the locator starts at 64 bits and doubles once
         n_rays, ids, k, ns = case
         cfg, pa = sub_config(n_rays, ids), PhaseAssignment(K=k, n=ns)
         expected = verify_outcome(verify_faithful, cfg, pa)
         monkeypatch.setattr(realify, "VERIFY_FIRST_BITS", 16)
         locator_precisions.clear()
         assert verify_outcome(verify_faithful, cfg, pa) == expected
-        doublings = 3 if k >= 10**18 else 1 if n_rays == 741 else 0
-        assert locator_precisions == [16 << d for d in range(doublings + 1)]
+        first, doublings = (64, 1) if k >= 10**18 else (16, 1 if n_rays == 741 else 0)
+        assert locator_precisions == [first << d for d in range(doublings + 1)]
 
     @given(st.integers(-2**64, 2**64), st.integers(-2**64, 2**64), st.booleans(),
            st.integers(0, (2**256 - 5) // 6), st.sampled_from((1, 5)),
@@ -1085,7 +1087,49 @@ class TestWorkCounts:
                 assert mp.mp.prec == prec
 
 
+@st.composite
+def mutated_phase_files(draw):
+    """save_phases output for a drawn assignment after one line mutation,
+    the header included: the line deleted, duplicated, or one of its
+    whitespace-separated fields dropped, or replaced (or one appended) by a
+    wide integer or by short text over the file's own characters and a few
+    others."""
+    k = draw(st.sampled_from((1, 5, 7, 1009, 10**18 + 1)))
+    ns = draw(st.lists(st.integers(0, 2 * k - 1), min_size=1, max_size=12))
+    lines = save_phases(PhaseAssignment(K=k, n=tuple(ns))).splitlines()
+    # the header about half the time, the one line that holds K
+    i = draw(st.one_of(st.just(0), st.integers(1, len(lines) - 1)))
+    op = draw(st.sampled_from(("delete", "duplicate", "alter")))
+    if op == "delete":
+        del lines[i]
+    elif op == "duplicate":
+        lines.insert(i, lines[i])
+    else:
+        fields = lines[i].split()
+        j = draw(st.integers(0, len(fields)))
+        fields[j:j + 1] = [draw(st.one_of(
+            st.just(""),
+            st.integers(-10**30, 10**30).map(str),
+            st.text(alphabet="0123456789K-+#_. \t\uff15", max_size=8)))]
+        lines[i] = " ".join(fields)
+    return "\n".join(lines) + "\n"
+
+
 class TestFiles:
+    @given(mutated_phase_files())
+    @settings(max_examples=200, deadline=None)
+    @example("K\n0 1\n")  # the header's value dropped
+    @example("0 1\n")  # the header deleted
+    @example("K 5\n")  # the only ray line deleted
+    def test_mutated_phase_file_loads_or_raises_value_error(self, text):
+        # a ValueError (InvalidK included) or an assignment that round-trips;
+        # any other exception fails the test
+        try:
+            pa = load_phases(text)
+        except ValueError:
+            return
+        assert load_phases(save_phases(pa)) == pa
+
     def test_phase_round_trip(self, full_config):
         pa = rational_phase_search(full_config, 1009, "greedy-random", rng_seed=11)
         text = save_phases(pa)

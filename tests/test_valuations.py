@@ -56,7 +56,7 @@ def brute_force(cfg):
     covered = np.zeros(masks.shape, dtype=np.int32)
     all_exactly_one = np.ones(masks.shape, dtype=bool)
     for ctx in cfg.contexts:
-        i, j, k = ctx.ray_ids
+        i, j, k = ctx
         s = ((masks >> i) & 1) + ((masks >> j) & 1) + ((masks >> k) & 1)
         covered += (s == 1).astype(np.int32)
         all_exactly_one &= s == 1
@@ -163,7 +163,7 @@ def scan_instance(cfg, order):
     for i, j in cfg.edges:
         adj[i] |= 1 << j
         adj[j] |= 1 << i
-    return adj, [ctx.ray_ids for ctx in cfg.contexts], order
+    return adj, cfg.contexts, order
 
 
 class TestEngineAgainstScan:
@@ -447,7 +447,7 @@ class TestMaximize:
         # empty exclusion alone, satisfiable, so the line is no refutation
         cfg = two_disjoint_contexts()
         opt = maximize_covered_contexts(cfg)
-        witness = Valuation(tuple(b if r in cfg.contexts[0].ray_ids else 0
+        witness = Valuation(tuple(b if r in cfg.contexts[0] else 0
                                   for r, b in enumerate(opt.witness.bits)))
         mask, stats = _solve(_make_problem(cfg), range(2), 0)
         assert mask is not None
@@ -517,7 +517,7 @@ class TestOracleEquivalence:
         for _ in range(50):
             size = rng.choice([8] * 10 + [12] * 15 + [16] * 15 + [20] * 10)
             ctx = full_config.contexts[rng.randrange(130)]
-            ids = set(ctx.ray_ids)
+            ids = set(ctx)
             while len(ids) < size:
                 ids.add(rng.randrange(165))
             sub = subconfiguration(full_config, sorted(ids))
@@ -547,7 +547,7 @@ def milp_best(cfg):
         a[row, [i, j]] = 1
     for c, ctx in enumerate(cfg.contexts):
         a[n_edges + c, n + c] = 1
-        a[n_edges + c, list(ctx.ray_ids)] = -1
+        a[n_edges + c, list(ctx)] = -1
     upper = np.concatenate([np.ones(n_edges), np.zeros(m)])
     res = optimize.milp(
         np.concatenate([np.zeros(n), -np.ones(m)]),
@@ -571,7 +571,7 @@ class TestHighsOracle:
         uncolourable = 0
         for n_sampled in (20, 35, 50, 55, 60, 65):
             sampled = rng.sample(full_config.contexts, n_sampled)
-            sub = subconfiguration(full_config, sorted({r for c in sampled for r in c.ray_ids}))
+            sub = subconfiguration(full_config, sorted({r for c in sampled for r in c}))
             opt = maximize_covered_contexts(sub)
             assert milp_best(sub) == opt.best
             uncolourable += opt.best < len(sub.contexts)
