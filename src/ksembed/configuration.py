@@ -64,14 +64,9 @@ class DuplicateRay(ValueError):
 
 def canonicalize(v: VecC3) -> VecC3:
     """Projective canonical form: divide by the first nonzero coordinate over
-    Q(w), then clear denominators to a Z[w] vector.
-
-    The first nonzero coordinate of the result is a positive rational
-    integer.  Idempotent, and constant on parallel classes.  Integer-only
-    implementation: with z0 the first nonzero coordinate and N = norm(z0),
-    the result is (z_j * conj(z0)) / G where G = gcd(N, all coefficients)
-    (exact.flat_canonical).
-    """
+    Q(w), then clear denominators to a Z[w] vector whose first nonzero
+    coordinate is a positive rational integer.  Idempotent, and constant on
+    parallel classes; computed in integers by exact.flat_canonical."""
     return VecC3.from_flat(_canonical_flat(v))
 
 
@@ -113,10 +108,12 @@ def is_unbiased(u: VecC3, v: VecC3) -> bool:
 
 @dataclass(frozen=True, slots=True)
 class Ray:
-    """A canonical-form ray with its dense id and integer squared norm."""
+    """A ray as its canonical flat, with its id (its place in assembly order)
+    and its squared norm (that order's first key), kept so that readers of a
+    configuration need neither recount nor recompute them."""
 
     id: int
-    vec: VecC3
+    flat: Flat
     sq_norm: int
 
 
@@ -141,7 +138,7 @@ class Configuration:
         return len(self.rays)
 
     def pair_inner(self, i: int, j: int) -> EisensteinInt:
-        return hermitian_inner(self.rays[i].vec, self.rays[j].vec)
+        return EisensteinInt(*flat_inner_row(self.rays[i].flat, (self.rays[j].flat,))[0])
 
 
 def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
@@ -158,7 +155,7 @@ def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
     with zero real part, and only those get a scalar flat_inner_row, to
     tell an edge (A = 0) from a purely imaginary pair."""
     keyed = sorted((flat_sq_norm(f), f) for f in flats)
-    rays = [Ray(i, VecC3.from_flat(f), sq) for i, (sq, f) in enumerate(keyed)]
+    rays = [Ray(i, f, sq) for i, (sq, f) in enumerate(keyed)]
     ordered = [f for _, f in keyed]
     n = len(rays)
     adjacency: list[set[int]] = [set() for _ in range(n)]
@@ -306,7 +303,7 @@ def subconfiguration(cfg: Configuration, ids: list[int]) -> Configuration:
     out = sorted({i for i in ids if not 0 <= i < cfg.n_rays})
     if out:
         raise ValueError(f"ray ids outside 0..{cfg.n_rays - 1}: {out}")
-    return _assemble([cfg.rays[i].vec.flat() for i in sorted(set(ids))], strict=False)
+    return _assemble([cfg.rays[i].flat for i in sorted(set(ids))], strict=False)
 
 
 # --- ray file format -------------------------------------------------------
@@ -315,9 +312,8 @@ def subconfiguration(cfg: Configuration, ids: list[int]) -> Configuration:
 # meaning a + b*w.  "#" begins a comment.
 
 
-def _in_published_alphabet(z: EisensteinInt) -> bool:
+def _in_published_alphabet(a: int, b: int) -> bool:
     # c*w^k with |c| <= 2: two-coefficient forms (c,0), (0,c), (-c,-c)
-    a, b = z.a, z.b
     if b == 0:
         return abs(a) <= 2
     if a == 0:
@@ -329,7 +325,7 @@ def export_rays(cfg: Configuration) -> str:
     """Serialize rays in id order; ingest of the result is the identity."""
     lines = [f"# {cfg.n_rays} rays"]
     for ray in cfg.rays:
-        lines.append(" ".join(f"{z.a},{z.b}" for z in ray.vec))
+        lines.append(" ".join(f"{a},{b}" for a, b in zip(ray.flat[::2], ray.flat[1::2])))
     return "\n".join(lines) + "\n"
 
 
@@ -366,7 +362,7 @@ def ingest_rays(text: str) -> Configuration:
     cfg = configuration_from_vectors(vecs, strict=False)
     if cfg.n_rays == 165:
         bad = [r.id for r in cfg.rays
-               if not all(_in_published_alphabet(z) for z in r.vec)]
+               if not all(map(_in_published_alphabet, r.flat[::2], r.flat[1::2]))]
         if bad:
             warnings.warn(
                 f"165-ray configuration has {len(bad)} rays outside the "

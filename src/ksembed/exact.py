@@ -1,11 +1,11 @@
 """Exact arithmetic over the Eisenstein integers and the real field Q(sqrt(3)).
 
-Complex ray coordinates live in Z[w] with w = exp(2*pi*i/3), represented as
-a + b*w with arbitrary-precision integer a, b.  Realified coordinates live in
-Q(sqrt(3)), represented as p + q*sqrt(3) with exact rationals p, q.  Pair
-arithmetic is a plain-int kernel on flat coefficient tuples (flat_inner_row
-and its siblings), which the VecC3 functions wrap; the all-pairs scans read
-it a row at a time from packed big-integer lanes (flat_lane_rows).
+The pipeline holds a ray as a flat int tuple (a1, b1, a2, b2, a3, b3), its
+coordinate k being a_k + b_k*w in Z[w], w = exp(2*pi*i/3), and computes with
+the pair kernel first below (flat_lane_rows packs it for the all-pairs scans).
+The reference layer after it holds the object types (EisensteinInt, VecC3,
+VecR6 and QuadReal, p + q*sqrt(3) with rational p, q) and their wrappers over
+the kernel, for the MUB seed, the ray-file parse and the tests' oracles only.
 Nothing in this module touches floating point.
 """
 
@@ -17,6 +17,144 @@ from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
+
+
+# --- the pair kernel ---------------------------------------------------------
+#
+# Every scan over ray pairs (closure, assembly, verification) runs on flat
+# int tuples (a1, b1, a2, b2, a3, b3), coordinate k being a_k + b_k*w, so
+# that no dataclass is built per pair.  The functions of the reference layer
+# after the kernel are thin wrappers over it: the arithmetic is written once.
+# The two all-pairs scans read it through the lane kernel below, which builds
+# no tuple per pair either.
+
+Flat = tuple[int, int, int, int, int, int]
+
+
+def flat_inner_row(u: Flat, vs) -> list[tuple[int, int]]:
+    """The Hermitian inner products <u, v> = sum_k conj(u_k) * v_k for every
+    v in ``vs``, each as (A, B) meaning A + B*w.
+
+    Termwise, conj(a + b*w) * (c + d*w) = (ac - bc + bd) + (ad - bc)*w.
+    """
+    a1, b1, a2, b2, a3, b3 = u
+    p1, p2, p3 = a1 - b1, a2 - b2, a3 - b3
+    return [(p1 * c1 + b1 * d1 + p2 * c2 + b2 * d2 + p3 * c3 + b3 * d3,
+             a1 * d1 - b1 * c1 + a2 * d2 - b2 * c2 + a3 * d3 - b3 * c3)
+            for c1, d1, c2, d2, c3, d3 in vs]
+
+
+# The lane kernel.  The all-pairs scans read one linear form x*A + y*B of
+# every inner product <vs[i], vs[j]> = A + B*w, i < j: assembly reads
+# 2A - B (twice the real part) and looks up its zero lanes with the row's
+# index method, verification the key A*2^h + B, which gives back (A, B).
+# They share the packing below and differ only in (x, y).  By
+# flat_inner_row's terms the form is sum_k g_k * v[k], the weights g_k small
+# integers taken from u = vs[i], so a whole row of it is one 6-term integer
+# combination of packed columns, as in Kronecker substitution:
+#
+# - Lanes.  Column k of the ray list is the integer sum_j vs[j][k] << (L*j),
+#   one L-bit lane per ray, packed once per scan; lane j of
+#   sum_k g_k * column_k is then the form on the pair (u, vs[j]).
+# - Width.  With M the largest |coefficient| in the list, every lane value
+#   is at most (sum_k |g_k|) * M in magnitude.  L is a whole number of bytes
+#   with one bit more than the largest such bound over the rows (and M), so
+#   every lane value lies in [-2^(L-1), 2^(L-1)).
+# - Exactness.  Adding 2^(L-1) to every lane makes each lane a digit in
+#   [0, 2^L): the base-2^L digits of the biased row are its lanes, with no
+#   borrow between them.  XOR of each lane's top bit then leaves each lane's
+#   two's complement, which to_bytes lays out little-endian, lane j at byte
+#   offset j*L/8.  Nothing is rounded or truncated, for any input.
+#
+# Lanes of 1, 2, 4 or 8 bytes are read as a stdlib array, wider ones with
+# int.from_bytes.  flat_inner_row is the scalar kernel, and the reference
+# the tests hold the lane kernel to.
+
+_LANE_CODES = {array(code).itemsize: code for code in "bhilq"}  # bytes -> typecode
+
+
+def flat_lane_rows(vs: list[Flat], x: int, y: int) -> Iterator[Sequence[int]]:
+    """For i = 0..n-2, the values x*A + y*B of <vs[i], vs[j]> = A + B*w for
+    j = i+1..n-1 in order: the upper triangle of the Gram matrix under one
+    linear form, a row per packed multiply (see the lane layout above)."""
+    weights = [(x * (a1 - b1) - y * b1, x * b1 + y * a1,
+                x * (a2 - b2) - y * b2, x * b2 + y * a2,
+                x * (a3 - b3) - y * b3, x * b3 + y * a3)
+               for a1, b1, a2, b2, a3, b3 in vs]
+    m = max((abs(c) for v in vs for c in v), default=0)
+    bound = max(m, m * max((sum(map(abs, g)) for g in weights), default=0))
+    width = -(-(bound.bit_length() + 1) // 8)
+    if width <= 8:
+        width = 1 << (width - 1).bit_length()
+
+    def column(k: int) -> int:
+        pos = b"".join(max(v[k], 0).to_bytes(width, "little") for v in vs)
+        neg = b"".join(max(-v[k], 0).to_bytes(width, "little") for v in vs)
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    c0, c1, c2, c3, c4, c5 = (column(k) for k in range(6))
+    top = int.from_bytes((bytes(width - 1) + b"\x80") * len(vs), "little")
+    size = width * len(vs)
+    code = _LANE_CODES.get(width)
+    for i, (g0, g1, g2, g3, g4, g5) in enumerate(weights[:-1], 1):
+        s = g0 * c0 + g1 * c1 + g2 * c2 + g3 * c3 + g4 * c4 + g5 * c5
+        buf = ((s + top) ^ top).to_bytes(size, "little")
+        if code is None:
+            yield [int.from_bytes(buf[o:o + width], "little", signed=True)
+                   for o in range(i * width, size, width)]
+        else:
+            lanes = array(code)
+            lanes.frombytes(memoryview(buf)[i * width:])
+            if sys.byteorder == "big":
+                lanes.byteswap()
+            yield lanes
+
+
+def flat_sq_norm(u: Flat) -> int:
+    """Hermitian squared norm <u, u> (its w-coefficient is 0)."""
+    return flat_inner_row(u, (u,))[0][0]
+
+
+def flat_cross(u: Flat, v: Flat) -> Flat:
+    """Bilinear cross product (u2 v3 - u3 v2, u3 v1 - u1 v3, u1 v2 - u2 v1),
+    each product by (a + b*w)(c + d*w) = (ac - bd) + (ad + bc - bd)*w."""
+    a1, b1, a2, b2, a3, b3 = u
+    c1, d1, c2, d2, c3, d3 = v
+    return (
+        a2 * c3 - b2 * d3 - a3 * c2 + b3 * d2,
+        a2 * d3 + b2 * c3 - b2 * d3 - a3 * d2 - b3 * c2 + b3 * d2,
+        a3 * c1 - b3 * d1 - a1 * c3 + b1 * d3,
+        a3 * d1 + b3 * c1 - b3 * d1 - a1 * d3 - b1 * c3 + b1 * d3,
+        a1 * c2 - b1 * d2 - a2 * c1 + b2 * d1,
+        a1 * d2 + b1 * c2 - b1 * d2 - a2 * d1 - b2 * c1 + b2 * d1,
+    )
+
+
+def flat_conj_cross(u: Flat, v: Flat) -> Flat:
+    """conj(u x v), by conj(a + b*w) = (a - b) - b*w; zero iff u, v are parallel."""
+    x1, y1, x2, y2, x3, y3 = flat_cross(u, v)
+    return (x1 - y1, -y1, x2 - y2, -y2, x3 - y3, -y3)
+
+
+def flat_canonical(v: Flat) -> Flat:
+    """Projective canonical form of a nonzero vector.
+
+    With z0 = p + q*w its first nonzero coordinate, every coordinate z is
+    replaced by conj(z0) * z (the termwise product of flat_inner_row), which
+    turns z0 into the positive integer norm(z0); the result is then divided
+    by the gcd of its coefficients.
+    """
+    k = 0 if v[0] or v[1] else (2 if v[2] or v[3] else 4)
+    p, q = v[k], v[k + 1]
+    r = p - q
+    w = (r * v[0] + q * v[1], p * v[1] - q * v[0],
+         r * v[2] + q * v[3], p * v[3] - q * v[2],
+         r * v[4] + q * v[5], p * v[5] - q * v[4])
+    g = gcd(*w)  # w[k] = norm(z0) > 0
+    return tuple(x // g for x in w)  # type: ignore[return-value]
+
+
+# --- reference layer ---------------------------------------------------------
 
 
 class ParallelInput(ValueError):
@@ -198,141 +336,6 @@ class VecR6:
 
     def __iter__(self):
         return iter(self.coords)
-
-
-# --- the pair kernel ---------------------------------------------------------
-#
-# Every scan over ray pairs (closure, assembly, verification) runs on flat
-# int tuples (a1, b1, a2, b2, a3, b3), coordinate k being a_k + b_k*w, so
-# that no dataclass is built per pair.  The VecC3 functions after the kernel
-# are thin wrappers over it: the arithmetic is written once.  The two
-# all-pairs scans read it through the lane kernel below, which builds no
-# tuple per pair either.
-
-Flat = tuple[int, int, int, int, int, int]
-
-
-def flat_inner_row(u: Flat, vs) -> list[tuple[int, int]]:
-    """The Hermitian inner products <u, v> = sum_k conj(u_k) * v_k for every
-    v in ``vs``, each as (A, B) meaning A + B*w.
-
-    Termwise, conj(a + b*w) * (c + d*w) = (ac - bc + bd) + (ad - bc)*w.
-    """
-    a1, b1, a2, b2, a3, b3 = u
-    p1, p2, p3 = a1 - b1, a2 - b2, a3 - b3
-    return [(p1 * c1 + b1 * d1 + p2 * c2 + b2 * d2 + p3 * c3 + b3 * d3,
-             a1 * d1 - b1 * c1 + a2 * d2 - b2 * c2 + a3 * d3 - b3 * c3)
-            for c1, d1, c2, d2, c3, d3 in vs]
-
-
-# The lane kernel.  The all-pairs scans read one linear form x*A + y*B of
-# every inner product <vs[i], vs[j]> = A + B*w, i < j: assembly reads
-# 2A - B (twice the real part) and looks up its zero lanes with the row's
-# index method, verification the key A*2^h + B, which gives back (A, B).
-# They share the packing below and differ only in (x, y).  By
-# flat_inner_row's terms the form is sum_k g_k * v[k], the weights g_k small
-# integers taken from u = vs[i], so a whole row of it is one 6-term integer
-# combination of packed columns, as in Kronecker substitution:
-#
-# - Lanes.  Column k of the ray list is the integer sum_j vs[j][k] << (L*j),
-#   one L-bit lane per ray, packed once per scan; lane j of
-#   sum_k g_k * column_k is then the form on the pair (u, vs[j]).
-# - Width.  With M the largest |coefficient| in the list, every lane value
-#   is at most (sum_k |g_k|) * M in magnitude.  L is a whole number of bytes
-#   with one bit more than the largest such bound over the rows (and M), so
-#   every lane value lies in [-2^(L-1), 2^(L-1)).
-# - Exactness.  Adding 2^(L-1) to every lane makes each lane a digit in
-#   [0, 2^L): the base-2^L digits of the biased row are its lanes, with no
-#   borrow between them.  XOR of each lane's top bit then leaves each lane's
-#   two's complement, which to_bytes lays out little-endian, lane j at byte
-#   offset j*L/8.  Nothing is rounded or truncated, for any input.
-#
-# Lanes of 1, 2, 4 or 8 bytes are read as a stdlib array, wider ones with
-# int.from_bytes.  flat_inner_row is the scalar kernel, and the reference
-# the tests hold the lane kernel to.
-
-_LANE_CODES = {array(code).itemsize: code for code in "bhilq"}  # bytes -> typecode
-
-
-def flat_lane_rows(vs: list[Flat], x: int, y: int) -> Iterator[Sequence[int]]:
-    """For i = 0..n-2, the values x*A + y*B of <vs[i], vs[j]> = A + B*w for
-    j = i+1..n-1 in order: the upper triangle of the Gram matrix under one
-    linear form, a row per packed multiply (see the lane layout above)."""
-    weights = [(x * (a1 - b1) - y * b1, x * b1 + y * a1,
-                x * (a2 - b2) - y * b2, x * b2 + y * a2,
-                x * (a3 - b3) - y * b3, x * b3 + y * a3)
-               for a1, b1, a2, b2, a3, b3 in vs]
-    m = max((abs(c) for v in vs for c in v), default=0)
-    bound = max(m, m * max((sum(map(abs, g)) for g in weights), default=0))
-    width = -(-(bound.bit_length() + 1) // 8)
-    if width <= 8:
-        width = 1 << (width - 1).bit_length()
-
-    def column(k: int) -> int:
-        pos = b"".join(max(v[k], 0).to_bytes(width, "little") for v in vs)
-        neg = b"".join(max(-v[k], 0).to_bytes(width, "little") for v in vs)
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-    c0, c1, c2, c3, c4, c5 = (column(k) for k in range(6))
-    top = int.from_bytes((bytes(width - 1) + b"\x80") * len(vs), "little")
-    size = width * len(vs)
-    code = _LANE_CODES.get(width)
-    for i, (g0, g1, g2, g3, g4, g5) in enumerate(weights[:-1], 1):
-        s = g0 * c0 + g1 * c1 + g2 * c2 + g3 * c3 + g4 * c4 + g5 * c5
-        buf = ((s + top) ^ top).to_bytes(size, "little")
-        if code is None:
-            yield [int.from_bytes(buf[o:o + width], "little", signed=True)
-                   for o in range(i * width, size, width)]
-        else:
-            lanes = array(code)
-            lanes.frombytes(memoryview(buf)[i * width:])
-            if sys.byteorder == "big":
-                lanes.byteswap()
-            yield lanes
-
-
-def flat_sq_norm(u: Flat) -> int:
-    """Hermitian squared norm <u, u> (its w-coefficient is 0)."""
-    return flat_inner_row(u, (u,))[0][0]
-
-
-def flat_cross(u: Flat, v: Flat) -> Flat:
-    """Bilinear cross product (u2 v3 - u3 v2, u3 v1 - u1 v3, u1 v2 - u2 v1),
-    each product by (a + b*w)(c + d*w) = (ac - bd) + (ad + bc - bd)*w."""
-    a1, b1, a2, b2, a3, b3 = u
-    c1, d1, c2, d2, c3, d3 = v
-    return (
-        a2 * c3 - b2 * d3 - a3 * c2 + b3 * d2,
-        a2 * d3 + b2 * c3 - b2 * d3 - a3 * d2 - b3 * c2 + b3 * d2,
-        a3 * c1 - b3 * d1 - a1 * c3 + b1 * d3,
-        a3 * d1 + b3 * c1 - b3 * d1 - a1 * d3 - b1 * c3 + b1 * d3,
-        a1 * c2 - b1 * d2 - a2 * c1 + b2 * d1,
-        a1 * d2 + b1 * c2 - b1 * d2 - a2 * d1 - b2 * c1 + b2 * d1,
-    )
-
-
-def flat_conj_cross(u: Flat, v: Flat) -> Flat:
-    """conj(u x v), by conj(a + b*w) = (a - b) - b*w; zero iff u, v are parallel."""
-    x1, y1, x2, y2, x3, y3 = flat_cross(u, v)
-    return (x1 - y1, -y1, x2 - y2, -y2, x3 - y3, -y3)
-
-
-def flat_canonical(v: Flat) -> Flat:
-    """Projective canonical form of a nonzero vector.
-
-    With z0 = p + q*w its first nonzero coordinate, every coordinate z is
-    replaced by conj(z0) * z (the termwise product of flat_inner_row), which
-    turns z0 into the positive integer norm(z0); the result is then divided
-    by the gcd of its coefficients.
-    """
-    k = 0 if v[0] or v[1] else (2 if v[2] or v[3] else 4)
-    p, q = v[k], v[k + 1]
-    r = p - q
-    w = (r * v[0] + q * v[1], p * v[1] - q * v[0],
-         r * v[2] + q * v[3], p * v[3] - q * v[2],
-         r * v[4] + q * v[5], p * v[5] - q * v[4])
-    g = gcd(*w)  # w[k] = norm(z0) > 0
-    return tuple(x // g for x in w)  # type: ignore[return-value]
 
 
 def hermitian_inner(u: VecC3, v: VecC3) -> EisensteinInt:

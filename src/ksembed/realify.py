@@ -28,7 +28,7 @@ from fractions import Fraction
 from math import gcd
 
 from .configuration import Configuration, ascii_digits
-from .exact import EisensteinInt, flat_lane_rows
+from .exact import EisensteinInt, Flat, flat_lane_rows
 
 
 class ZeroInnerProduct(ValueError):
@@ -251,7 +251,7 @@ def verify_faithful(cfg: Configuration, pa: PhaseAssignment) -> FaithfulnessRepo
         )
     k, ns = pa.K, pa.n
     k2 = 2 * k
-    flats = [ray.vec.flat() for ray in cfg.rays]
+    flats = [ray.flat for ray in cfg.rays]
     # B = sum_k (a_k d_k - b_k c_k) has |B| <= 6 M^2 < 2^(h-1), M the largest
     # |coefficient|, so the key A*2^h + B of c = A + B*w gives back (A, B)
     m = max((abs(x) for f in flats for x in f), default=0)
@@ -404,7 +404,7 @@ def phase_apply_export(
     rows: list[tuple[str, ...]] = []
     for i, (ray, nk) in enumerate(zip(cfg.rays, pa.n)):
         prec = first
-        while (row := _export_row(ray.vec, nk, fixed_point(prec), ctx)) is None:
+        while (row := _export_row(ray.flat, nk, fixed_point(prec), ctx)) is None:
             if 2 * prec > cap:
                 raise ExportUndecided(
                     f"ray {i}: a field of {precision} digits is undecided "
@@ -414,17 +414,17 @@ def phase_apply_export(
     return rows
 
 
-def _export_row(vec, nk: int, fp: _FixedPoint, ctx: Context) -> tuple[str, ...] | None:
-    """The six fields of e^{i*pi*nk/K} vec as phase_apply_export writes
-    them, from one evaluation in fp's W-bit fixed point, rounded in ``ctx``;
-    None when some field is undecided at this W."""
+def _export_row(f: Flat, nk: int, fp: _FixedPoint, ctx: Context) -> tuple[str, ...] | None:
+    """The six fields of e^{i*pi*nk/K} times the ray with flat f, as
+    phase_apply_export writes them, from one evaluation in fp's W-bit fixed
+    point, rounded in ``ctx``; None when some field is undecided at this W."""
     w = fp.w
     c, s = fp.cos_sin(nk)
     # e = 1 unit of 2^-W, in units of 2^-2W; 0 at theta = 0 or pi, where C and S are exact
     ew = 1 << w if nk % fp.k else 0
     cw, sw, rc, rs = c << w, s << w, fp.sqrt3 * c, fp.sqrt3 * s
     err_re, err_im = abs(s) + 2 * ew, abs(c) + 2 * ew
-    uv = [(2 * z.a - z.b, z.b) for z in vec]
+    uv = [(2 * a - b, b) for a, b in zip(f[::2], f[1::2])]
     return _decimal_fields(
         [(u * cw - v * rs, abs(u) * ew + abs(v) * err_re) for u, v in uv]
         + [(u * sw + v * rc, abs(u) * ew + abs(v) * err_im) for u, v in uv],

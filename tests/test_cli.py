@@ -8,12 +8,13 @@ import os
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ksembed import cli, configuration, realify, valuations
 from ksembed.cli import EXIT_DISCREPANCY, EXIT_ERROR, EXIT_OK, main
 from ksembed.configuration import ingest_rays
+from ksembed.exact import EisensteinInt, VecC3
 
 # sha256 of the default `report` artifacts, and of its stdout with the output
 # directory masked as "<out_dir>"
@@ -646,3 +647,56 @@ class TestSubconfigurationRayFiles:
         results = report["results"]
         assert results["witness_covered"] == results["best"]
         assert results["bounds"] == [0, results["best"]]
+
+
+class TestReportOptions:
+    """Every drawn `report` ends in exactly one JSON object whose status
+    matches its exit code, never in a traceback; an error names its type."""
+
+    @given(st.integers(-2, 120), st.sampled_from(realify.STRATEGIES),
+           st.integers(-2**63, 2**63), st.integers(0, 1100))
+    @settings(max_examples=15, deadline=None)
+    @example(101, "backtracking", 0, 1000)  # ok, at the widest export
+    @example(7, "greedy-random", 0, 20)  # greedy-random exhausts at K = 7
+    def test_every_run_ends_in_one_json_status(self, mutation_dir, k, strategy, seed,
+                                               precision):
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["report", "--out-dir", str(mutation_dir / "report"),
+                         "--K", str(k), "--strategy", strategy, "--seed", str(seed),
+                         "--precision", str(precision)])
+        report = json.loads(out.getvalue())
+        assert {"ok": EXIT_OK, "discrepancy": EXIT_DISCREPANCY,
+                "error": EXIT_ERROR}[report["status"]] == code
+        assert "Traceback" not in err.getvalue()
+        if code == EXIT_ERROR:
+            assert report["results"]["error"].startswith(
+                ("InvalidK: ", "SearchExhausted: ", "ValueError: ")), report
+
+
+class TestObjectLayer:
+    """Past the 12 seed rays and the ray-file parse, no CLI path builds a
+    VecC3 or an EisensteinInt: the pipeline computes on flat tuples."""
+
+    @staticmethod
+    def constructions(monkeypatch, argv) -> tuple[int, int]:
+        counts = {VecC3: 0, EisensteinInt: 0}
+        for cls in counts:
+            def counting_init(self, *args, _cls=cls, _init=cls.__init__, **kwargs):
+                counts[_cls] += 1
+                _init(self, *args, **kwargs)
+
+            monkeypatch.setattr(cls, "__init__", counting_init)
+        with contextlib.redirect_stdout(io.StringIO()), \
+                contextlib.redirect_stderr(io.StringIO()):
+            assert main(argv) == EXIT_OK
+        return counts[VecC3], counts[EisensteinInt]
+
+    def test_report_builds_only_the_seed(self, monkeypatch, tmp_path):
+        # 12 seed vectors and their 12 canonical forms, 3 coordinates each
+        assert self.constructions(
+            monkeypatch, ["report", "--out-dir", str(tmp_path / "repro")]) == (24, 36)
+
+    def test_realify_builds_only_the_parsed_rays(self, monkeypatch):
+        assert self.constructions(
+            monkeypatch, ["realify", "--rays", str(RAYS741)]) == (741, 3 * 741)

@@ -38,7 +38,9 @@ from ksembed.exact import (
     VecC3,
     conj_cross,
     cross,
+    flat_canonical,
     flat_inner_row,
+    flat_sq_norm,
     hermitian_inner,
 )
 
@@ -147,7 +149,7 @@ class TestClosure:
     def test_two_ray_seed_closes_with_third(self):
         cfg = closure_generate([VecC3.make(1, 0, 0), VecC3.make(0, 1, 1)])
         assert cfg.n_rays == 3
-        vecs = {r.vec for r in cfg.rays}
+        vecs = {VecC3.from_flat(r.flat) for r in cfg.rays}
         assert vecs == {
             VecC3.make(1, 0, 0),
             VecC3.make(0, 1, 1),
@@ -165,7 +167,8 @@ class TestClosure:
         zero, imaginary = set(), set()
         for i in range(165):
             for j in range(i + 1, 165):
-                c = hermitian_inner(full_config.rays[i].vec, full_config.rays[j].vec)
+                c = hermitian_inner(VecC3.from_flat(full_config.rays[i].flat),
+                                    VecC3.from_flat(full_config.rays[j].flat))
                 if c.is_zero():
                     zero.add((i, j))
                 elif c.is_purely_imaginary():
@@ -175,7 +178,7 @@ class TestClosure:
         assert len(imaginary) == 636
 
     def test_mub_rays_are_members(self, full_config):
-        vecs = {r.vec for r in full_config.rays}
+        vecs = {VecC3.from_flat(r.flat) for r in full_config.rays}
         for v in mub_seed():
             assert v in vecs
 
@@ -185,7 +188,7 @@ class TestClosure:
         # 3 divides norm(z)
         for r in full_config.rays:
             assert 6 % r.sq_norm == 0
-            assert any(z.norm() % 3 for z in r.vec)
+            assert any(z.norm() % 3 for z in VecC3.from_flat(r.flat))
 
     def test_published_coefficient_alphabet(self, full_config):
         def ok(z):
@@ -196,14 +199,15 @@ class TestClosure:
                 return abs(b) <= 2
             return a == b and abs(a) <= 2
 
-        assert all(ok(z) for r in full_config.rays for z in r.vec)
+        assert all(ok(z) for r in full_config.rays for z in VecC3.from_flat(r.flat))
 
     def test_closed_under_orthogonal_completion(self, full_config):
         from ksembed.exact import conj_cross
 
-        vecs = {r.vec for r in full_config.rays}
+        vecs = {VecC3.from_flat(r.flat) for r in full_config.rays}
         for i, j in full_config.edges:
-            w = canonicalize(conj_cross(full_config.rays[i].vec, full_config.rays[j].vec))
+            w = canonicalize(conj_cross(VecC3.from_flat(full_config.rays[i].flat),
+                                        VecC3.from_flat(full_config.rays[j].flat)))
             assert w in vecs
 
     def test_fixed_point_of_filtered_insertion(self, full_config):
@@ -211,14 +215,16 @@ class TestClosure:
         # out by the norm rule; spot-check a random sample of pairs
         from ksembed.exact import conj_cross
 
-        vecs = {r.vec for r in full_config.rays}
+        vecs = {VecC3.from_flat(r.flat) for r in full_config.rays}
         rng = random.Random(5)
         for _ in range(500):
             i, j = rng.sample(range(full_config.n_rays), 2)
-            w = cross(full_config.rays[i].vec, full_config.rays[j].vec)
+            w = cross(VecC3.from_flat(full_config.rays[i].flat),
+                      VecC3.from_flat(full_config.rays[j].flat))
             if w.is_zero():
                 continue
-            c = canonicalize(conj_cross(full_config.rays[i].vec, full_config.rays[j].vec))
+            c = canonicalize(conj_cross(VecC3.from_flat(full_config.rays[i].flat),
+                                        VecC3.from_flat(full_config.rays[j].flat)))
             assert c in vecs or 6 % c.sq_norm() != 0
 
     def test_unfiltered_closure_diverges(self):
@@ -230,7 +236,7 @@ class TestClosure:
         rng = random.Random(99)
         rng.shuffle(seed)
         cfg2 = closure_generate(seed)
-        assert [r.vec for r in cfg2.rays] == [r.vec for r in full_config.rays]
+        assert [r.flat for r in cfg2.rays] == [r.flat for r in full_config.rays]
         assert cfg2.edges == full_config.edges
         assert cfg2.contexts == full_config.contexts
 
@@ -248,12 +254,12 @@ def committed(n_rays: int):
 
 @functools.lru_cache(maxsize=None)
 def rays741() -> tuple[VecC3, ...]:
-    return tuple(r.vec for r in committed(741).rays)
+    return tuple(VecC3.from_flat(r.flat) for r in committed(741).rays)
 
 
 def scalar_classification(cfg):
     """(edges, purely imaginary pairs) by the scalar kernel, pair by pair."""
-    flats = [r.vec.flat() for r in cfg.rays]
+    flats = [r.flat for r in cfg.rays]
     zero, imaginary = set(), set()
     for i in range(cfg.n_rays):
         for j in range(i + 1, cfg.n_rays):
@@ -321,7 +327,7 @@ class TestContexts:
 
         for ctx in full_config.contexts:
             i, j, k = ctx
-            u, v, w = (full_config.rays[x].vec for x in (i, j, k))
+            u, v, w = (VecC3.from_flat(full_config.rays[x].flat) for x in (i, j, k))
             assert hermitian_inner(u, v).is_zero()
             assert hermitian_inner(u, w).is_zero()
             assert hermitian_inner(v, w).is_zero()
@@ -367,21 +373,21 @@ class TestRayFiles:
     def test_parse_simple_line(self):
         cfg = ingest_rays("1,0 1,0 1,0\n# trailing comment\n")
         assert cfg.n_rays == 1
-        assert cfg.rays[0].vec == VecC3.make(1, 1, 1)
+        assert VecC3.from_flat(cfg.rays[0].flat) == VecC3.make(1, 1, 1)
 
     def test_mub_seed_round_trip(self):
         cfg = configuration_from_vectors(mub_seed())
         text = export_rays(cfg)
         assert len([ln for ln in text.splitlines() if not ln.startswith("#")]) == 12
         again = ingest_rays(text)
-        assert [r.vec for r in again.rays] == [r.vec for r in cfg.rays]
+        assert [r.flat for r in again.rays] == [r.flat for r in cfg.rays]
         assert again.edges == cfg.edges
         assert again.contexts == cfg.contexts
 
     def test_full_configuration_round_trip(self, full_config):
         text = export_rays(full_config)
         again = ingest_rays(text)
-        assert [r.vec for r in again.rays] == [r.vec for r in full_config.rays]
+        assert [r.flat for r in again.rays] == [r.flat for r in full_config.rays]
         assert again.edges == full_config.edges
         assert again.contexts == full_config.contexts
         assert export_rays(again) == text
@@ -450,6 +456,16 @@ class TestRayFiles:
             cfg = ingest_rays("1,0 3,0 0,0\n")
         assert cfg.n_rays == 1
 
+    def test_published_table_ingests_without_the_alphabet_warning(self):
+        # the committed table and the closure's own export both keep every
+        # coordinate in the published alphabet
+        published = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rays165.txt"
+        texts = (published.read_text(), export_rays(closure_generate(mub_seed())))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            for text in texts:
+                assert ingest_rays(text).n_rays == 165
+
 
 @st.composite
 def committed_id_lists(draw):
@@ -460,6 +476,23 @@ def committed_id_lists(draw):
     for ctx in draw(st.lists(st.sampled_from(committed(n).contexts), max_size=6)):
         ids += ctx
     return n, draw(st.permutations(ids))
+
+
+class TestRayContract:
+    """What readers of a configuration take from each ray: its id is its
+    index, its flat is a canonical 6-tuple of ints, its sq_norm is the flat's
+    squared norm."""
+
+    @pytest.mark.parametrize("n_rays", [165, 741])
+    def test_committed_rays_and_a_subconfiguration(self, n_rays):
+        cfg = committed(n_rays)
+        for c in (cfg, subconfiguration(cfg, list(range(1, n_rays, 3)))):
+            for i, ray in enumerate(c.rays):
+                assert ray.id == i
+                assert type(ray.flat) is tuple and len(ray.flat) == 6
+                assert all(type(x) is int for x in ray.flat)
+                assert flat_canonical(ray.flat) == ray.flat
+                assert ray.sq_norm == flat_sq_norm(ray.flat)
 
 
 class TestSubconfiguration:
@@ -473,8 +506,8 @@ class TestSubconfiguration:
         sub = subconfiguration(cfg, ids)
         keep = sorted(set(ids))
         remap = {old: new for new, old in enumerate(keep)}  # increasing
-        assert [(r.id, r.vec, r.sq_norm) for r in sub.rays] == [
-            (new, cfg.rays[old].vec, cfg.rays[old].sq_norm) for new, old in enumerate(keep)]
+        assert [(r.id, r.flat, r.sq_norm) for r in sub.rays] == [
+            (new, cfg.rays[old].flat, cfg.rays[old].sq_norm) for new, old in enumerate(keep)]
         for induced, pairs in ((sub.edges, cfg.edges),
                                (sub.imaginary_pairs, cfg.imaginary_pairs)):
             assert induced == {(remap[i], remap[j]) for i, j in pairs
@@ -492,12 +525,14 @@ class TestSubconfiguration:
         # the chosen context survives with remapped ids
         assert any(len(c) == 3 for c in sub.contexts)
         for i, j in sub.edges:
-            assert hermitian_inner(sub.rays[i].vec, sub.rays[j].vec).is_zero()
+            assert hermitian_inner(VecC3.from_flat(sub.rays[i].flat),
+                                   VecC3.from_flat(sub.rays[j].flat)).is_zero()
 
     def test_induced_pairs_match_a_fresh_assembly(self, full_config):
         ids = list(range(0, 165, 4))
         sub = subconfiguration(full_config, ids)
-        fresh = configuration_from_vectors([full_config.rays[i].vec for i in ids], strict=False)
+        fresh = configuration_from_vectors([VecC3.from_flat(full_config.rays[i].flat) for i in ids],
+                                           strict=False)
         assert sub.edges == fresh.edges
         assert sub.imaginary_pairs == fresh.imaginary_pairs
         assert sub.imaginary_pairs

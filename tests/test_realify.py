@@ -48,7 +48,7 @@ from ksembed.realify import (
 
 def unvalidated_config(*vecs) -> Configuration:
     """Assemble rays without hypergraph validation, for phase-machinery toys."""
-    rays = [Ray(i, v, v.sq_norm()) for i, v in enumerate(vecs)]
+    rays = [Ray(i, v.flat(), v.sq_norm()) for i, v in enumerate(vecs)]
     n = len(rays)
     from ksembed.exact import hermitian_inner
 
@@ -57,7 +57,7 @@ def unvalidated_config(*vecs) -> Configuration:
     imaginary = set()
     for i in range(n):
         for j in range(i + 1, n):
-            c = hermitian_inner(rays[i].vec, rays[j].vec)
+            c = hermitian_inner(VecC3.from_flat(rays[i].flat), VecC3.from_flat(rays[j].flat))
             if c.is_zero():
                 edges.add((i, j))
                 adjacency[i].add(j)
@@ -83,7 +83,7 @@ def pairwise_verify_faithful(cfg, pa):
         )
     k, ns = pa.K, pa.n
     k2 = 2 * k
-    flats = [ray.vec.flat() for ray in cfg.rays]
+    flats = [ray.flat for ray in cfg.rays]
     spurious, pairs_checked = [], 0
     units, trig = {}, {}  # (bits, c) and (bits, dn) -> fixed-point pair
 
@@ -154,7 +154,7 @@ def reference_phase_apply_export(cfg, pa, precision=20):
             else:
                 cth, sth = mp.mpf(1 if nk == 0 else -1), mp.mpf(0)
             res, ims = [], []
-            for z in ray.vec:
+            for z in VecC3.from_flat(ray.flat):
                 re = mp.mpf(2 * z.a - z.b) / 2
                 im = sqrt3 * z.b / 2
                 res.append(re * cth - im * sth)
@@ -198,7 +198,7 @@ def sub_config(n_rays: int, ids) -> Configuration:
 def rays_config(vecs) -> Configuration:
     """The given vectors as rays 0, 1, ..., in the order given; only the
     rays, which is all phase_apply_export reads."""
-    rays = [Ray(i, v, v.sq_norm()) for i, v in enumerate(vecs)]
+    rays = [Ray(i, v.flat(), v.sq_norm()) for i, v in enumerate(vecs)]
     return Configuration(rays=rays, edges=frozenset(), imaginary_pairs=frozenset(),
                          contexts=[], adjacency=[set() for _ in rays])
 
@@ -550,7 +550,7 @@ class TestCrossCheckOracle:
         # the rays M^k v (conftest.LIFT) have coefficients near 5^k and inner
         # products 25^k c, so the key lanes A*2^h + B run past 64 bits
         n_rays, ids, k, ns = case
-        vecs = lifted([committed_config(n_rays).rays[i].vec for i in ids], k_m)
+        vecs = lifted([VecC3.from_flat(committed_config(n_rays).rays[i].flat) for i in ids], k_m)
         cfg = configuration_from_vectors(vecs, strict=False)
         pa = PhaseAssignment(K=k, n=ns)
         assert verify_outcome(verify_faithful, cfg, pa) == verify_outcome(
@@ -686,8 +686,8 @@ class TestCrossCheckOracle:
     def test_cap_is_a_typed_error(self, monkeypatch):
         # with the cap at 128 bits the same dot stays undecided
         monkeypatch.setattr(realify, "VERIFY_MAX_BITS", 128)
-        (a, b), = flat_inner_row(NEARLY_IMAGINARY_PAIR.rays[0].vec.flat(),
-                                 [NEARLY_IMAGINARY_PAIR.rays[1].vec.flat()])
+        (a, b), = flat_inner_row(NEARLY_IMAGINARY_PAIR.rays[0].flat,
+                                 [NEARLY_IMAGINARY_PAIR.rays[1].flat])
         with pytest.raises(PrecisionDisagreement,
                            match=rf"^c = {a} \+ {b}w, dn = 0: exact says nonzero, .* "
                                  r"at 128 bits, the last before the 128-bit cap$"):
@@ -724,7 +724,7 @@ class TestCrossCheckOracle:
             b = 2 * a
         k = 6 * m + r
         cfg = unvalidated_config(VecC3.make(1, 0, 0), VecC3.make(EisensteinInt(a, b), 1, 0))
-        (ca, cb), = flat_inner_row(cfg.rays[0].vec.flat(), [cfg.rays[1].vec.flat()])
+        (ca, cb), = flat_inner_row(cfg.rays[0].flat, [cfg.rays[1].flat])
         with mp.workprec(2 * k.bit_length() + 64):
             zero = int(mp.nint(k * mp.atan2(2 * ca - cb, mp.sqrt(3) * cb) / mp.pi))
         dn = {"uniform": u % (2 * k), "0 or K": u % 2 * k, "zero": zero % (2 * k)}[phase]
@@ -792,7 +792,7 @@ class TestExport:
     def test_matches_reference_export(self, case):
         # every field, string for string, against the mp-object evaluation
         n_rays, ids, k_m, k, ns, precision = case
-        vecs = lifted([committed_config(n_rays).rays[i].vec for i in ids], k_m)
+        vecs = lifted([VecC3.from_flat(committed_config(n_rays).rays[i].flat) for i in ids], k_m)
         cfg = rays_config(vecs)
         pa = PhaseAssignment(K=k, n=ns)
         rows = phase_apply_export(cfg, pa, precision)
