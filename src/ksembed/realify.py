@@ -44,8 +44,8 @@ class SearchExhausted(RuntimeError):
 
 
 class ExportUndecided(RuntimeError):
-    """An exported field's correctly rounded digits stayed undecided up to
-    the export's working-precision cap."""
+    """An exported field's correctly rounded digits stayed undecided in the
+    export's last pass, the one at its working-precision cap."""
 
 
 class PrecisionDisagreement(RuntimeError):
@@ -331,8 +331,8 @@ def check_k(k: int) -> None:
 # export digits: at least what phase_apply_export evaluates to, at most what
 # exports 741 rays in about 1 s (3.8 s at 2,000: faster than linear growth)
 MIN_PRECISION, MAX_PRECISION = 15, 1000
-# digits beyond the export's precision at a ray's first evaluation, and the
-# most that its retries, each at twice the bits, may reach
+# digits beyond the export's precision in its first pass, and those of its
+# cap: each later pass works at twice the bits, the last exactly at the cap
 EXPORT_GUARD_DIGITS, EXPORT_MAX_GUARD_DIGITS = 15, 1000
 
 
@@ -380,12 +380,14 @@ def phase_apply_export(
     strategy, _decimal_fields): rounding is monotone, so when both ends of
     [F - E, F + E] round to the same p digits, every value in it does, and
     an exact field (E = 0) is one correctly rounded division, so an exact
-    tie goes to the even neighbour.  When the two ends round apart, the
-    whole ray is evaluated again at twice the bits.  The first evaluation
-    works at W + 8 bits, those of precision + EXPORT_GUARD_DIGITS digits;
-    past those of precision + EXPORT_MAX_GUARD_DIGITS, ExportUndecided is
-    raised.  Both committed configurations export at
-    the first evaluation.
+    tie goes to the even neighbour.  The export runs in passes, as
+    verify_faithful's cross-check does: each builds one _FixedPoint and
+    evaluates the rays still undecided, and a ray with two ends that round
+    apart goes to the next pass, at twice the bits.  The first pass works at
+    W + 8 bits, those of precision + EXPORT_GUARD_DIGITS digits, and the last
+    exactly at the cap, those of precision + EXPORT_MAX_GUARD_DIGITS; a ray
+    still undecided there raises ExportUndecided.  Both committed
+    configurations export in the first pass.
     """
     check_precision(precision)
     if len(pa.n) != cfg.n_rays:
@@ -394,23 +396,19 @@ def phase_apply_export(
     first, cap = (max(1, round((precision + d + 1) * 3.3219280948873626))
                   for d in (EXPORT_GUARD_DIGITS, EXPORT_MAX_GUARD_DIGITS))
     ctx = Context(prec=precision, rounding=ROUND_HALF_EVEN, Emax=MAX_EMAX, Emin=MIN_EMIN)
-    points: dict[int, _FixedPoint] = {}  # W + 8 -> W-bit fixed point, built at first use
-
-    def fixed_point(prec: int) -> _FixedPoint:
-        if prec not in points:
-            points[prec] = _FixedPoint(pa.K, prec - 8)
-        return points[prec]
-
-    rows: list[tuple[str, ...]] = []
-    for i, (ray, nk) in enumerate(zip(cfg.rays, pa.n)):
-        prec = first
-        while (row := _export_row(ray.flat, nk, fixed_point(prec), ctx)) is None:
-            if 2 * prec > cap:
-                raise ExportUndecided(
-                    f"ray {i}: a field of {precision} digits is undecided "
-                    f"at {prec} bits, the last before the {cap}-bit cap")
-            prec *= 2
-        rows.append(row)
+    rows: list = [None] * cfg.n_rays
+    prec, undecided = first, range(cfg.n_rays)
+    while undecided:
+        fp, rest = _FixedPoint(pa.K, prec - 8), []
+        for i in undecided:
+            if (row := _export_row(cfg.rays[i].flat, pa.n[i], fp, ctx)) is None:
+                if prec >= cap:
+                    raise ExportUndecided(
+                        f"ray {i}: a field of {precision} digits is undecided "
+                        f"at the {cap}-bit cap")
+                rest.append(i)
+            rows[i] = row
+        undecided, prec = rest, min(2 * prec, cap)
     return rows
 
 
@@ -503,8 +501,8 @@ def _cis(r: int, k: int, pi: int, p: int) -> tuple[int, int]:
 
 
 class _FixedPoint:
-    """W-bit fixed point for the phases pi*n/K, built once per working
-    precision of a phase_apply_export call:
+    """W-bit fixed point for the phases pi*n/K, built once per pass of
+    phase_apply_export, at that pass's working precision:
     sqrt3 = floor(sqrt3*2^W), pi within 1 unit of 2^-P, and a table of
     e^{i pi 2^j/K}, j < L = bit_length(2K), from _cis at P = W + g bits,
     g = bit_length(L*(W + 64)) + 4, each part within e = 2P units.  cos_sin(n) multiplies the entries

@@ -866,7 +866,7 @@ class TestExport:
 
     def test_cap_raises_promptly(self, monkeypatch):
         # with the cap at precision + 0 digits, a ray undecided at 5 and at
-        # 10 digits is refused after those two evaluations
+        # 10 digits is refused after one more pass, at the cap
         cfg = sub_config(165, [7])
         pa = PhaseAssignment(K=1009, n=(1,))
         calls = []
@@ -881,8 +881,37 @@ class TestExport:
         monkeypatch.setattr(realify, "EXPORT_MAX_GUARD_DIGITS", 0)
         with pytest.raises(ExportUndecided, match="ray 0: a field of 15 digits is undecided"):
             phase_apply_export(cfg, pa, 15)
-        first = libmp.dps_to_prec(5)
-        assert calls == [first, 2 * first]
+        first, cap = libmp.dps_to_prec(5), libmp.dps_to_prec(15)
+        assert calls == [first, 2 * first, cap]
+
+    @pytest.mark.parametrize("k, precision", [
+        (10**18 + 1, 975),  # the first pass is at 3,292 bits, the cap at 6,564
+        (10**18 + 1, 1000),  # 3,375 bits, and twice that is past the 6,647-bit cap
+        (10**600 + 1, 20),  # 1,920 bits leave sin(pi/K) undecided; the cap is 3,392
+    ], ids=["1e18-p975", "1e18-p1000", "1e600-p20"])
+    def test_last_pass_is_at_the_cap(self, k, precision):
+        cfg = rays_config([VecC3.make(1, 0, 0)])
+        pa = PhaseAssignment(K=k, n=(1,))
+        rows = phase_apply_export(cfg, pa, precision)
+        assert rows == reference_phase_apply_export(cfg, pa, precision)
+        if k == 10**600 + 1:
+            assert rows[0][3] == "3.1415926535897932385e-600"
+
+    def test_passes_evaluate_only_undecided_rays(self, monkeypatch):
+        # (1, 0, 0) at n = 0 is exact in the first pass; at n = 1 its
+        # sin(pi/K) ~ 3.1e-600 needs every doubling and then the cap
+        calls = []
+        real_row = realify._export_row
+
+        def recording_row(vec, nk, fp, ctx):
+            calls.append((nk, fp.w + 8))
+            return real_row(vec, nk, fp, ctx)
+
+        monkeypatch.setattr(realify, "_export_row", recording_row)
+        cfg = rays_config([VecC3.make(1, 0, 0)] * 2)
+        phase_apply_export(cfg, PhaseAssignment(K=10**600 + 1, n=(0, 1)), 20)
+        assert calls == [(0, 120), (1, 120), (1, 240), (1, 480), (1, 960), (1, 1920),
+                         (1, 3392)]
 
     @pytest.mark.parametrize("values, expected", [
         # the interval holds 10^0, yet both of its ends round to 1
