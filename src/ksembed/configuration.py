@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from math import gcd
 
 from .exact import (
     E_ZERO,
@@ -228,6 +229,7 @@ def closure_generate(
     seed: list[VecC3],
     keep_norm_dividing: int | None = 6,
     cap: int = 10_000,
+    strict: bool = True,
 ) -> Configuration:
     """Generate a configuration by conjugate-cross-product closure.
 
@@ -246,9 +248,31 @@ def closure_generate(
     order 6 (diag(1, 1, w) and conjugation) preserves the set; at bound 6 the
     165-ray set is invariant under the group of order 108.
 
+    A product x is skipped before it is canonicalized when its coordinate
+    norms n_k = N(x_k) give n1 + n2 + n3 > bound * gcd(n1, n2, n3).  The
+    test is exact.  Z[w] is a UFD: write x = d*y with y primitive and y0
+    its first nonzero coordinate.  flat_canonical(x) divides conj(x0) * x
+    = N(d) * conj(y0) * y by its integer content N(d) * g, giving
+    conj(y0) * y / g.  The integer g divides every conj(y0) * y_k, so it
+    divides conj(y0), as y is primitive; so g^2 divides N(y0), and the
+    canonical norm N(y0) * |y|^2 / g^2 is at least |y|^2 = |x|^2 / N(d).
+    N(d) divides every n_k, so N(d) <= gcd(n1, n2, n3): a skipped
+    product's canonical norm exceeds the bound and cannot divide it.  The
+    pretest only skips what the norm filter would, so the rays, their
+    order and the DivergenceGuard are those of the plain loop.  It needs a
+    positive bound: for bound <= 0 it would skip every product, where the
+    filter keeps every completion at 0 (as None does) and the divisors of
+    |bound| below 0.  So ``keep_norm_dividing`` must be None or a positive
+    int, and anything else raises ValueError before any work.
+
     Raises DivergenceGuard when the ray count exceeds ``cap``, which signals
-    a wrong seed (or an unfiltered run).
+    a wrong seed (or an unfiltered run).  ``strict`` is passed to the
+    assembly: non-strict admits the edges outside every triangle that
+    bounds above 6 produce (bound 18 gives the 741-ray stress file).
     """
+    bound = keep_norm_dividing
+    if bound is not None and (type(bound) is not int or bound <= 0):
+        raise ValueError(f"keep_norm_dividing must be None or a positive int, not {bound!r}")
     if not seed:
         raise ZeroVector("empty seed")
     vecs: list[Flat] = []
@@ -262,10 +286,18 @@ def closure_generate(
     while i < len(vecs):
         u = vecs[i]
         for j in range(i):
-            c = flat_canonical(flat_conj_cross(u, vecs[j]))
+            x = flat_conj_cross(u, vecs[j])
+            if bound is not None:
+                p1, q1, p2, q2, p3, q3 = x
+                n1 = p1 * (p1 - q1) + q1 * q1
+                n2 = p2 * (p2 - q2) + q2 * q2
+                n3 = p3 * (p3 - q3) + q3 * q3
+                if n1 + n2 + n3 > bound * gcd(n1, n2, n3):
+                    continue
+            c = flat_canonical(x)
             if c in seen:
                 continue
-            if keep_norm_dividing is not None and keep_norm_dividing % flat_sq_norm(c) != 0:
+            if bound is not None and bound % flat_sq_norm(c) != 0:
                 continue
             seen.add(c)
             vecs.append(c)
@@ -275,7 +307,7 @@ def closure_generate(
                     f"finite configuration under this insertion rule"
                 )
         i += 1
-    return _assemble(vecs)
+    return _assemble(vecs, strict=strict)
 
 
 def configuration_from_vectors(vecs: list[VecC3], strict: bool = True) -> Configuration:

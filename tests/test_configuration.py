@@ -5,7 +5,7 @@ import random
 import re
 import warnings
 from fractions import Fraction
-from math import lcm
+from math import gcd, lcm
 from pathlib import Path
 
 import pytest
@@ -13,6 +13,7 @@ from conftest import lifted
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from ksembed import configuration
 from ksembed.configuration import (
     DivergenceGuard,
     DuplicateRay,
@@ -39,6 +40,7 @@ from ksembed.exact import (
     conj_cross,
     cross,
     flat_canonical,
+    flat_conj_cross,
     flat_inner_row,
     flat_sq_norm,
     hermitian_inner,
@@ -243,6 +245,94 @@ class TestClosure:
     def test_empty_seed_rejected(self):
         with pytest.raises(ZeroVector):
             closure_generate([])
+
+
+def closure_reference(seed, bound, cap):
+    """The closure as a plain loop: canonicalize every product, then check
+    whether it is new and whether its norm divides ``bound``; returns the
+    canonical flats in insertion order."""
+    vecs, seen = [], set()
+    for v in seed:
+        c = flat_canonical(v.flat())
+        if c not in seen:
+            seen.add(c)
+            vecs.append(c)
+    i = 0
+    while i < len(vecs):
+        for j in range(i):
+            c = flat_canonical(flat_conj_cross(vecs[i], vecs[j]))
+            if c in seen or bound % flat_sq_norm(c) != 0:
+                continue
+            seen.add(c)
+            vecs.append(c)
+            if len(vecs) > cap:
+                raise DivergenceGuard(f"more than {cap} rays")
+        i += 1
+    return vecs
+
+
+def coordinate_norms(x):
+    return [a * a - a * b + b * b for a, b in zip(x[::2], x[1::2])]
+
+
+# MUB rays and small flats, so that drawn seeds both close and diverge
+seed_flat = st.one_of(st.sampled_from([v.flat() for v in mub_seed()]),
+                      st.tuples(*[st.integers(-2, 2)] * 6).filter(any))
+
+
+class TestClosurePretest:
+    """closure_generate skips a product x before canonicalizing it when
+    |x|^2 > bound * gcd of its coordinate norms; the skip is exact."""
+
+    @given(st.tuples(*[st.integers(-20, 20)] * 6).filter(any))
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_norm_bound(self, x):
+        norms = coordinate_norms(x)
+        assert flat_sq_norm(flat_canonical(x)) * gcd(*norms) >= sum(norms)
+
+    def test_matches_reference_at_published_bound(self, full_config):
+        ref = closure_reference(mub_seed(), 6, 10_000)
+        assert sorted((flat_sq_norm(f), f) for f in ref) == [
+            (r.sq_norm, r.flat) for r in full_config.rays]
+
+    @given(st.lists(seed_flat, min_size=2, max_size=5), st.integers(1, 12))
+    @settings(max_examples=100, deadline=None)
+    def test_matches_reference_on_drawn_seeds(self, flats, bound):
+        seed = [VecC3.from_flat(f) for f in flats]
+        try:
+            ref = sorted((flat_sq_norm(f), f) for f in closure_reference(seed, bound, 60))
+        except DivergenceGuard:
+            with pytest.raises(DivergenceGuard):
+                closure_generate(seed, bound, cap=60, strict=False)
+            return
+        cfg = closure_generate(seed, bound, cap=60, strict=False)
+        assert [(r.sq_norm, r.flat) for r in cfg.rays] == ref
+
+    def test_canonicalizes_5874_products_of_the_mub_seed(self, monkeypatch):
+        seed = mub_seed()
+        calls = []
+
+        def counted(v):
+            calls.append(v)
+            return flat_canonical(v)
+
+        monkeypatch.setattr(configuration, "flat_canonical", counted)
+        assert closure_generate(seed).n_rays == 165
+        # 12 seed rays and 5,862 products; canonicalizing all 13,530 products
+        # would make 13,542 calls
+        assert len(calls) == 5874
+
+    def test_bound_18_gives_the_committed_stress_file(self):
+        path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rays741.txt"
+        cfg = closure_generate(mub_seed(), 18, strict=False)
+        assert export_rays(cfg).encode() == path.read_bytes()
+
+    @pytest.mark.parametrize("bound", [0, -6, 6.0, True, "6"])
+    def test_bound_not_a_positive_int_refused(self, bound, monkeypatch):
+        seed = mub_seed()
+        monkeypatch.setattr(configuration, "flat_canonical", None)  # refused before any work
+        with pytest.raises(ValueError, match=re.escape(f"not {bound!r}")):
+            closure_generate(seed, bound)
 
 
 @functools.lru_cache(maxsize=None)
