@@ -13,9 +13,10 @@ with --expect/--no-expect so the tool stays useful on other configurations:
   uncolorable   colorability search returns UNSAT
   best128       maximum number of covered contexts is 128
 
-By default a check runs only at the paper's scale (generate from the MUB
-seed, certify on a 165-ray configuration).  Forcing on a check that the
-command, or certify's mode, never evaluates (CHECKS_RUN) is an error.
+generate always closes the MUB seed, so it runs its checks by default;
+certify runs its own by default only on a 165-ray configuration.  realify
+takes no check flags.  Forcing on a check that the command, or
+certify's mode, never evaluates (CHECKS_RUN) is an error.
 """
 
 from __future__ import annotations
@@ -33,12 +34,10 @@ from . import valuations as valmod
 
 KNOWN_CHECKS = ("rays165", "contexts130", "uncolorable", "best128")
 
-#: the checks each command, and each certify mode, evaluates
+#: the checks each command that takes --expect, and each certify mode, evaluates
 CHECKS_RUN = {
     "generate": ("rays165", "contexts130"),
-    "realify": (),
     "certify --mode color": ("uncolorable",),
-    "certify --mode maximize": ("best128",),
     "certify --mode all": ("uncolorable", "best128"),
     "report": KNOWN_CHECKS,
 }
@@ -143,13 +142,8 @@ def _check_phase_flags(args) -> None:
 
 
 def cmd_generate(report: RunReport, expects: _Expectations) -> cfgmod.Configuration:
-    seed_choice = report.inputs["seed_choice"]
     t0 = time.perf_counter()
-    if seed_choice == "mub":
-        seed = cfgmod.mub_seed()
-    else:
-        seed = cfgmod.mub_bases()[0]
-    cfg = cfgmod.closure_generate(seed)
+    cfg = cfgmod.closure_generate(cfgmod.mub_seed())
     t0 = _stage(report, "closure", t0)
     _write_atomic(report.inputs["out"], cfgmod.export_rays(cfg))
     _stage(report, "export", t0)
@@ -158,10 +152,9 @@ def cmd_generate(report: RunReport, expects: _Expectations) -> cfgmod.Configurat
         "edges": len(cfg.edges),
         "contexts": len(cfg.contexts),
     }
-    paper_scale = seed_choice == "mub"
-    if expects.active("rays165", paper_scale):
+    if expects.active("rays165", True):
         report.check("rays165", cfg.n_rays == 165, f"rays={cfg.n_rays}")
-    if expects.active("contexts130", paper_scale):
+    if expects.active("contexts130", True):
         report.check("contexts130", len(cfg.contexts) == 130,
                      f"contexts={len(cfg.contexts)}")
     return cfg
@@ -206,14 +199,13 @@ def cmd_certify(report: RunReport, cfg: cfgmod.Configuration, expects: _Expectat
         color = opt.colorability
         t0 = _stage(report, "maximize", t0)
 
-    if mode in ("color", "all"):
-        report.results["colorable"] = color.satisfiable
-        report.results["color_nodes"] = color.nodes
-        if color.witness is not None:
-            report.results["color_witness"] = color.witness.ones()
-        if expects.active("uncolorable", paper_scale):
-            report.check("uncolorable", not color.satisfiable,
-                         f"colorable={color.satisfiable}")
+    report.results["colorable"] = color.satisfiable
+    report.results["color_nodes"] = color.nodes
+    if color.witness is not None:
+        report.results["color_witness"] = color.witness.ones()
+    if expects.active("uncolorable", paper_scale):
+        report.check("uncolorable", not color.satisfiable,
+                     f"colorable={color.satisfiable}")
 
     if opt is not None:
         if not valmod.replay_certificate(cfg, opt):
@@ -233,7 +225,7 @@ def cmd_certify(report: RunReport, cfg: cfgmod.Configuration, expects: _Expectat
 
 
 def cmd_report(args, expects: _Expectations) -> RunReport:
-    """Full reproduction: generate, then realify, then certify (both modes),
+    """Full reproduction: generate, then realify, then certify (--mode all),
     all on the generated configuration; the ray file is written, not read."""
     _check_phase_flags(args)
     os.makedirs(args.out_dir, exist_ok=True)
@@ -241,7 +233,7 @@ def cmd_report(args, expects: _Expectations) -> RunReport:
         name: os.path.join(args.out_dir, f"{name}.txt")
         for name in ("rays", "phases", "vectors", "certificate")
     }
-    gen = RunReport(command="generate", inputs={"out": paths["rays"], "seed_choice": "mub"})
+    gen = RunReport(command="generate", inputs={"out": paths["rays"]})
     cfg = cmd_generate(gen, expects)
     rea = RunReport(command="realify", inputs=dict(
         K=args.K, strategy=args.strategy, seed=args.seed, precision=args.precision,
@@ -302,8 +294,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="build the configuration by closure "
                                         "and write a ray file")
     g.add_argument("--out", required=True, help="ray file to write")
-    g.add_argument("--seed-choice", choices=("mub", "basis-only"), default="mub",
-                   help="closure seed: the 12 MUB rays or just the computational basis")
     add_expect_flags(g)
 
     r = sub.add_parser("realify", help="search rational phases and verify the "
@@ -312,12 +302,11 @@ def build_parser() -> argparse.ArgumentParser:
     add_phase_flags(r)
     r.add_argument("--out-phases", default=None, help="phase file to write")
     r.add_argument("--out-vectors", default=None, help="vector export to write")
-    add_expect_flags(r)
 
     c = sub.add_parser("certify", help="run colorability and/or maximization "
                                        "with replayable certificates")
     c.add_argument("--rays", required=True, help="ray file to ingest")
-    c.add_argument("--mode", choices=("color", "maximize", "all"), default="all")
+    c.add_argument("--mode", choices=("color", "all"), default="all")
     c.add_argument("--out-certificate", default=None, help="certificate file to write")
     add_expect_flags(c)
 
@@ -335,8 +324,9 @@ def main(argv: list[str] | None = None) -> int:
     args = argparse.Namespace(command=None)
     try:
         build_parser().parse_args(argv, args)
-        run_by = args.command + (f" --mode {args.mode}" if args.command == "certify" else "")
-        expects = _Expectations(args.expect, args.no_expect, run_by)
+        if args.command != "realify":  # the one command without check flags
+            run_by = args.command + (f" --mode {args.mode}" if args.command == "certify" else "")
+            expects = _Expectations(args.expect, args.no_expect, run_by)
         if args.command == "report":
             report = cmd_report(args, expects)
         else:
@@ -350,7 +340,7 @@ def main(argv: list[str] | None = None) -> int:
                 cmd_realify(report, _load_configuration(report, args.rays))
             else:
                 if args.mode == "color" and args.out_certificate:  # before the ray file is read
-                    raise ValueError("--out-certificate needs --mode maximize or all: "
+                    raise ValueError("--out-certificate needs --mode all: "
                                      "--mode color writes no certificate")
                 cmd_certify(report, _load_configuration(report, args.rays), expects)
     except Exception as exc:  # deliberately broad: no failure escapes as a traceback

@@ -43,6 +43,12 @@ class EngineError(RuntimeError):
     """The search engine failed one of its own checks."""
 
 
+class LayoutTooLarge(ValueError):
+    """Every admissible valuation leaves 3 or more contexts uncovered, so the
+    refutation layout would hold every set of up to C - best - 1 contexts,
+    a family that grows combinatorially with the context count C."""
+
+
 class ModelKind(Enum):
     """COMPLEX_MAXIMAL: each context sums to exactly 1.
     REAL_EMBEDDED: pairwise exclusivity only; each context sums to at most 1.
@@ -362,6 +368,12 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     with ks_colorable's search as the empty set.  They are solved one after
     another, in subproblem order; the first satisfiable one raises
     InconsistentCertificates.
+
+    The first satisfiable budget is C - best, and the layout holds the
+    sets of fewer excluded contexts than it: at most 1 + C while it is at
+    most 2.  So escalation stops before budget 3 with LayoutTooLarge,
+    having proved budgets 0-2 unsatisfiable: every admissible valuation
+    leaves 3 or more of the C contexts uncovered.
     """
     # each public entry point builds its own problem (about 0.6 ms at 165 rays)
     # rather than sharing one through a cache
@@ -376,6 +388,11 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
         budget += 1
         if budget > n_ctx:
             raise EngineError("budget escalation exceeded the context count")
+        if budget == 3:
+            raise LayoutTooLarge(
+                f"budgets 0-2 are unsatisfiable: every admissible valuation leaves "
+                f"3 or more of the {n_ctx} contexts uncovered, and the refutation "
+                f"layout for that is not built")
         mask, stats = _solve(problem, range(n_ctx), budget)
         escalation_nodes += stats.nodes
         if mask is not None:

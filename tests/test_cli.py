@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import shutil
 from pathlib import Path
 
 import pytest
@@ -87,23 +88,6 @@ class TestGenerate:
         cfg = ingest_rays(out.read_text())
         assert cfg.n_rays == 165
 
-    def test_basis_only_seed(self, capsys, tmp_path):
-        out = tmp_path / "basis.txt"
-        code, report = run(capsys, "generate", "--out", str(out),
-                           "--seed-choice", "basis-only")
-        assert code == EXIT_OK
-        assert report["results"]["rays"] == 3
-        assert report["results"]["contexts"] == 1
-        # paper checks do not apply to a toy seed
-        assert report["checks"] == []
-
-    def test_forced_expectation_fails_on_toy_seed(self, capsys, tmp_path):
-        out = tmp_path / "basis.txt"
-        code, report = run(capsys, "generate", "--out", str(out),
-                           "--seed-choice", "basis-only", "--expect", "rays165")
-        assert code == EXIT_DISCREPANCY
-        assert report["status"] == "discrepancy"
-
     def test_disabled_expectation(self, capsys, tmp_path):
         out = tmp_path / "rays.txt"
         code, report = run(capsys, "generate", "--out", str(out),
@@ -162,16 +146,29 @@ class TestUsageErrors:
         (["realify", "--rays", "x", "--K", "abc"], "realify",
          "argument --K: invalid int value: 'abc'"),
         ([], None, "the following arguments are required: command"),
-    ], ids=["invalid-choice", "invalid-int", "missing-subcommand"])
-    def test_usage_error_is_a_json_error(self, capsys, argv, command, message):
+        # removed options, each with an output file that must not be written
+        (["generate", "--out", "{tmp}/rays.txt", "--seed-choice", "mub"], "generate",
+         "unrecognized arguments: --seed-choice mub"),
+        (["realify", "--rays", str(RAYS165), "--out-phases", "{tmp}/phases.txt",
+          "--expect", "rays165"], "realify", "unrecognized arguments: --expect rays165"),
+        (["realify", "--rays", str(RAYS165), "--out-phases", "{tmp}/phases.txt",
+          "--no-expect", "rays165"], "realify",
+         "unrecognized arguments: --no-expect rays165"),
+        (["certify", "--rays", str(RAYS165), "--mode", "maximize",
+          "--out-certificate", "{tmp}/certificate.txt"], "certify",
+         "argument --mode: invalid choice: 'maximize'"),
+    ], ids=["invalid-choice", "invalid-int", "missing-subcommand", "generate-seed-choice",
+            "realify-expect", "realify-no-expect", "certify-maximize"])
+    def test_usage_error_is_a_json_error(self, capsys, tmp_path, argv, command, message):
         # not argparse's exit 2, which is the discrepancy code
-        code = main(argv)
+        code = main([arg.format(tmp=tmp_path) for arg in argv])
         captured = capsys.readouterr()
         report = json.loads(captured.out)
         assert code == EXIT_ERROR
         assert report["status"] == "error" and report["command"] == command
         assert report["results"]["error"].startswith(f"ArgumentError: {message}")
         assert captured.err.startswith(f"error: {message}")
+        assert list(tmp_path.iterdir()) == []
 
     def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
@@ -186,7 +183,7 @@ STEPS = ("cmd_generate", "cmd_realify", "cmd_certify")
 class TestCommands:
     @pytest.mark.parametrize("argv, inputs", [
         (["generate", "--out", "{tmp}/rays.txt", "--no-expect", "rays165"],
-         {"out": "{tmp}/rays.txt", "seed_choice": "mub"}),
+         {"out": "{tmp}/rays.txt"}),
         (["realify", "--rays", "{rays}"],
          {"rays": "{rays}", "K": 1009, "strategy": "distinct", "seed": 0, "precision": 20,
           "out_phases": None, "out_vectors": None}),
@@ -229,12 +226,10 @@ class TestCommands:
 
 class TestForcedChecks:
     @pytest.mark.parametrize("argv, skipped", [
-        (["generate", "--seed-choice", "basis-only", "--expect", "uncolorable"],
-         ["uncolorable"]),
+        (["generate", "--expect", "uncolorable"], ["uncolorable"]),
         (["realify", "--expect", "rays165"], ["rays165"]),
         (["certify", "--mode", "color", "--expect", "best128", "--expect", "rays165"],
          ["best128", "rays165"]),
-        (["certify", "--mode", "maximize", "--expect", "uncolorable"], ["uncolorable"]),
         (["certify", "--mode", "all", "--expect", "contexts130"], ["contexts130"]),
     ])
     def test_check_the_command_never_evaluates_is_an_error(self, capsys, tmp_path,
@@ -262,10 +257,75 @@ class TestForcedChecks:
     def test_evaluated_check_forced_on_toy_input(self, capsys, tmp_path):
         toy = tmp_path / "toy.txt"
         toy.write_text("1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n")
-        code, report = run(capsys, "certify", "--rays", str(toy), "--mode", "maximize",
+        code, report = run(capsys, "certify", "--rays", str(toy), "--mode", "all",
                            "--expect", "best128")
         assert code == EXIT_DISCREPANCY
         assert [c["name"] for c in report["checks"]] == ["best128"]
+
+
+class TestForcedCheckResolution:
+    """Every drawn set of --expect/--no-expect flags ends in one JSON object
+    whose status matches its exit code, and resolves as documented."""
+
+    # the checks each run evaluates; realify takes no check flags
+    EVALUATES = {
+        ("generate",): {"rays165", "contexts130"},
+        ("realify",): set(),
+        ("certify", "color"): {"uncolorable"},
+        ("certify", "all"): {"uncolorable", "best128"},
+    }
+    NAMES = st.lists(st.sampled_from(cli.KNOWN_CHECKS + ("bogus",)), max_size=3)
+
+    @given(st.sampled_from(sorted(EVALUATES)), NAMES, NAMES)
+    @settings(max_examples=100, deadline=None)
+    @example(("generate",), [], ["rays165"])  # ok, contexts130 alone
+    @example(("certify", "color"), ["best128"], [])  # an error: never evaluated
+    @example(("realify",), [], [])  # ok, no checks
+    @example(("realify",), [], ["rays165"])  # a usage error
+    @example(("certify", "color"), ["uncolorable"], ["best128"])  # discrepancy
+    @example(("certify", "all"), ["best128", "best128"], [])  # discrepancy, listed once
+    def test_forced_checks_resolve_as_documented(self, mutation_dir, run_by, on, off):
+        toy = mutation_dir / "toy.txt"
+        toy.write_text("1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n")
+        out = mutation_dir / "forced"
+        shutil.rmtree(out, ignore_errors=True)
+        out.mkdir()
+        command = run_by[0]
+        if command == "generate":
+            argv = ["generate", "--out", str(out / "rays.txt")]
+        elif command == "realify":
+            argv = ["realify", "--rays", str(toy), "--out-phases", str(out / "phases.txt"),
+                    "--out-vectors", str(out / "vectors.txt")]
+        else:
+            argv = ["certify", "--rays", str(toy), "--mode", run_by[1]]
+            if run_by[1] == "all":
+                argv += ["--out-certificate", str(out / "certificate.txt")]
+        argv += [arg for name in on for arg in ("--expect", name)]
+        argv += [arg for name in off for arg in ("--no-expect", name)]
+        stdout = io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
+            code = main(argv)
+        report = json.loads(stdout.getvalue())
+        assert {"ok": EXIT_OK, "discrepancy": EXIT_DISCREPANCY,
+                "error": EXIT_ERROR}[report["status"]] == code
+
+        evaluated = self.EVALUATES[run_by]
+        error = (any(name not in cli.KNOWN_CHECKS for name in on + off)
+                 or set(on) & set(off)
+                 or any(name not in evaluated for name in on)
+                 or (command == "realify" and (on or off)))
+        if error:
+            assert code == EXIT_ERROR, report
+            assert list(out.iterdir()) == []
+            return
+        listed = sorted(c["name"] for c in report["checks"])
+        if command == "generate":
+            assert listed == sorted(evaluated - set(off))
+            assert code == EXIT_OK
+        else:
+            # on the toy file no check runs by default, and a forced one fails
+            assert listed == sorted(set(on))
+            assert code == (EXIT_DISCREPANCY if listed else EXIT_OK)
 
 
 class TestRealify:
@@ -378,7 +438,7 @@ class TestCertify:
     def test_maximize_mode_full_configuration(self, capsys, rays_file, tmp_path):
         cert = tmp_path / "certificate.txt"
         code, report = run(capsys, "certify", "--rays", rays_file,
-                           "--mode", "maximize", "--out-certificate", str(cert))
+                           "--mode", "all", "--out-certificate", str(cert))
         assert code == EXIT_OK
         assert report["results"]["best"] == 128
         assert report["results"]["bounds"] == [0, 128]
@@ -403,7 +463,7 @@ class TestCertify:
         toy = tmp_path / "toy.txt"
         toy.write_text("1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n")
         code, report = run(capsys, "certify", "--rays", str(toy),
-                           "--mode", "maximize")
+                           "--mode", "all")
         assert code == EXIT_OK
         assert report["results"]["best"] == 1
 
@@ -412,11 +472,11 @@ class TestCertify:
         ("color", lambda p, must, budget: ((1 << len(p.adj)) - 1,
                                            valuations.SolveStats()),
          "inadmissible witness"),
-        ("maximize", lambda p, must, budget: (
+        ("all", lambda p, must, budget: (
             None if budget == 0 else (1 << len(p.adj)) - 1, valuations.SolveStats()),
          "inadmissible witness"),
         # nothing is ever satisfiable: escalation passes the context count
-        ("maximize", lambda p, must, budget: (None, valuations.SolveStats()),
+        ("all", lambda p, must, budget: (None, valuations.SolveStats()),
          "exceeded the context count"),
     ])
     def test_engine_error_is_a_json_status(self, capsys, tmp_path, monkeypatch,
@@ -429,6 +489,18 @@ class TestCertify:
         assert report["status"] == "error"
         assert report["results"]["error"].startswith("EngineError: ")
         assert message in report["results"]["error"]
+
+    def test_layout_too_large_is_a_json_status(self, capsys, tmp_path, monkeypatch):
+        # a stub engine that finds nothing: escalation stops before budget 3
+        monkeypatch.setattr(valuations, "_solve",
+                            lambda p, must, budget: (None, valuations.SolveStats()))
+        cert = tmp_path / "certificate.txt"
+        code, report = run(capsys, "certify", "--rays", str(RAYS165),
+                           "--out-certificate", str(cert))
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert report["results"]["error"].startswith("LayoutTooLarge: budgets 0-2 ")
+        assert not cert.exists()
 
     def test_incomplete_certificate_is_not_written(self, capsys, rays_file, tmp_path,
                                                    monkeypatch):
@@ -459,7 +531,7 @@ class TestCertify:
         assert code == EXIT_ERROR
         assert report["status"] == "error"
         assert report["results"]["error"] == (
-            "ValueError: --out-certificate needs --mode maximize or all: "
+            "ValueError: --out-certificate needs --mode all: "
             "--mode color writes no certificate")
         assert not cert.exists()
 

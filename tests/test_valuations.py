@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 
 from ksembed import valuations
 from ksembed.configuration import (
+    Configuration,
     configuration_from_vectors,
     ingest_rays,
     mub_bases,
@@ -18,6 +19,7 @@ from ksembed.configuration import (
 )
 from ksembed.valuations import (
     InconsistentCertificates,
+    LayoutTooLarge,
     ModelKind,
     OptimizationResult,
     SizeMismatch,
@@ -489,6 +491,38 @@ class TestMaximize:
         with pytest.raises(InconsistentCertificates,
                            match=r"excluding \(0,\) is satisfiable.*best = 0"):
             maximize_covered_contexts(two_disjoint_contexts())
+
+    def test_escalation_stops_before_budget_3(self, full_config, monkeypatch):
+        # a stub engine that finds nothing: budgets 0-2 are searched, 3 is not
+        budgets = []
+
+        def unsatisfiable(problem, must_cover, budget):
+            budgets.append(budget)
+            return None, SolveStats()
+
+        monkeypatch.setattr(valuations, "_solve", unsatisfiable)
+        with pytest.raises(LayoutTooLarge, match="3 or more of the 130 contexts"):
+            maximize_covered_contexts(full_config)
+        assert budgets == [0, 1, 2]
+
+    def test_two_published_copies_exceed_the_layout_cap(self, full_config):
+        # each copy leaves 2 of its contexts uncovered, so the union leaves 4:
+        # the budget-3 and budget-4 searches and the refutation family of
+        # every set of at most 3 of the 260 contexts are never started
+        n = full_config.n_rays
+        cfg = Configuration(
+            rays=full_config.rays + [replace(r, id=r.id + n) for r in full_config.rays],
+            edges=full_config.edges | {(i + n, j + n) for i, j in full_config.edges},
+            imaginary_pairs=full_config.imaginary_pairs
+            | {(i + n, j + n) for i, j in full_config.imaginary_pairs},
+            contexts=full_config.contexts
+            + [tuple(r + n for r in ctx) for ctx in full_config.contexts],
+            adjacency=full_config.adjacency
+            + [{j + n for j in a} for a in full_config.adjacency],
+        )
+        assert (cfg.n_rays, len(cfg.edges), len(cfg.contexts)) == (330, 780, 260)
+        with pytest.raises(LayoutTooLarge, match="3 or more of the 260 contexts"):
+            maximize_covered_contexts(cfg)
 
 
 class TestGlobalSumBounds:
