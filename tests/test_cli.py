@@ -230,6 +230,8 @@ class TestForcedChecks:
         (["realify", "--expect", "rays165"], ["rays165"]),
         (["certify", "--mode", "color", "--expect", "best128", "--expect", "rays165"],
          ["best128", "rays165"]),
+        (["certify", "--mode", "all", "--expect", "rays165", "--expect", "best128"],
+         ["rays165"]),
         (["certify", "--mode", "all", "--expect", "contexts130"], ["contexts130"]),
     ])
     def test_check_the_command_never_evaluates_is_an_error(self, capsys, tmp_path,
