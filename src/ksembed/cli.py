@@ -5,18 +5,18 @@ stderr so two runs are byte-identical) and mirrors its status in the exit
 code: 0 ok, 2 discrepancy (a paper-anchored expectation failed), 1 error,
 a usage error included.
 
-The paper-anchored expectations are named checks, individually switchable
-with --expect/--no-expect so the tool stays useful on other configurations:
+The paper-anchored expectations are named checks:
 
   rays165       generated configuration has 165 rays
   contexts130   ... and 130 contexts
   uncolorable   colorability search returns UNSAT
   best128       maximum number of covered contexts is 128
 
-generate always closes the MUB seed, so it runs its checks by default;
-certify runs its own by default only on a 165-ray configuration.  realify
-takes no check flags.  Forcing on a check that the command, or
-certify's mode, never evaluates (CHECKS_RUN) is an error.
+generate always closes the MUB seed, so it always runs the first two, and
+report all four.  certify runs its own by default only on a 165-ray
+configuration, and is the one command that takes --expect/--no-expect to
+switch them individually; forcing on a check that certify's mode never
+evaluates (CHECKS_RUN) is an error.  realify runs no checks.
 """
 
 from __future__ import annotations
@@ -34,12 +34,10 @@ from . import valuations as valmod
 
 KNOWN_CHECKS = ("rays165", "contexts130", "uncolorable", "best128")
 
-#: the checks each command that takes --expect, and each certify mode, evaluates
+#: the checks each certify mode evaluates
 CHECKS_RUN = {
-    "generate": ("rays165", "contexts130"),
     "certify --mode color": ("uncolorable",),
     "certify --mode all": ("uncolorable", "best128"),
-    "report": KNOWN_CHECKS,
 }
 
 EXIT_OK = 0
@@ -141,7 +139,7 @@ def _check_phase_flags(args) -> None:
 # report runs all three on the configuration generate builds.
 
 
-def cmd_generate(report: RunReport, expects: _Expectations) -> cfgmod.Configuration:
+def cmd_generate(report: RunReport) -> cfgmod.Configuration:
     t0 = time.perf_counter()
     cfg = cfgmod.closure_generate(cfgmod.mub_seed())
     t0 = _stage(report, "closure", t0)
@@ -152,11 +150,8 @@ def cmd_generate(report: RunReport, expects: _Expectations) -> cfgmod.Configurat
         "edges": len(cfg.edges),
         "contexts": len(cfg.contexts),
     }
-    if expects.active("rays165", True):
-        report.check("rays165", cfg.n_rays == 165, f"rays={cfg.n_rays}")
-    if expects.active("contexts130", True):
-        report.check("contexts130", len(cfg.contexts) == 130,
-                     f"contexts={len(cfg.contexts)}")
+    report.check("rays165", cfg.n_rays == 165, f"rays={cfg.n_rays}")
+    report.check("contexts130", len(cfg.contexts) == 130, f"contexts={len(cfg.contexts)}")
     return cfg
 
 
@@ -224,7 +219,7 @@ def cmd_certify(report: RunReport, cfg: cfgmod.Configuration, expects: _Expectat
             report.check("best128", opt.best == 128, f"best={opt.best}")
 
 
-def cmd_report(args, expects: _Expectations) -> RunReport:
+def cmd_report(args) -> RunReport:
     """Full reproduction: generate, then realify, then certify (--mode all),
     all on the generated configuration; the ray file is written, not read."""
     _check_phase_flags(args)
@@ -234,14 +229,14 @@ def cmd_report(args, expects: _Expectations) -> RunReport:
         for name in ("rays", "phases", "vectors", "certificate")
     }
     gen = RunReport(command="generate", inputs={"out": paths["rays"]})
-    cfg = cmd_generate(gen, expects)
+    cfg = cmd_generate(gen)
     rea = RunReport(command="realify", inputs=dict(
         K=args.K, strategy=args.strategy, seed=args.seed, precision=args.precision,
         out_phases=paths["phases"], out_vectors=paths["vectors"]))
     cmd_realify(rea, cfg)
     cer = RunReport(command="certify", inputs=dict(
         mode="all", out_certificate=paths["certificate"]))
-    cmd_certify(cer, cfg, expects)
+    cmd_certify(cer, cfg, _Expectations([], [], "certify --mode all"))
 
     steps = {"generate": gen, "realify": rea, "certify": cer}
     report = RunReport(command="report", inputs={"out_dir": args.out_dir})
@@ -273,12 +268,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_expect_flags(p):
-        p.add_argument("--expect", action="append", default=[], metavar="CHECK",
-                       help=f"force a named check on; known: {', '.join(KNOWN_CHECKS)}")
-        p.add_argument("--no-expect", action="append", default=[], metavar="CHECK",
-                       help="force a named check off")
-
     def add_phase_flags(p):
         p.add_argument("--K", type=int, default=None,
                        help="phase denominator, gcd(K,6)=1 (default 1009, or the "
@@ -294,7 +283,6 @@ def build_parser() -> argparse.ArgumentParser:
     g = sub.add_parser("generate", help="build the configuration by closure "
                                         "and write a ray file")
     g.add_argument("--out", required=True, help="ray file to write")
-    add_expect_flags(g)
 
     r = sub.add_parser("realify", help="search rational phases and verify the "
                                        "R^6 embedding is faithful")
@@ -308,13 +296,15 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rays", required=True, help="ray file to ingest")
     c.add_argument("--mode", choices=("color", "all"), default="all")
     c.add_argument("--out-certificate", default=None, help="certificate file to write")
-    add_expect_flags(c)
+    c.add_argument("--expect", action="append", default=[], metavar="CHECK",
+                   help=f"force a named check on; known: {', '.join(KNOWN_CHECKS)}")
+    c.add_argument("--no-expect", action="append", default=[], metavar="CHECK",
+                   help="force a named check off")
 
     a = sub.add_parser("report", help="full paper reproduction: generate + "
                                       "realify + certify into a directory")
     a.add_argument("--out-dir", required=True, help="directory for all artifacts")
     add_phase_flags(a)
-    add_expect_flags(a)
 
     return parser
 
@@ -324,21 +314,20 @@ def main(argv: list[str] | None = None) -> int:
     args = argparse.Namespace(command=None)
     try:
         build_parser().parse_args(argv, args)
-        if args.command != "realify":  # the one command without check flags
-            run_by = args.command + (f" --mode {args.mode}" if args.command == "certify" else "")
-            expects = _Expectations(args.expect, args.no_expect, run_by)
         if args.command == "report":
-            report = cmd_report(args, expects)
+            report = cmd_report(args)
         else:
             report = RunReport(command=args.command, inputs={
                 key: value for key, value in vars(args).items()
                 if key not in ("command", "expect", "no_expect")})
             if args.command == "generate":
-                cmd_generate(report, expects)
+                cmd_generate(report)
             elif args.command == "realify":
                 _check_phase_flags(args)
                 cmd_realify(report, _load_configuration(report, args.rays))
             else:
+                expects = _Expectations(args.expect, args.no_expect,
+                                        f"certify --mode {args.mode}")
                 if args.mode == "color" and args.out_certificate:  # before the ray file is read
                     raise ValueError("--out-certificate needs --mode all: "
                                      "--mode color writes no certificate")

@@ -90,10 +90,14 @@ class Violation:
     where: tuple[int, ...]
 
 
-def check_valuation(cfg: Configuration, val: Valuation, model: ModelKind) -> list[Violation]:
-    """All violations of the model's admissibility criteria; empty = admissible."""
+def _check_size(cfg: Configuration, val: Valuation) -> None:
     if len(val.bits) != cfg.n_rays:
         raise SizeMismatch(f"{len(val.bits)} values for {cfg.n_rays} rays")
+
+
+def check_valuation(cfg: Configuration, val: Valuation, model: ModelKind) -> list[Violation]:
+    """All violations of the model's admissibility criteria; empty = admissible."""
+    _check_size(cfg, val)
     out: list[Violation] = []
     for i, j in sorted(cfg.edges):
         if val.bits[i] and val.bits[j]:
@@ -109,6 +113,7 @@ def check_valuation(cfg: Configuration, val: Valuation, model: ModelKind) -> lis
 
 def covered_contexts(cfg: Configuration, val: Valuation) -> int:
     """Number of contexts whose three rays carry total value exactly 1."""
+    _check_size(cfg, val)
     return sum(1 for ctx in cfg.contexts if sum(val.bits[r] for r in ctx) == 1)
 
 

@@ -88,18 +88,6 @@ class TestGenerate:
         cfg = ingest_rays(out.read_text())
         assert cfg.n_rays == 165
 
-    def test_disabled_expectation(self, capsys, tmp_path):
-        out = tmp_path / "rays.txt"
-        code, report = run(capsys, "generate", "--out", str(out),
-                           "--no-expect", "rays165", "--no-expect", "contexts130")
-        assert code == EXIT_OK
-        assert report["checks"] == []
-
-    def test_unknown_check_name(self, capsys, tmp_path):
-        code, report = run(capsys, "generate", "--out", str(tmp_path / "r.txt"),
-                           "--expect", "raysss")
-        assert code == EXIT_ERROR
-
     def test_unwritable_path_leaves_no_partial_file(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "rays.txt"
         code, report = run(capsys, "generate", "--out", str(target))
@@ -157,8 +145,17 @@ class TestUsageErrors:
         (["certify", "--rays", str(RAYS165), "--mode", "maximize",
           "--out-certificate", "{tmp}/certificate.txt"], "certify",
          "argument --mode: invalid choice: 'maximize'"),
+        (["generate", "--out", "{tmp}/rays.txt", "--expect", "rays165"], "generate",
+         "unrecognized arguments: --expect rays165"),
+        (["generate", "--out", "{tmp}/rays.txt", "--no-expect", "contexts130"], "generate",
+         "unrecognized arguments: --no-expect contexts130"),
+        (["report", "--out-dir", "{tmp}/rep", "--expect", "best128"], "report",
+         "unrecognized arguments: --expect best128"),
+        (["report", "--out-dir", "{tmp}/rep", "--no-expect", "uncolorable"], "report",
+         "unrecognized arguments: --no-expect uncolorable"),
     ], ids=["invalid-choice", "invalid-int", "missing-subcommand", "generate-seed-choice",
-            "realify-expect", "realify-no-expect", "certify-maximize"])
+            "realify-expect", "realify-no-expect", "certify-maximize", "generate-expect",
+            "generate-no-expect", "report-expect", "report-no-expect"])
     def test_usage_error_is_a_json_error(self, capsys, tmp_path, argv, command, message):
         # not argparse's exit 2, which is the discrepancy code
         code = main([arg.format(tmp=tmp_path) for arg in argv])
@@ -182,8 +179,7 @@ STEPS = ("cmd_generate", "cmd_realify", "cmd_certify")
 
 class TestCommands:
     @pytest.mark.parametrize("argv, inputs", [
-        (["generate", "--out", "{tmp}/rays.txt", "--no-expect", "rays165"],
-         {"out": "{tmp}/rays.txt"}),
+        (["generate", "--out", "{tmp}/rays.txt"], {"out": "{tmp}/rays.txt"}),
         (["realify", "--rays", "{rays}"],
          {"rays": "{rays}", "K": 1009, "strategy": "distinct", "seed": 0, "precision": 20,
           "out_phases": None, "out_vectors": None}),
@@ -226,34 +222,42 @@ class TestCommands:
 
 class TestForcedChecks:
     @pytest.mark.parametrize("argv, skipped", [
-        (["generate", "--expect", "uncolorable"], ["uncolorable"]),
-        (["realify", "--expect", "rays165"], ["rays165"]),
-        (["certify", "--mode", "color", "--expect", "best128", "--expect", "rays165"],
+        (["--mode", "color", "--expect", "contexts130"], ["contexts130"]),
+        (["--mode", "color", "--expect", "uncolorable", "--expect", "contexts130"],
+         ["contexts130"]),
+        (["--mode", "color", "--expect", "best128", "--expect", "rays165"],
          ["best128", "rays165"]),
-        (["certify", "--mode", "all", "--expect", "rays165", "--expect", "best128"],
-         ["rays165"]),
-        (["certify", "--mode", "all", "--expect", "contexts130"], ["contexts130"]),
+        (["--mode", "all", "--expect", "rays165", "--expect", "best128"], ["rays165"]),
+        (["--mode", "all", "--expect", "contexts130"], ["contexts130"]),
     ])
     def test_check_the_command_never_evaluates_is_an_error(self, capsys, tmp_path,
                                                            argv, skipped):
         toy = tmp_path / "toy.txt"
         toy.write_text("1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n")
-        out = tmp_path / "rays.txt"
-        source = ["--out", str(out)] if argv[0] == "generate" else ["--rays", str(toy)]
-        code, report = run(capsys, argv[0], *source, *argv[1:])
+        code, report = run(capsys, "certify", "--rays", str(toy), *argv)
         assert code == EXIT_ERROR
         assert report["status"] == "error"
-        for name in skipped:
-            assert name in report["results"]["error"]
+        assert report["results"]["error"].startswith(
+            f"ValueError: certify {argv[0]} {argv[1]} never evaluates forced check(s) "
+            f"{', '.join(skipped)}")
+
+    def test_unknown_check_name(self, capsys, tmp_path):
+        out = tmp_path / "certificate.txt"
+        code, report = run(capsys, "certify", "--rays", str(RAYS165),
+                           "--out-certificate", str(out), "--expect", "raysss")
+        assert code == EXIT_ERROR
+        assert report["results"]["error"].startswith("ValueError: unknown check 'raysss'")
         assert not out.exists()
 
     def test_check_forced_both_on_and_off_is_an_error(self, capsys, tmp_path):
-        out = tmp_path / "rays.txt"
-        code, report = run(capsys, "generate", "--out", str(out),
-                           "--expect", "rays165", "--no-expect", "rays165")
+        out = tmp_path / "certificate.txt"
+        code, report = run(capsys, "certify", "--rays", str(RAYS165),
+                           "--out-certificate", str(out),
+                           "--expect", "best128", "--no-expect", "best128")
         assert code == EXIT_ERROR
         assert report["status"] == "error"
-        assert "rays165" in report["results"]["error"]
+        assert report["results"]["error"] == (
+            "ValueError: check(s) best128 forced both on and off")
         assert not out.exists()
 
     def test_evaluated_check_forced_on_toy_input(self, capsys, tmp_path):
@@ -269,7 +273,7 @@ class TestForcedCheckResolution:
     """Every drawn set of --expect/--no-expect flags ends in one JSON object
     whose status matches its exit code, and resolves as documented."""
 
-    # the checks each run evaluates; realify takes no check flags
+    # the checks each run evaluates; only certify takes check flags
     EVALUATES = {
         ("generate",): {"rays165", "contexts130"},
         ("realify",): set(),
@@ -280,7 +284,8 @@ class TestForcedCheckResolution:
 
     @given(st.sampled_from(sorted(EVALUATES)), NAMES, NAMES)
     @settings(max_examples=100, deadline=None)
-    @example(("generate",), [], ["rays165"])  # ok, contexts130 alone
+    @example(("generate",), [], [])  # ok, both checks
+    @example(("generate",), [], ["rays165"])  # a usage error
     @example(("certify", "color"), ["best128"], [])  # an error: never evaluated
     @example(("realify",), [], [])  # ok, no checks
     @example(("realify",), [], ["rays165"])  # a usage error
@@ -315,14 +320,14 @@ class TestForcedCheckResolution:
         error = (any(name not in cli.KNOWN_CHECKS for name in on + off)
                  or set(on) & set(off)
                  or any(name not in evaluated for name in on)
-                 or (command == "realify" and (on or off)))
+                 or (command != "certify" and (on or off)))
         if error:
             assert code == EXIT_ERROR, report
             assert list(out.iterdir()) == []
             return
         listed = sorted(c["name"] for c in report["checks"])
         if command == "generate":
-            assert listed == sorted(evaluated - set(off))
+            assert listed == sorted(evaluated)
             assert code == EXIT_OK
         else:
             # on the toy file no check runs by default, and a forced one fails

@@ -296,6 +296,14 @@ class TestCheckValuation:
             check_valuation(full_config, Valuation.zeros(10),
                             ModelKind.REAL_EMBEDDED)
 
+    @pytest.mark.parametrize("change", ["append", "drop"])
+    def test_covered_contexts_size_mismatch(self, full_config, change):
+        # the maximization witness, one bit longer or shorter
+        bits = maximize_covered_contexts(full_config).witness.bits
+        bits = bits + (0,) if change == "append" else bits[:-1]
+        with pytest.raises(SizeMismatch, match=f"{len(bits)} values for 165 rays"):
+            covered_contexts(full_config, Valuation(bits))
+
     def test_complex_admissible_implies_real_admissible(self):
         cfg = two_disjoint_contexts()
         rng = random.Random(12)
