@@ -15,8 +15,12 @@ The paper-anchored expectations are named checks:
 generate always closes the MUB seed, so it always runs the first two, and
 report all four.  certify runs its own by default only on a 165-ray
 configuration, and is the one command that takes --expect/--no-expect to
-switch them individually; forcing on a check that certify's mode never
-evaluates (CHECKS_RUN) is an error.  realify runs no checks.
+switch them individually (_forced_checks); forcing on a check that
+certify's mode never evaluates (CHECKS_RUN) is an error.  realify runs no
+checks.
+
+report takes only --out-dir and runs realify at REALIFY_DEFAULTS; other
+phase settings are run as generate, realify and certify one by one.
 """
 
 from __future__ import annotations
@@ -36,9 +40,12 @@ KNOWN_CHECKS = ("rays165", "contexts130", "uncolorable", "best128")
 
 #: the checks each certify mode evaluates
 CHECKS_RUN = {
-    "certify --mode color": ("uncolorable",),
-    "certify --mode all": ("uncolorable", "best128"),
+    "color": ("uncolorable",),
+    "all": ("uncolorable", "best128"),
 }
+
+#: realify's option defaults, which report runs at
+REALIFY_DEFAULTS = {"K": None, "strategy": "distinct", "seed": 0, "precision": 20}
 
 EXIT_OK = 0
 EXIT_ERROR = 1
@@ -74,31 +81,26 @@ class RunReport:
         return {"ok": EXIT_OK, "discrepancy": EXIT_DISCREPANCY}.get(self.status, EXIT_ERROR)
 
 
-class _Expectations:
-    """Resolve which named checks are active for this run."""
-
-    def __init__(self, forced_on: list[str], forced_off: list[str], run_by: str):
-        for name in forced_on + forced_off:
-            if name not in KNOWN_CHECKS:
-                raise ValueError(f"unknown check {name!r}; known: {KNOWN_CHECKS}")
-        evaluated = CHECKS_RUN[run_by]
-        skipped = [name for name in forced_on if name not in evaluated]
-        if skipped:
-            raise ValueError(f"{run_by} never evaluates forced check(s) "
-                             f"{', '.join(skipped)}; it evaluates: "
-                             f"{', '.join(evaluated) or 'none'}")
-        both = sorted(set(forced_on) & set(forced_off))
-        if both:
-            raise ValueError(f"check(s) {', '.join(both)} forced both on and off")
-        self.on = set(forced_on)
-        self.off = set(forced_off)
-
-    def active(self, name: str, default: bool) -> bool:
-        if name in self.off:
-            return False
-        if name in self.on:
-            return True
-        return default
+def _forced_checks(args) -> dict[str, bool]:
+    """certify's --expect/--no-expect as {check: forced on}.  Raises
+    ValueError, before any file is read or written, on an unknown check, a
+    check forced on that the mode never evaluates, a check forced both ways,
+    or a certificate file asked of --mode color."""
+    for name in args.expect + args.no_expect:
+        if name not in KNOWN_CHECKS:
+            raise ValueError(f"unknown check {name!r}; known: {KNOWN_CHECKS}")
+    evaluated = CHECKS_RUN[args.mode]
+    skipped = [name for name in args.expect if name not in evaluated]
+    if skipped:
+        raise ValueError(f"certify --mode {args.mode} never evaluates forced check(s) "
+                         f"{', '.join(skipped)}; it evaluates: {', '.join(evaluated)}")
+    both = sorted(set(args.expect) & set(args.no_expect))
+    if both:
+        raise ValueError(f"check(s) {', '.join(both)} forced both on and off")
+    if args.mode == "color" and args.out_certificate:
+        raise ValueError("--out-certificate needs --mode all: "
+                         "--mode color writes no certificate")
+    return {name: name in args.expect for name in args.expect + args.no_expect}
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -125,13 +127,6 @@ def _stage(report: RunReport, name: str, t0: float) -> float:
     t1 = time.perf_counter()
     report.timing[name] = round(t1 - t0, 6)
     return t1
-
-
-def _check_phase_flags(args) -> None:
-    """Refuse an invalid --K or --precision before any file is written."""
-    if args.K is not None:
-        remod.check_k(args.K)
-    remod.check_precision(args.precision)
 
 
 # --- commands: each reads its options from report.inputs, works on an
@@ -180,7 +175,8 @@ def cmd_realify(report: RunReport, cfg: cfgmod.Configuration) -> None:
         report.status = "discrepancy"
 
 
-def cmd_certify(report: RunReport, cfg: cfgmod.Configuration, expects: _Expectations) -> None:
+def cmd_certify(report: RunReport, cfg: cfgmod.Configuration,
+                forced: dict[str, bool]) -> None:
     mode = report.inputs["mode"]
     paper_scale = cfg.n_rays == 165
     t0 = time.perf_counter()
@@ -198,7 +194,7 @@ def cmd_certify(report: RunReport, cfg: cfgmod.Configuration, expects: _Expectat
     report.results["color_nodes"] = color.nodes
     if color.witness is not None:
         report.results["color_witness"] = color.witness.ones()
-    if expects.active("uncolorable", paper_scale):
+    if forced.get("uncolorable", paper_scale):
         report.check("uncolorable", not color.satisfiable,
                      f"colorable={color.satisfiable}")
 
@@ -215,14 +211,13 @@ def cmd_certify(report: RunReport, cfg: cfgmod.Configuration, expects: _Expectat
             _write_atomic(report.inputs["out_certificate"],
                           valmod.certificate_to_text(cfg, opt))
         _stage(report, "certificate", t0)
-        if expects.active("best128", paper_scale):
+        if forced.get("best128", paper_scale):
             report.check("best128", opt.best == 128, f"best={opt.best}")
 
 
 def cmd_report(args) -> RunReport:
     """Full reproduction: generate, then realify, then certify (--mode all),
     all on the generated configuration; the ray file is written, not read."""
-    _check_phase_flags(args)
     os.makedirs(args.out_dir, exist_ok=True)
     paths = {
         name: os.path.join(args.out_dir, f"{name}.txt")
@@ -231,12 +226,11 @@ def cmd_report(args) -> RunReport:
     gen = RunReport(command="generate", inputs={"out": paths["rays"]})
     cfg = cmd_generate(gen)
     rea = RunReport(command="realify", inputs=dict(
-        K=args.K, strategy=args.strategy, seed=args.seed, precision=args.precision,
-        out_phases=paths["phases"], out_vectors=paths["vectors"]))
+        REALIFY_DEFAULTS, out_phases=paths["phases"], out_vectors=paths["vectors"]))
     cmd_realify(rea, cfg)
     cer = RunReport(command="certify", inputs=dict(
         mode="all", out_certificate=paths["certificate"]))
-    cmd_certify(cer, cfg, _Expectations([], [], "certify --mode all"))
+    cmd_certify(cer, cfg, {})
 
     steps = {"generate": gen, "realify": rea, "certify": cer}
     report = RunReport(command="report", inputs={"out_dir": args.out_dir})
@@ -268,18 +262,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_phase_flags(p):
-        p.add_argument("--K", type=int, default=None,
-                       help="phase denominator, gcd(K,6)=1 (default 1009, or the "
-                            "smallest valid K >= the ray count above 1009 rays)")
-        p.add_argument("--strategy", choices=remod.STRATEGIES, default="distinct",
-                       help="phase search strategy (default distinct)")
-        p.add_argument("--seed", type=int, default=0,
-                       help="rng seed for the greedy-random strategy")
-        p.add_argument("--precision", type=int, default=20,
-                       help="significant digits for the vector export, "
-                            f"{remod.MIN_PRECISION}..{remod.MAX_PRECISION} (default 20)")
-
     g = sub.add_parser("generate", help="build the configuration by closure "
                                         "and write a ray file")
     g.add_argument("--out", required=True, help="ray file to write")
@@ -287,7 +269,16 @@ def build_parser() -> argparse.ArgumentParser:
     r = sub.add_parser("realify", help="search rational phases and verify the "
                                        "R^6 embedding is faithful")
     r.add_argument("--rays", required=True, help="ray file to ingest")
-    add_phase_flags(r)
+    r.add_argument("--K", type=int,
+                   help="phase denominator, gcd(K,6)=1 (default 1009, or the "
+                        "smallest valid K >= the ray count above 1009 rays)")
+    r.add_argument("--strategy", choices=remod.STRATEGIES,
+                   help="phase search strategy (default %(default)s)")
+    r.add_argument("--seed", type=int, help="rng seed for the greedy-random strategy")
+    r.add_argument("--precision", type=int,
+                   help="significant digits for the vector export, "
+                        f"{remod.MIN_PRECISION}..{remod.MAX_PRECISION} (default %(default)s)")
+    r.set_defaults(**REALIFY_DEFAULTS)
     r.add_argument("--out-phases", default=None, help="phase file to write")
     r.add_argument("--out-vectors", default=None, help="vector export to write")
 
@@ -304,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     a = sub.add_parser("report", help="full paper reproduction: generate + "
                                       "realify + certify into a directory")
     a.add_argument("--out-dir", required=True, help="directory for all artifacts")
-    add_phase_flags(a)
 
     return parser
 
@@ -323,15 +313,14 @@ def main(argv: list[str] | None = None) -> int:
             if args.command == "generate":
                 cmd_generate(report)
             elif args.command == "realify":
-                _check_phase_flags(args)
+                # an invalid --K or --precision is refused before the ray file is read
+                if args.K is not None:
+                    remod.check_k(args.K)
+                remod.check_precision(args.precision)
                 cmd_realify(report, _load_configuration(report, args.rays))
             else:
-                expects = _Expectations(args.expect, args.no_expect,
-                                        f"certify --mode {args.mode}")
-                if args.mode == "color" and args.out_certificate:  # before the ray file is read
-                    raise ValueError("--out-certificate needs --mode all: "
-                                     "--mode color writes no certificate")
-                cmd_certify(report, _load_configuration(report, args.rays), expects)
+                forced = _forced_checks(args)
+                cmd_certify(report, _load_configuration(report, args.rays), forced)
     except Exception as exc:  # deliberately broad: no failure escapes as a traceback
         error = RunReport(command=args.command, inputs={}, status="error",
                           results={"error": f"{type(exc).__name__}: {exc}"})

@@ -1,7 +1,39 @@
+import signal
+
 import pytest
 
 from ksembed.configuration import closure_generate, mub_bases, mub_seed
 from ksembed.exact import E_ZERO, VecC3
+
+
+#: seconds any one test may run; the slowest takes about 3 s on 2 cores
+TEST_TIME_BOUND = 120
+
+
+class TimeBoundExceeded(BaseException):
+    """A BaseException, so that neither the CLI's broad handler nor
+    Hypothesis (which would retry and shrink) treats it as a failure to
+    catch: it ends the test that hung."""
+
+
+@pytest.fixture(autouse=True)
+def time_bound():
+    """Fail a test that runs past TEST_TIME_BOUND, so that a hang names its
+    test; SIGALRM, where the platform has it."""
+    if not hasattr(signal, "setitimer"):
+        yield
+        return
+
+    def expire(signum, frame):
+        raise TimeBoundExceeded(f"test ran past {TEST_TIME_BOUND} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, TEST_TIME_BOUND)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
 
 
 @pytest.fixture(scope="session")

@@ -153,9 +153,18 @@ class TestUsageErrors:
          "unrecognized arguments: --expect best128"),
         (["report", "--out-dir", "{tmp}/rep", "--no-expect", "uncolorable"], "report",
          "unrecognized arguments: --no-expect uncolorable"),
+        (["report", "--out-dir", "{tmp}/rep", "--K", "5"], "report",
+         "unrecognized arguments: --K 5"),
+        (["report", "--out-dir", "{tmp}/rep", "--strategy", "backtracking"], "report",
+         "unrecognized arguments: --strategy backtracking"),
+        (["report", "--out-dir", "{tmp}/rep", "--seed", "1"], "report",
+         "unrecognized arguments: --seed 1"),
+        (["report", "--out-dir", "{tmp}/rep", "--precision", "40"], "report",
+         "unrecognized arguments: --precision 40"),
     ], ids=["invalid-choice", "invalid-int", "missing-subcommand", "generate-seed-choice",
             "realify-expect", "realify-no-expect", "certify-maximize", "generate-expect",
-            "generate-no-expect", "report-expect", "report-no-expect"])
+            "generate-no-expect", "report-expect", "report-no-expect", "report-K",
+            "report-strategy", "report-seed", "report-precision"])
     def test_usage_error_is_a_json_error(self, capsys, tmp_path, argv, command, message):
         # not argparse's exit 2, which is the discrepancy code
         code = main([arg.format(tmp=tmp_path) for arg in argv])
@@ -601,21 +610,6 @@ class TestReport:
         # every named check still passes: the discrepancy is realify's own
         assert all(c["ok"] for c in report["checks"])
 
-    @pytest.mark.parametrize("flag, value, error", [
-        pytest.param("--precision", "3", "precision must be >= 15", id="precision-3"),
-        pytest.param("--K", "9", "InvalidK", id="K-9"),
-        pytest.param("--precision", "1000000", "and <= 1000 significant digits",
-                     id="precision-1000000"),
-    ])
-    def test_low_precision_refused_before_any_file(self, capsys, tmp_path, flag, value,
-                                                   error):
-        out_dir = tmp_path / "repro"
-        code, report = run(capsys, "report", "--out-dir", str(out_dir), flag, value)
-        assert code == EXIT_ERROR
-        assert report["status"] == "error"
-        assert error in report["results"]["error"]
-        assert not out_dir.exists()
-
     def test_published_solver_counters(self, full_config):
         # the counts behind the golden certificate, readable
         color = valuations.ks_colorable(full_config)
@@ -728,9 +722,10 @@ class TestSubconfigurationRayFiles:
         assert results["bounds"] == [0, results["best"]]
 
 
-class TestReportOptions:
-    """Every drawn `report` ends in exactly one JSON object whose status
-    matches its exit code, never in a traceback; an error names its type."""
+class TestRealifyOptions:
+    """Every drawn `realify` of the published rays ends in exactly one JSON
+    object whose status matches its exit code, never in a traceback; an
+    error names its type."""
 
     @given(st.integers(-2, 120), st.sampled_from(realify.STRATEGIES),
            st.integers(-2**63, 2**63), st.integers(0, 1100))
@@ -741,7 +736,9 @@ class TestReportOptions:
                                                precision):
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main(["report", "--out-dir", str(mutation_dir / "report"),
+            code = main(["realify", "--rays", str(RAYS165),
+                         "--out-phases", str(mutation_dir / "phases.txt"),
+                         "--out-vectors", str(mutation_dir / "vectors.txt"),
                          "--K", str(k), "--strategy", strategy, "--seed", str(seed),
                          "--precision", str(precision)])
         report = json.loads(out.getvalue())
@@ -751,6 +748,73 @@ class TestReportOptions:
         if code == EXIT_ERROR:
             assert report["results"]["error"].startswith(
                 ("InvalidK: ", "SearchExhausted: ", "ValueError: ")), report
+
+
+FAITHFUL165 = {"spurious": 0, "missing": 0, "pairs_checked": 13530}
+FAITHFUL741 = {"spurious": 0, "missing": 0, "pairs_checked": 274170}
+
+
+class TestPinnedArtifacts:
+    """Runs past the published settings, each with its JSON results and the
+    sha256 of every file it writes pinned: the exports at other precisions,
+    large and small K, and colourability at stress scale."""
+
+    @pytest.mark.parametrize("argv, results, pins", [
+        (["realify", "--rays", RAYS741], dict(FAITHFUL741, K=1009), {
+            "--out-phases": "f660961e569dc15c19d4a4d9d342e238566fef17b17e0a441a77a05f22a9226c",
+            "--out-vectors": "d75cb151e6bc8e4b1f667a1d35531010e48aa72552c7683b61a4a58295edbfd0",
+        }),
+        (["realify", "--rays", RAYS741, "--precision", 15], FAITHFUL741, {
+            "--out-vectors": "5deeb78af2bff2de0edc73893aff6b330e2196929b787d2e802a5fe1ebd7c39f",
+        }),
+        (["realify", "--rays", RAYS741, "--precision", 40], FAITHFUL741, {
+            "--out-vectors": "a085a3cd8cf0570bf484f26e09fde3d5b7b02f74d36fa127e2788c9c9d308b74",
+        }),
+        (["realify", "--rays", RAYS165, "--precision", 15], FAITHFUL165, {
+            "--out-vectors": "63daf30ca465c21132db631c51812c1b5f9c715cdc7b10ffb84afcd8f896d30b",
+        }),
+        (["realify", "--rays", RAYS165, "--precision", 40], FAITHFUL165, {
+            "--out-vectors": "67517e74ac93dc7f064c8af53cd89e0c3ae7e51fcd2e09ea17428f92500a273f",
+        }),
+        (["realify", "--rays", RAYS165, "--precision", 1000], FAITHFUL165, {
+            "--out-vectors": "c94c64f3eb6d1035f06e62e8b0019aa3dade6db9d8e2d76b12e10f6548b303ce",
+        }),
+        (["realify", "--rays", RAYS741, "--K", 10**18 + 1],
+         dict(FAITHFUL741, K=10**18 + 1), {
+            "--out-phases": "c4edac1abe9b7024e6705aa29a57d66a3aa8e604e393cae1132293a3ca206941",
+            "--out-vectors": "39485fbafe0d57261954c7a79c399f3b9620772f3a06c1db8337bdc1472de2e5",
+        }),
+        # the first pass leaves ray 1 undecided, and twice its bits pass the
+        # cap of p + 1000 digits, so the last pass is at the cap
+        (["realify", "--rays", RAYS165, "--K", 10**18 + 1, "--precision", 1000],
+         dict(FAITHFUL165, K=10**18 + 1), {
+            "--out-vectors": "0c24d44be667348703ba26c2029f9ced86f45fa968e12ea2a9225e43a0983885",
+        }),
+        # directions located from 256 bits, the first precision where
+        # K*2^-bits < 1/2
+        (["realify", "--rays", RAYS741, "--K", 10**51 + 1],
+         dict(FAITHFUL741, K=10**51 + 1), {
+            "--out-phases": "97825b816e424bf26a73dec263f04fb0124d8342786689ea9d42c7c707d6e9a4",
+            "--out-vectors": "8507ceea523e482ec9e20469640f79aa92499f5b0954ab66f9b76e6d0565e831",
+        }),
+        (["realify", "--rays", RAYS165, "--strategy", "backtracking", "--K", 5],
+         dict(FAITHFUL165, K=5), {
+            "--out-phases": "b82b89c00ba94368336843365370b58d746f60abef79804ec4a43397262491c6",
+            "--out-vectors": "1f401b1ef581af76cb3d6dd4d564f489766b6616507c7d5561718a4facb1130d",
+        }),
+        (["certify", "--rays", RAYS741, "--mode", "color"],
+         {"colorable": False, "color_nodes": 11}, {}),
+    ], ids=["741-p20", "741-p15", "741-p40", "165-p15", "165-p40", "165-p1000",
+            "741-K1e18", "165-K1e18-p1000", "741-K1e51", "165-K5-backtracking",
+            "741-color"])
+    def test_artifacts_match_their_pins(self, capsys, tmp_path, argv, results, pins):
+        paths = {flag: tmp_path / flag.lstrip("-") for flag in pins}
+        code, report = run(capsys, *map(str, argv),
+                           *(arg for flag, path in paths.items() for arg in (flag, str(path))))
+        assert code == EXIT_OK and report["status"] == "ok", report
+        assert {key: report["results"][key] for key in results} == results
+        assert {flag: hashlib.sha256(path.read_bytes()).hexdigest()
+                for flag, path in paths.items()} == pins
 
 
 class TestObjectLayer:

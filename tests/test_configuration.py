@@ -1,6 +1,8 @@
 """Configuration generation: canonical forms, MUBs, closure, file round-trips."""
 
 import functools
+import hashlib
+import inspect
 import random
 import re
 import warnings
@@ -233,6 +235,15 @@ class TestClosure:
         with pytest.raises(DivergenceGuard):
             closure_generate(mub_seed(), keep_norm_dividing=None, cap=500)
 
+    def test_cap_admits_exactly_its_ray_count(self):
+        # the guard fires on the first ray past the cap, not on reaching it
+        assert closure_generate(mub_seed(), cap=165).n_rays == 165
+        with pytest.raises(DivergenceGuard, match="^closure exceeded 164 rays;"):
+            closure_generate(mub_seed(), cap=164)
+
+    def test_default_cap(self):
+        assert inspect.signature(closure_generate).parameters["cap"].default == 10_000
+
     def test_deterministic_under_seed_permutation(self, full_config):
         seed = mub_seed()
         rng = random.Random(99)
@@ -326,6 +337,12 @@ class TestClosurePretest:
         path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rays741.txt"
         cfg = closure_generate(mub_seed(), 18, strict=False)
         assert export_rays(cfg).encode() == path.read_bytes()
+
+    def test_bound_24_closure(self):
+        cfg = closure_generate(mub_seed(), 24, strict=False)
+        assert (cfg.n_rays, len(cfg.edges), len(cfg.contexts)) == (1221, 3228, 832)
+        assert hashlib.sha256(export_rays(cfg).encode()).hexdigest() == (
+            "f4b42cd9f4979164a28159564eed423dfb0cde35beb29557f9478b6df64438cd")
 
     @pytest.mark.parametrize("bound", [0, -6, 6.0, True, "6"])
     def test_bound_not_a_positive_int_refused(self, bound, monkeypatch):

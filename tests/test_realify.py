@@ -617,6 +617,29 @@ class TestCrossCheckOracle:
                            match=r"c = 1 \+ 2w is purely imaginary.*at \[0, 1009\], 0.25 from"):
             verify_faithful(IMAGINARY_PAIR, PhaseAssignment(K=1009, n=(0, 0)))
 
+    @pytest.mark.parametrize("cfg, pa, fault, message", [
+        # c = i*sqrt3 has its zeros at dn = 0 and K; n0 one below 0
+        (IMAGINARY_PAIR, PhaseAssignment(K=1009, n=(0, 0)),
+         lambda k, n0, offset: (n0 - 1, offset),
+         r"c = 1 \+ 2w is purely imaginary.*at \[1008, 2017\], 0 from"),
+        # c = 2 + w has a zero at dn = 336; n0 one period 2K below it, and the
+        # zero put on an integer, so that it is never settled
+        (unvalidated_config(VecC3.make(1, 0, 0), VecC3.make(EisensteinInt(2, 1), 1, 0)),
+         PhaseAssignment(K=1009, n=(0, 336)),
+         lambda k, n0, offset: (n0 - 2 * k, Fraction(0)),
+         r"^c = 2 \+ 1w, dn = 336: exact says nonzero"),
+    ], ids=["imaginary", "nonzero"])
+    def test_messages_name_dn_mod_2k(self, monkeypatch, cfg, pa, fault, message):
+        # each message reduces n0 mod 2K, the period of e^{i dn pi/K}
+        locate = realify._zero_near
+
+        def faulty(y, x, k, pi, bits):
+            return fault(k, *locate(y, x, k, pi, bits))
+
+        monkeypatch.setattr(realify, "_zero_near", faulty)
+        with pytest.raises(PrecisionDisagreement, match=message):
+            verify_faithful(cfg, pa)
+
     @pytest.mark.parametrize("fault, raises", [
         (lambda k, bits, offset: Fraction(0), True),
         (lambda k, bits, offset: offset - Fraction(k, 1 << bits + 1), False),
