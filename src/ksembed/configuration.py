@@ -60,7 +60,12 @@ def ascii_digits(text: str) -> bool:
 
 
 class DuplicateRay(ValueError):
-    """Two input rays canonicalize to the same projective class."""
+    """Two input rays canonicalize to the same projective class; ``first``
+    and ``second`` are their 0-based positions among the input rays."""
+
+    def __init__(self, first: int, second: int, message: str | None = None):
+        super().__init__(message or f"rays {first} and {second} are the same projective class")
+        self.first, self.second = first, second
 
 
 def canonicalize(v: VecC3) -> VecC3:
@@ -316,7 +321,7 @@ def configuration_from_vectors(vecs: list[VecC3], strict: bool = True) -> Config
     seen: dict[Flat, int] = {}
     for pos, c in enumerate(canon):
         if c in seen:
-            raise DuplicateRay(f"rays {seen[c]} and {pos} are the same projective class")
+            raise DuplicateRay(seen[c], pos)
         seen[c] = pos
     return _assemble(canon, strict=strict)
 
@@ -365,11 +370,13 @@ def ingest_rays(text: str) -> Configuration:
     """Parse a ray file and assemble the configuration it describes.
 
     Raises ParseError (with line number) on malformed input and DuplicateRay
-    when two lines canonicalize identically.  For a 165-ray configuration the
-    published coefficient-range claim (every coordinate an integer in
-    {-2..2} times a power of w) is checked and violations warn, not error.
+    (naming both lines) when two lines canonicalize identically.  For a
+    165-ray configuration the published coefficient-range claim (every
+    coordinate an integer in {-2..2} times a power of w) is checked and
+    violations warn, not error.
     """
     vecs: list[VecC3] = []
+    linenos: list[int] = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -389,9 +396,14 @@ def ingest_rays(text: str) -> Configuration:
         if v.is_zero():
             raise ParseError(lineno, "zero vector is not a ray")
         vecs.append(v)
+        linenos.append(lineno)
     if not vecs:
         raise ParseError(None, "no rays in input")
-    cfg = configuration_from_vectors(vecs, strict=False)
+    try:
+        cfg = configuration_from_vectors(vecs, strict=False)
+    except DuplicateRay as e:
+        raise DuplicateRay(e.first, e.second, f"line {linenos[e.second]}: same projective "
+                           f"class as line {linenos[e.first]}") from None
     if cfg.n_rays == 165:
         bad = [r.id for r in cfg.rays
                if not all(map(_in_published_alphabet, r.flat[::2], r.flat[1::2]))]

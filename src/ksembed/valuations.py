@@ -20,6 +20,11 @@ neighbors.  Each search is
 indices, all-zero contexts among them count against the uncovered budget,
 and once the budget is saturated the third ray of every open two-zero
 context is forced to 1, lowest index first.
+
+Every budget-0 search is recorded as one CoverSearch: the contexts it lets
+stay uncovered, its node and propagation counts, and its witness (None when
+the rest cannot all be covered).  ks_colorable returns the one that excludes
+nothing, and a maximization certificate is a list of them.
 """
 
 from __future__ import annotations
@@ -198,14 +203,9 @@ def _make_problem(cfg: Configuration) -> _Problem:
     return _build_tables(adj, cfg.contexts, order)
 
 
-@dataclass
-class SolveStats:
-    nodes: int = 0
-    propagations: int = 0
-
-
-def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, SolveStats]:
-    """DFS with unit propagation.  Returns (ones mask by ray id | None, stats).
+def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, int, int]:
+    """DFS with unit propagation.  Returns (ones mask by ray id | None,
+    nodes, propagations).
     Iterative, so its depth is not bounded by the recursion limit.
 
     ``must_cover`` is any iterable of context indices, read as a set: its
@@ -280,85 +280,81 @@ def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, Solv
             mask = 0
             for i, ray in enumerate(problem.order):
                 mask |= (ones >> i & 1) << ray
-            return mask, SolveStats(nodes, propagations)
+            return mask, nodes, propagations
         bit = free & -free
         r = bit.bit_length() - 1
         stack.append((ones, zeros | bit, unc, a0 & z0[r], a1 & z1[r], a2 & z2[r]))
         stack.append((ones | bit, zeros | adj[r], unc & uncover[r],
                       a0 & o0[r], a1 & o1[r], a2 & o2[r]))
-    return None, SolveStats(nodes, propagations)
+    return None, nodes, propagations
 
 
-# --- colorability ----------------------------------------------------------
-
-
-@dataclass
-class ColorabilityResult:
-    """SAT with a verified witness, or UNSAT with an exhaustion certificate.
-
-    The certificate is the deterministic search trace summary (node and
-    propagation counts for the budget-0 all-contexts subproblem); replaying
-    the same subproblem reproduces it exactly.
-    """
-
-    satisfiable: bool
-    witness: Valuation | None
-    nodes: int
-    propagations: int
-
-
-def ks_colorable(cfg: Configuration) -> ColorabilityResult:
-    """Complete backtracking test for a two-valued state with exactly one
-    value-1 ray per context and exclusivity on every orthogonality edge."""
-    if not cfg.contexts:
-        raise ValueError("configuration has no contexts")
-    mask, stats = _solve(_make_problem(cfg), range(len(cfg.contexts)), 0)
-    if mask is None:
-        return ColorabilityResult(False, None, stats.nodes, stats.propagations)
-    witness = Valuation.from_mask(mask, cfg.n_rays)
-    bad = check_valuation(cfg, witness, ModelKind.COMPLEX_MAXIMAL)
-    if bad:
-        raise EngineError(f"engine returned an inadmissible witness: {bad[:3]}")
-    return ColorabilityResult(True, witness, stats.nodes, stats.propagations)
-
-
-# --- maximization ----------------------------------------------------------
+# --- cover searches --------------------------------------------------------
 
 
 @dataclass(frozen=True)
-class RefutationEntry:
-    """One refuted subproblem: the contexts allowed to stay uncovered, the
-    node/propagation counts of its exhaustive search, and the result."""
+class CoverSearch:
+    """One budget-0 search that covers every context but ``excluded``: the
+    node and propagation counts of its exhaustive, deterministic search, and
+    the valuation it found, or None if there is none (the line refutes).
+    Replaying the same search reproduces the record exactly."""
 
     excluded: tuple[int, ...]
     nodes: int
     propagations: int
-    result: str = "UNSAT"
+    witness: Valuation | None = None
+
+    @property
+    def satisfiable(self) -> bool:
+        return self.witness is not None
+
+    @property
+    def result(self) -> str:
+        return "SAT" if self.satisfiable else "UNSAT"
 
 
 @dataclass
 class OptimizationResult:
     best: int
     witness: Valuation
-    certificate: list[RefutationEntry]
-    colorability: ColorabilityResult  # the budget-0 escalation step
+    certificate: list[CoverSearch]
+    colorability: CoverSearch  # the budget-0 escalation step
     stats: dict = field(default_factory=dict)
 
 
 def _refutations(problem: _Problem, n_ctx: int, best: int, first=None):
     """The refutation of best + 1 .. n_ctx, in subproblem order: one
-    RefutationEntry ("UNSAT", or "SAT" if satisfiable) per set of at most
-    n_ctx - best - 1 contexts allowed to stay uncovered, by size, then
-    lexicographically, each a budget-0 cover check of the rest.  ``first``
-    is yielded for the empty set in place of solving it again."""
+    CoverSearch per set of at most n_ctx - best - 1 contexts allowed to stay
+    uncovered, by size, then lexicographically, each a budget-0 cover check
+    of the rest.  ``first`` is yielded for the empty set in place of solving
+    it again."""
     for size in range(n_ctx - best):
         for excluded in combinations(range(n_ctx), size):
             if first is not None and not excluded:
                 yield first
                 continue
-            mask, stats = _solve(problem, set(range(n_ctx)).difference(excluded), 0)
-            yield RefutationEntry(excluded, stats.nodes, stats.propagations,
-                                  "UNSAT" if mask is None else "SAT")
+            mask, nodes, propagations = _solve(
+                problem, set(range(n_ctx)).difference(excluded), 0)
+            witness = None if mask is None else Valuation.from_mask(mask, len(problem.adj))
+            yield CoverSearch(excluded, nodes, propagations, witness)
+
+
+def ks_colorable(cfg: Configuration) -> CoverSearch:
+    """Complete backtracking test for a two-valued state with exactly one
+    value-1 ray per context and exclusivity on every orthogonality edge."""
+    if not cfg.contexts:
+        raise ValueError("configuration has no contexts")
+    n_ctx = len(cfg.contexts)
+    # the layout that refutes covering all n_ctx contexts is the empty exclusion alone
+    color, = _refutations(_make_problem(cfg), n_ctx, n_ctx - 1)
+    if color.satisfiable:
+        bad = check_valuation(cfg, color.witness, ModelKind.COMPLEX_MAXIMAL)
+        if bad:
+            raise EngineError(f"engine returned an inadmissible witness: {bad[:3]}")
+    return color
+
+
+# --- maximization ----------------------------------------------------------
 
 
 def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
@@ -398,8 +394,8 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
                 f"budgets 0-2 are unsatisfiable: every admissible valuation leaves "
                 f"3 or more of the {n_ctx} contexts uncovered, and the refutation "
                 f"layout for that is not built")
-        mask, stats = _solve(problem, range(n_ctx), budget)
-        escalation_nodes += stats.nodes
+        mask, nodes, _ = _solve(problem, range(n_ctx), budget)
+        escalation_nodes += nodes
         if mask is not None:
             witness = Valuation.from_mask(mask, cfg.n_rays)
 
@@ -409,10 +405,9 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
         raise EngineError(f"engine returned an inadmissible witness: {bad[:3]}")
 
     # best < n_ctx only if colorability is UNSAT, which refutes the empty set
-    certificate: list[RefutationEntry] = []
-    for entry in _refutations(problem, n_ctx, best,
-                              RefutationEntry((), color.nodes, color.propagations)):
-        if entry.result != "UNSAT":
+    certificate: list[CoverSearch] = []
+    for entry in _refutations(problem, n_ctx, best, color):
+        if entry.satisfiable:
             raise InconsistentCertificates(
                 f"subproblem excluding {entry.excluded} is satisfiable, but the "
                 f"witness search says best = {best}"
@@ -444,7 +439,7 @@ def replay_certificate(cfg: Configuration, result: OptimizationResult) -> bool:
         return False
     refuted = list(islice(_refutations(_make_problem(cfg), len(cfg.contexts), result.best),
                           len(result.certificate) + 1))
-    return refuted == result.certificate and all(e.result == "UNSAT" for e in refuted)
+    return refuted == result.certificate and not any(e.satisfiable for e in refuted)
 
 
 def global_sum_bounds(cfg: Configuration, result: OptimizationResult) -> tuple[int, int]:

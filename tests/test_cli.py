@@ -485,14 +485,13 @@ class TestCertify:
 
     @pytest.mark.parametrize("mode, fake, message", [
         # an all-ones witness breaks exclusivity
-        ("color", lambda p, must, budget: ((1 << len(p.adj)) - 1,
-                                           valuations.SolveStats()),
+        ("color", lambda p, must, budget: ((1 << len(p.adj)) - 1, 0, 0),
          "inadmissible witness"),
         ("all", lambda p, must, budget: (
-            None if budget == 0 else (1 << len(p.adj)) - 1, valuations.SolveStats()),
+            None if budget == 0 else (1 << len(p.adj)) - 1, 0, 0),
          "inadmissible witness"),
         # nothing is ever satisfiable: escalation passes the context count
-        ("all", lambda p, must, budget: (None, valuations.SolveStats()),
+        ("all", lambda p, must, budget: (None, 0, 0),
          "exceeded the context count"),
     ])
     def test_engine_error_is_a_json_status(self, capsys, tmp_path, monkeypatch,
@@ -508,8 +507,7 @@ class TestCertify:
 
     def test_layout_too_large_is_a_json_status(self, capsys, tmp_path, monkeypatch):
         # a stub engine that finds nothing: escalation stops before budget 3
-        monkeypatch.setattr(valuations, "_solve",
-                            lambda p, must, budget: (None, valuations.SolveStats()))
+        monkeypatch.setattr(valuations, "_solve", lambda p, must, budget: (None, 0, 0))
         cert = tmp_path / "certificate.txt"
         code, report = run(capsys, "certify", "--rays", str(RAYS165),
                            "--out-certificate", str(cert))

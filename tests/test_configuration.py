@@ -537,6 +537,13 @@ class TestRayFiles:
                  VecC3.make(0, 1, 0)]
             )
 
+    def test_duplicate_names_both_lines(self):
+        # rays 0 and 4 by position; a comment and a blank line come first
+        text = ("# five rays\n\n1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n"
+                "0,0 1,0 1,0\n2,0 0,0 0,0\n")
+        with pytest.raises(DuplicateRay, match=r"^line 7: same projective class as line 3$"):
+            ingest_rays(text)
+
     def test_empty_file(self):
         with pytest.raises(ParseError):
             ingest_rays("# nothing here\n")

@@ -2,6 +2,7 @@
 
 import random
 from dataclasses import replace
+from itertools import combinations
 from pathlib import Path
 
 import numpy as np
@@ -18,15 +19,16 @@ from ksembed.configuration import (
     subconfiguration,
 )
 from ksembed.valuations import (
+    CoverSearch,
     InconsistentCertificates,
     LayoutTooLarge,
     ModelKind,
     OptimizationResult,
     SizeMismatch,
-    SolveStats,
     Valuation,
     _build_tables,
     _make_problem,
+    _refutations,
     _solve,
     check_valuation,
     covered_contexts,
@@ -73,7 +75,7 @@ def scan_solve(adj, contexts, order, must_cover, budget):
     must_cover order."""
     must = [contexts[ci] for ci in must_cover]
     full = (1 << len(adj)) - 1
-    stats = SolveStats()
+    nodes = propagations = 0
 
     def assign_one(ones, zeros, r):
         bit = 1 << r
@@ -82,6 +84,7 @@ def scan_solve(adj, contexts, order, must_cover, budget):
         return ones | bit, zeros | adj[r]
 
     def propagate(ones, zeros):
+        nonlocal propagations
         while True:
             uncovered = 0
             for i, j, k in must:
@@ -105,7 +108,7 @@ def scan_solve(adj, contexts, order, must_cover, budget):
                     if st is None:
                         return None
                     ones, zeros = st
-                    stats.propagations += 1
+                    propagations += 1
                     forced = True
             if not forced:
                 return ones, zeros
@@ -116,16 +119,16 @@ def scan_solve(adj, contexts, order, must_cover, budget):
         if st is None:
             continue
         ones, zeros = st
-        stats.nodes += 1
+        nodes += 1
         free = full & ~ones & ~zeros
         if not free:
-            return ones, stats
+            return ones, nodes, propagations
         r = next(r for r in order if (free >> r) & 1)
         stack.append((ones, zeros | (1 << r)))
         st1 = assign_one(ones, zeros, r)
         if st1 is not None:
             stack.append(st1)
-    return None, stats
+    return None, nodes, propagations
 
 
 @st.composite
@@ -153,11 +156,6 @@ def small_problems(draw):
     return instance, sorted(must), shuffled, draw(st.integers(0, 3))
 
 
-def solve_counts(solver, *args):
-    mask, stats = solver(*args)
-    return mask, stats.nodes, stats.propagations
-
-
 def scan_instance(cfg, order):
     """cfg as scan_solve reads it: neighbor masks and contexts by ray id, in
     the branching ``order``."""
@@ -173,8 +171,8 @@ class TestEngineAgainstScan:
     @settings(max_examples=300, deadline=None)
     def test_same_search_as_full_scan(self, drawn):
         instance, must, shuffled, budget = drawn
-        assert solve_counts(_solve, _build_tables(*instance), shuffled, budget) == \
-            solve_counts(scan_solve, *instance, must, budget)
+        assert _solve(_build_tables(*instance), shuffled, budget) == \
+            scan_solve(*instance, must, budget)
 
     def test_force_that_opens_an_earlier_context(self):
         # must_cover positions: Q = (3, 4, 5) at 0, P = (0, 1, 2) at 1,
@@ -194,18 +192,16 @@ class TestEngineAgainstScan:
         order = (12,) + tuple(range(12))
         # the 12 = 0 branch then covers every context with 0, 3, 6, 9 and
         # no forcing: 6 nodes, and the 3 forces of the failed 12 = 1 branch
-        assert solve_counts(scan_solve, adj, contexts, order, range(4), 0) == (585, 6, 3)
-        assert solve_counts(_solve, _build_tables(adj, contexts, order),
-                            range(4), 0) == (585, 6, 3)
+        assert scan_solve(adj, contexts, order, range(4), 0) == (585, 6, 3)
+        assert _solve(_build_tables(adj, contexts, order), range(4), 0) == (585, 6, 3)
 
     # at published scale the context masks are 130 bits wide; the draws
     # above stop at 16 contexts
     def test_published_escalation(self, full_config):
         problem = _make_problem(full_config)
         instance = scan_instance(full_config, problem.order)
-        got = [solve_counts(_solve, problem, range(130), budget) for budget in range(3)]
-        assert got == [solve_counts(scan_solve, *instance, range(130), budget)
-                       for budget in range(3)]
+        got = [_solve(problem, range(130), budget) for budget in range(3)]
+        assert got == [scan_solve(*instance, range(130), budget) for budget in range(3)]
         # budgets 0 and 1 are UNSAT, budget 2 holds the witness
         assert [counts[1:] for counts in got] == [(11, 369), (316, 9671), (109, 2094)]
         assert [mask is None for mask, _, _ in got] == [True, True, False]
@@ -219,8 +215,8 @@ class TestEngineAgainstScan:
         for _ in range(30):
             must = sorted(rng.sample(range(130), rng.randint(100, 130)))
             budget = rng.randint(0, 3)
-            got = solve_counts(_solve, problem, must, budget)
-            assert got == solve_counts(scan_solve, *instance, must, budget), (must, budget)
+            got = _solve(problem, must, budget)
+            assert got == scan_solve(*instance, must, budget), (must, budget)
             results.add(got[0] is None)
         assert results == {True, False}
 
@@ -232,8 +228,8 @@ class TestEngineProblem:
         for must, budget in ((range(130), 2), (sorted(rng.sample(range(130), 100)), 0)):
             shuffled = list(must)
             rng.shuffle(shuffled)
-            assert solve_counts(_solve, problem, shuffled + shuffled[:5], budget) == \
-                solve_counts(_solve, problem, must, budget)
+            assert _solve(problem, shuffled + shuffled[:5], budget) == \
+                _solve(problem, must, budget)
 
     def test_tables_built_once_per_problem(self, full_config, monkeypatch):
         calls = {"problems": 0, "tables": 0, "solves": 0}
@@ -360,8 +356,7 @@ class TestColorability:
     def test_stress_single_exclusions(self, stress_config, excluded, nodes, propagations):
         # budget-0 cover checks of all contexts but one: 490-bit context masks
         must = set(range(490)) - {excluded}
-        mask, stats = _solve(_make_problem(stress_config), must, 0)
-        assert (mask, stats.nodes, stats.propagations) == (None, nodes, propagations)
+        assert _solve(_make_problem(stress_config), must, 0) == (None, nodes, propagations)
 
     def test_contextless_configuration_rejected(self, full_config):
         lonely = subconfiguration(full_config, [0, 1])
@@ -379,9 +374,7 @@ class TestColorability:
             adj[r] = (0b111 << base) & ~(1 << r)
         contexts = [(3 * c, 3 * c + 1, 3 * c + 2) for c in range(m)]
         problem = _build_tables(adj, contexts, range(3 * m))
-        mask, stats = _solve(problem, range(m), 0)
-        assert mask == sum(1 << (3 * c) for c in range(m))
-        assert (stats.nodes, stats.propagations) == (m + 1, 0)
+        assert _solve(problem, range(m), 0) == (sum(1 << (3 * c) for c in range(m)), m + 1, 0)
 
 
 class TestMaximize:
@@ -459,9 +452,9 @@ class TestMaximize:
         opt = maximize_covered_contexts(cfg)
         witness = Valuation(tuple(b if r in cfg.contexts[0] else 0
                                   for r, b in enumerate(opt.witness.bits)))
-        mask, stats = _solve(_make_problem(cfg), range(2), 0)
+        mask, nodes, propagations = _solve(_make_problem(cfg), range(2), 0)
         assert mask is not None
-        line = valuations.RefutationEntry((), stats.nodes, stats.propagations, "SAT")
+        line = CoverSearch((), nodes, propagations, Valuation.from_mask(mask, cfg.n_rays))
         assert not replay_certificate(cfg, replace(opt, best=1, witness=witness,
                                                    certificate=[line]))
 
@@ -488,12 +481,50 @@ class TestMaximize:
         assert ks_colorable(cfg).satisfiable
         assert maximize_covered_contexts(cfg).best == len(cfg.contexts)
 
+    def test_pair_layout_keeps_its_witnesses(self, full_config):
+        # the layout that would refute best = 128: every set of at most two
+        # contexts left uncovered.  Its coverable lines are the pairs of
+        # contexts through two different rays of the computational basis
+        # (context 0), each with a witness that covers all the others
+        lines = list(_refutations(_make_problem(full_config), 130, 127))
+        assert len(lines) == 1 + 130 + 130 * 129 // 2 == 8516
+        assert sum(e.nodes for e in lines) == 101_000
+        opt = maximize_covered_contexts(full_config)
+        assert lines[:131] == opt.certificate
+        assert ks_colorable(full_config) == opt.certificate[0]
+        basis = full_config.contexts[0]
+        through = {c: r for c in range(1, 130) for r in basis if r in full_config.contexts[c]}
+        assert through == {1: 0, 2: 0, 3: 0, 4: 1, 5: 1, 6: 1, 7: 2, 8: 2, 9: 2}
+        satisfiable = [e for e in lines if e.satisfiable]
+        assert [e.excluded for e in satisfiable] == [
+            (a, b) for a, b in combinations(range(1, 10), 2) if through[a] != through[b]]
+        assert len(satisfiable) == 27
+        for e in satisfiable:
+            assert e.result == "SAT"
+            assert check_valuation(full_config, e.witness, ModelKind.REAL_EMBEDDED) == []
+            assert covered_contexts(full_config, e.witness) == 128
+
+    def test_maximization_calls_ks_colorable_once(self, full_config, monkeypatch):
+        # perfbench/tracing.py times colourability by wrapping this module
+        # attribute: maximization must go through it, once
+        calls = []
+        real = valuations.ks_colorable
+
+        def wrapper(cfg):
+            calls.append(cfg)
+            return real(cfg)
+
+        monkeypatch.setattr(valuations, "ks_colorable", wrapper)
+        opt = maximize_covered_contexts(full_config)
+        assert calls == [full_config]
+        assert opt.colorability == real(full_config)
+
     def test_satisfiable_refutation_subproblem_raises(self, monkeypatch):
         # a stub engine: uncolourable, then an all-zero witness at budget 1
         # (best = 0), then every refutation subproblem satisfiable
         def fake(problem, must_cover, budget):
             everything = budget == 0 and len(set(must_cover)) == len(problem.rays)
-            return (None if everything else 0), SolveStats()
+            return (None if everything else 0), 0, 0
 
         monkeypatch.setattr(valuations, "_solve", fake)
         with pytest.raises(InconsistentCertificates,
@@ -506,7 +537,7 @@ class TestMaximize:
 
         def unsatisfiable(problem, must_cover, budget):
             budgets.append(budget)
-            return None, SolveStats()
+            return None, 0, 0
 
         monkeypatch.setattr(valuations, "_solve", unsatisfiable)
         with pytest.raises(LayoutTooLarge, match="3 or more of the 130 contexts"):
