@@ -13,11 +13,10 @@ The paper-anchored expectations are named checks:
   best128       maximum number of covered contexts is 128
 
 generate always closes the MUB seed, so it always runs the first two, and
-report all four.  certify runs its own by default only on a 165-ray
-configuration, and is the one command that takes --expect/--no-expect to
-switch them individually (_forced_checks); forcing on a check that
-certify's mode never evaluates (CHECKS_RUN) is an error.  realify runs no
-checks.
+report all four.  certify runs uncolorable, and best128 in --mode all,
+exactly on a 165-ray configuration; its JSON holds colorable and best for
+any input.  realify runs no checks, and no command takes a flag to switch
+a check.
 
 report takes only --out-dir and runs realify at REALIFY_DEFAULTS; other
 phase settings are run as generate, realify and certify one by one.
@@ -35,14 +34,6 @@ from dataclasses import dataclass, field
 from . import configuration as cfgmod
 from . import realify as remod
 from . import valuations as valmod
-
-KNOWN_CHECKS = ("rays165", "contexts130", "uncolorable", "best128")
-
-#: the checks each certify mode evaluates
-CHECKS_RUN = {
-    "color": ("uncolorable",),
-    "all": ("uncolorable", "best128"),
-}
 
 #: realify's option defaults, which report runs at
 REALIFY_DEFAULTS = {"K": None, "strategy": "distinct", "seed": 0, "precision": 20}
@@ -79,28 +70,6 @@ class RunReport:
     @property
     def exit_code(self) -> int:
         return {"ok": EXIT_OK, "discrepancy": EXIT_DISCREPANCY}.get(self.status, EXIT_ERROR)
-
-
-def _forced_checks(args) -> dict[str, bool]:
-    """certify's --expect/--no-expect as {check: forced on}.  Raises
-    ValueError, before any file is read or written, on an unknown check, a
-    check forced on that the mode never evaluates, a check forced both ways,
-    or a certificate file asked of --mode color."""
-    for name in args.expect + args.no_expect:
-        if name not in KNOWN_CHECKS:
-            raise ValueError(f"unknown check {name!r}; known: {KNOWN_CHECKS}")
-    evaluated = CHECKS_RUN[args.mode]
-    skipped = [name for name in args.expect if name not in evaluated]
-    if skipped:
-        raise ValueError(f"certify --mode {args.mode} never evaluates forced check(s) "
-                         f"{', '.join(skipped)}; it evaluates: {', '.join(evaluated)}")
-    both = sorted(set(args.expect) & set(args.no_expect))
-    if both:
-        raise ValueError(f"check(s) {', '.join(both)} forced both on and off")
-    if args.mode == "color" and args.out_certificate:
-        raise ValueError("--out-certificate needs --mode all: "
-                         "--mode color writes no certificate")
-    return {name: name in args.expect for name in args.expect + args.no_expect}
 
 
 def _write_atomic(path: str, text: str) -> None:
@@ -175,8 +144,7 @@ def cmd_realify(report: RunReport, cfg: cfgmod.Configuration) -> None:
         report.status = "discrepancy"
 
 
-def cmd_certify(report: RunReport, cfg: cfgmod.Configuration,
-                forced: dict[str, bool]) -> None:
+def cmd_certify(report: RunReport, cfg: cfgmod.Configuration) -> None:
     mode = report.inputs["mode"]
     paper_scale = cfg.n_rays == 165
     t0 = time.perf_counter()
@@ -194,7 +162,7 @@ def cmd_certify(report: RunReport, cfg: cfgmod.Configuration,
     report.results["color_nodes"] = color.nodes
     if color.witness is not None:
         report.results["color_witness"] = color.witness.ones()
-    if forced.get("uncolorable", paper_scale):
+    if paper_scale:
         report.check("uncolorable", not color.satisfiable,
                      f"colorable={color.satisfiable}")
 
@@ -211,7 +179,7 @@ def cmd_certify(report: RunReport, cfg: cfgmod.Configuration,
             _write_atomic(report.inputs["out_certificate"],
                           valmod.certificate_to_text(cfg, opt))
         _stage(report, "certificate", t0)
-        if forced.get("best128", paper_scale):
+        if paper_scale:
             report.check("best128", opt.best == 128, f"best={opt.best}")
 
 
@@ -230,7 +198,7 @@ def cmd_report(args) -> RunReport:
     cmd_realify(rea, cfg)
     cer = RunReport(command="certify", inputs=dict(
         mode="all", out_certificate=paths["certificate"]))
-    cmd_certify(cer, cfg, {})
+    cmd_certify(cer, cfg)
 
     steps = {"generate": gen, "realify": rea, "certify": cer}
     report = RunReport(command="report", inputs={"out_dir": args.out_dir})
@@ -287,10 +255,6 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--rays", required=True, help="ray file to ingest")
     c.add_argument("--mode", choices=("color", "all"), default="all")
     c.add_argument("--out-certificate", default=None, help="certificate file to write")
-    c.add_argument("--expect", action="append", default=[], metavar="CHECK",
-                   help=f"force a named check on; known: {', '.join(KNOWN_CHECKS)}")
-    c.add_argument("--no-expect", action="append", default=[], metavar="CHECK",
-                   help="force a named check off")
 
     a = sub.add_parser("report", help="full paper reproduction: generate + "
                                       "realify + certify into a directory")
@@ -308,8 +272,7 @@ def main(argv: list[str] | None = None) -> int:
             report = cmd_report(args)
         else:
             report = RunReport(command=args.command, inputs={
-                key: value for key, value in vars(args).items()
-                if key not in ("command", "expect", "no_expect")})
+                key: value for key, value in vars(args).items() if key != "command"})
             if args.command == "generate":
                 cmd_generate(report)
             elif args.command == "realify":
@@ -319,8 +282,11 @@ def main(argv: list[str] | None = None) -> int:
                 remod.check_precision(args.precision)
                 cmd_realify(report, _load_configuration(report, args.rays))
             else:
-                forced = _forced_checks(args)
-                cmd_certify(report, _load_configuration(report, args.rays), forced)
+                # a certificate asked of --mode color is refused before the ray file is read
+                if args.mode == "color" and args.out_certificate:
+                    raise ValueError("--out-certificate needs --mode all: "
+                                     "--mode color writes no certificate")
+                cmd_certify(report, _load_configuration(report, args.rays))
     except Exception as exc:  # deliberately broad: no failure escapes as a traceback
         error = RunReport(command=args.command, inputs={}, status="error",
                           results={"error": f"{type(exc).__name__}: {exc}"})

@@ -5,7 +5,8 @@ import hashlib
 import io
 import json
 import os
-import shutil
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -153,6 +154,12 @@ class TestUsageErrors:
          "unrecognized arguments: --expect best128"),
         (["report", "--out-dir", "{tmp}/rep", "--no-expect", "uncolorable"], "report",
          "unrecognized arguments: --no-expect uncolorable"),
+        (["certify", "--rays", str(RAYS165), "--mode", "all",
+          "--out-certificate", "{tmp}/certificate.txt", "--expect", "uncolorable"], "certify",
+         "unrecognized arguments: --expect uncolorable"),
+        (["certify", "--rays", str(RAYS165), "--mode", "all",
+          "--out-certificate", "{tmp}/certificate.txt", "--no-expect", "best128"], "certify",
+         "unrecognized arguments: --no-expect best128"),
         (["report", "--out-dir", "{tmp}/rep", "--K", "5"], "report",
          "unrecognized arguments: --K 5"),
         (["report", "--out-dir", "{tmp}/rep", "--strategy", "backtracking"], "report",
@@ -163,7 +170,8 @@ class TestUsageErrors:
          "unrecognized arguments: --precision 40"),
     ], ids=["invalid-choice", "invalid-int", "missing-subcommand", "generate-seed-choice",
             "realify-expect", "realify-no-expect", "certify-maximize", "generate-expect",
-            "generate-no-expect", "report-expect", "report-no-expect", "report-K",
+            "generate-no-expect", "report-expect", "report-no-expect", "certify-expect",
+            "certify-no-expect", "report-K",
             "report-strategy", "report-seed", "report-precision"])
     def test_usage_error_is_a_json_error(self, capsys, tmp_path, argv, command, message):
         # not argparse's exit 2, which is the discrepancy code
@@ -196,7 +204,7 @@ class TestCommands:
           "--seed", "3", "--precision", "15", "--out-phases", "{tmp}/phases.txt"],
          {"rays": "{rays}", "K": 1013, "strategy": "greedy-random", "seed": 3,
           "precision": 15, "out_phases": "{tmp}/phases.txt", "out_vectors": None}),
-        (["certify", "--rays", "{rays}", "--mode", "color", "--expect", "uncolorable"],
+        (["certify", "--rays", "{rays}", "--mode", "color"],
          {"rays": "{rays}", "mode": "color", "out_certificate": None}),
     ], ids=["generate", "realify-default", "realify-flags", "certify"])
     def test_inputs_are_the_parsed_options(self, capsys, rays_file, tmp_path, argv, inputs):
@@ -227,121 +235,6 @@ class TestCommands:
         capsys.readouterr()
         assert code == EXIT_OK
         assert calls == list(called)
-
-
-class TestForcedChecks:
-    @pytest.mark.parametrize("argv, skipped", [
-        (["--mode", "color", "--expect", "contexts130"], ["contexts130"]),
-        (["--mode", "color", "--expect", "uncolorable", "--expect", "contexts130"],
-         ["contexts130"]),
-        (["--mode", "color", "--expect", "best128", "--expect", "rays165"],
-         ["best128", "rays165"]),
-        (["--mode", "all", "--expect", "rays165", "--expect", "best128"], ["rays165"]),
-        (["--mode", "all", "--expect", "contexts130"], ["contexts130"]),
-    ])
-    def test_check_the_command_never_evaluates_is_an_error(self, capsys, tmp_path,
-                                                           argv, skipped):
-        toy = tmp_path / "toy.txt"
-        toy.write_text("1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n")
-        code, report = run(capsys, "certify", "--rays", str(toy), *argv)
-        assert code == EXIT_ERROR
-        assert report["status"] == "error"
-        assert report["results"]["error"].startswith(
-            f"ValueError: certify {argv[0]} {argv[1]} never evaluates forced check(s) "
-            f"{', '.join(skipped)}")
-
-    def test_unknown_check_name(self, capsys, tmp_path):
-        out = tmp_path / "certificate.txt"
-        code, report = run(capsys, "certify", "--rays", str(RAYS165),
-                           "--out-certificate", str(out), "--expect", "raysss")
-        assert code == EXIT_ERROR
-        assert report["results"]["error"].startswith("ValueError: unknown check 'raysss'")
-        assert not out.exists()
-
-    def test_check_forced_both_on_and_off_is_an_error(self, capsys, tmp_path):
-        out = tmp_path / "certificate.txt"
-        code, report = run(capsys, "certify", "--rays", str(RAYS165),
-                           "--out-certificate", str(out),
-                           "--expect", "best128", "--no-expect", "best128")
-        assert code == EXIT_ERROR
-        assert report["status"] == "error"
-        assert report["results"]["error"] == (
-            "ValueError: check(s) best128 forced both on and off")
-        assert not out.exists()
-
-    def test_evaluated_check_forced_on_toy_input(self, capsys, tmp_path):
-        toy = tmp_path / "toy.txt"
-        toy.write_text("1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n")
-        code, report = run(capsys, "certify", "--rays", str(toy), "--mode", "all",
-                           "--expect", "best128")
-        assert code == EXIT_DISCREPANCY
-        assert [c["name"] for c in report["checks"]] == ["best128"]
-
-
-class TestForcedCheckResolution:
-    """Every drawn set of --expect/--no-expect flags ends in one JSON object
-    whose status matches its exit code, and resolves as documented."""
-
-    # the checks each run evaluates; only certify takes check flags
-    EVALUATES = {
-        ("generate",): {"rays165", "contexts130"},
-        ("realify",): set(),
-        ("certify", "color"): {"uncolorable"},
-        ("certify", "all"): {"uncolorable", "best128"},
-    }
-    NAMES = st.lists(st.sampled_from(cli.KNOWN_CHECKS + ("bogus",)), max_size=3)
-
-    @given(st.sampled_from(sorted(EVALUATES)), NAMES, NAMES)
-    @settings(max_examples=100, deadline=None)
-    @example(("generate",), [], [])  # ok, both checks
-    @example(("generate",), [], ["rays165"])  # a usage error
-    @example(("certify", "color"), ["best128"], [])  # an error: never evaluated
-    @example(("realify",), [], [])  # ok, no checks
-    @example(("realify",), [], ["rays165"])  # a usage error
-    @example(("certify", "color"), ["uncolorable"], ["best128"])  # discrepancy
-    @example(("certify", "all"), ["best128", "best128"], [])  # discrepancy, listed once
-    def test_forced_checks_resolve_as_documented(self, mutation_dir, run_by, on, off):
-        toy = mutation_dir / "toy.txt"
-        toy.write_text("1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n")
-        out = mutation_dir / "forced"
-        shutil.rmtree(out, ignore_errors=True)
-        out.mkdir()
-        command = run_by[0]
-        if command == "generate":
-            argv = ["generate", "--out", str(out / "rays.txt")]
-        elif command == "realify":
-            argv = ["realify", "--rays", str(toy), "--out-phases", str(out / "phases.txt"),
-                    "--out-vectors", str(out / "vectors.txt")]
-        else:
-            argv = ["certify", "--rays", str(toy), "--mode", run_by[1]]
-            if run_by[1] == "all":
-                argv += ["--out-certificate", str(out / "certificate.txt")]
-        argv += [arg for name in on for arg in ("--expect", name)]
-        argv += [arg for name in off for arg in ("--no-expect", name)]
-        stdout = io.StringIO()
-        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(io.StringIO()):
-            code = main(argv)
-        report = json.loads(stdout.getvalue())
-        assert {"ok": EXIT_OK, "discrepancy": EXIT_DISCREPANCY,
-                "error": EXIT_ERROR}[report["status"]] == code
-
-        evaluated = self.EVALUATES[run_by]
-        error = (any(name not in cli.KNOWN_CHECKS for name in on + off)
-                 or set(on) & set(off)
-                 or any(name not in evaluated for name in on)
-                 or (command != "certify" and (on or off)))
-        if error:
-            assert code == EXIT_ERROR, report
-            assert list(out.iterdir()) == []
-            return
-        listed = sorted(c["name"] for c in report["checks"])
-        if command == "generate":
-            assert listed == sorted(evaluated)
-            assert code == EXIT_OK
-        else:
-            # on the toy file no check runs by default, and a forced one fails
-            assert listed == sorted(set(on))
-            assert code == (EXIT_DISCREPANCY if listed else EXIT_OK)
 
 
 class TestRealify:
@@ -459,6 +352,8 @@ class TestCertify:
         assert report["results"]["best"] == 128
         assert report["results"]["bounds"] == [0, 128]
         assert report["results"]["refuted_subproblems"] == 131
+        assert [(c["name"], c["ok"]) for c in report["checks"]] == [
+            ("uncolorable", True), ("best128", True)]
         text = cert.read_text()
         assert "best 128" in text
         assert text.count("refuted ") == 131
@@ -482,6 +377,7 @@ class TestCertify:
                            "--mode", "all")
         assert code == EXIT_OK
         assert report["results"]["best"] == 1
+        assert report["checks"] == []
 
     @pytest.mark.parametrize("mode, fake, message", [
         # an all-ones witness breaks exclusivity
@@ -607,6 +503,18 @@ class TestReport:
         assert report["results"]["realify"]["spurious"] == 1
         # every named check still passes: the discrepancy is realify's own
         assert all(c["ok"] for c in report["checks"])
+
+    def test_leaves_mpmath_unimported(self, tmp_path):
+        # mpmath is a test dependency only; a fresh interpreter, because the
+        # tests import it themselves
+        script = ("import sys; from ksembed import cli; "
+                  "code = cli.main(['report', '--out-dir', sys.argv[1]]); "
+                  "assert code == 0, code; "
+                  "assert 'mpmath' not in sys.modules, 'mpmath was imported'")
+        env = dict(os.environ, PYTHONPATH=str(Path(__file__).resolve().parents[1] / "src"))
+        proc = subprocess.run([sys.executable, "-c", script, str(tmp_path / "repro")],
+                              env=env, capture_output=True, text=True)
+        assert proc.returncode == 0, proc.stderr
 
     def test_published_solver_counters(self, full_config):
         # the counts behind the golden certificate, readable
