@@ -35,8 +35,8 @@ class ZeroVector(ValueError):
 
 
 class DivergenceGuard(RuntimeError):
-    """Closure exceeded its ray cap; the seed does not generate a finite
-    configuration under the chosen insertion rule."""
+    """Closure exceeded its ray cap: a size guard, since every bounded
+    closure is finite."""
 
 
 class NonTriangleClique(ValueError):
@@ -204,12 +204,10 @@ def build_contexts(
     """
     n = len(adjacency)
     triangles: list[tuple[int, int, int]] = []
-    covered_edges: set[tuple[int, int]] = set()
     for i, j in sorted(edges):
         for k in sorted(adjacency[i] & adjacency[j]):
             if k > j:
                 triangles.append((i, j, k))
-                covered_edges.update([(i, j), (i, k), (j, k)])
     for i, j, k in triangles:
         extension = adjacency[i] & adjacency[j] & adjacency[k]
         if extension:
@@ -217,10 +215,10 @@ def build_contexts(
                 f"triangle {(i, j, k)} extends by {sorted(extension)}"
             )
     if strict:
-        uncovered = set(edges) - covered_edges
+        uncovered = sorted((i, j) for i, j in edges if not adjacency[i] & adjacency[j])
         if uncovered:
             raise NonTriangleClique(
-                f"{len(uncovered)} edges lie in no triangle, e.g. {sorted(uncovered)[0]}"
+                f"{len(uncovered)} edges lie in no triangle, e.g. {uncovered[0]}"
             )
         isolated = [i for i in range(n) if not adjacency[i]]
         if isolated:
@@ -232,7 +230,7 @@ def build_contexts(
 
 def closure_generate(
     seed: list[VecC3],
-    keep_norm_dividing: int | None = 6,
+    keep_norm_dividing: int = 6,
     cap: int = 10_000,
     strict: bool = True,
 ) -> Configuration:
@@ -242,9 +240,10 @@ def closure_generate(
     it if new, iterating to a fixed point; the pairs are never parallel (the
     rays are distinct canonical forms, constant on parallel classes).  A
     completion is kept only when its squared norm divides
-    ``keep_norm_dividing`` (pass None to keep everything).  The default bound
-    6 makes the 12-ray MUB seed converge to exactly the published 165-ray /
-    130-context configuration; the unfiltered closure of that seed diverges.
+    ``keep_norm_dividing``.  The default bound 6 makes the 12-ray MUB seed
+    converge to exactly the published 165-ray / 130-context configuration.
+    Every bounded closure is finite: only finitely many canonical rays have
+    a squared norm dividing the bound.
 
     The closure is not equivariant above published scale.  The filter tests
     the canonical representative, whose norm depends on coordinate order:
@@ -264,20 +263,19 @@ def closure_generate(
     N(d) divides every n_k, so N(d) <= gcd(n1, n2, n3): a skipped
     product's canonical norm exceeds the bound and cannot divide it.  The
     pretest only skips what the norm filter would, so the rays, their
-    order and the DivergenceGuard are those of the plain loop.  It needs a
-    positive bound: for bound <= 0 it would skip every product, where the
-    filter keeps every completion at 0 (as None does) and the divisors of
-    |bound| below 0.  So ``keep_norm_dividing`` must be None or a positive
-    int, and anything else raises ValueError before any work.
+    order and the DivergenceGuard are those of the plain loop.
+    ``keep_norm_dividing`` must be a positive int, since below 1 the
+    pretest would skip every product; anything else raises ValueError
+    before any work.
 
-    Raises DivergenceGuard when the ray count exceeds ``cap``, which signals
-    a wrong seed (or an unfiltered run).  ``strict`` is passed to the
-    assembly: non-strict admits the edges outside every triangle that
-    bounds above 6 produce (bound 18 gives the 741-ray stress file).
+    Raises DivergenceGuard when the ray count exceeds ``cap``.  ``strict``
+    is passed to the assembly: non-strict admits the edges outside every
+    triangle that bounds above 6 produce (bound 18 gives the 741-ray stress
+    file).
     """
     bound = keep_norm_dividing
-    if bound is not None and (type(bound) is not int or bound <= 0):
-        raise ValueError(f"keep_norm_dividing must be None or a positive int, not {bound!r}")
+    if type(bound) is not int or bound <= 0:
+        raise ValueError(f"keep_norm_dividing must be a positive int, not {bound!r}")
     if not seed:
         raise ZeroVector("empty seed")
     vecs: list[Flat] = []
@@ -292,25 +290,19 @@ def closure_generate(
         u = vecs[i]
         for j in range(i):
             x = flat_conj_cross(u, vecs[j])
-            if bound is not None:
-                p1, q1, p2, q2, p3, q3 = x
-                n1 = p1 * (p1 - q1) + q1 * q1
-                n2 = p2 * (p2 - q2) + q2 * q2
-                n3 = p3 * (p3 - q3) + q3 * q3
-                if n1 + n2 + n3 > bound * gcd(n1, n2, n3):
-                    continue
-            c = flat_canonical(x)
-            if c in seen:
+            p1, q1, p2, q2, p3, q3 = x
+            n1 = p1 * (p1 - q1) + q1 * q1
+            n2 = p2 * (p2 - q2) + q2 * q2
+            n3 = p3 * (p3 - q3) + q3 * q3
+            if n1 + n2 + n3 > bound * gcd(n1, n2, n3):
                 continue
-            if bound is not None and bound % flat_sq_norm(c) != 0:
+            c = flat_canonical(x)
+            if c in seen or bound % flat_sq_norm(c):
                 continue
             seen.add(c)
             vecs.append(c)
             if len(vecs) > cap:
-                raise DivergenceGuard(
-                    f"closure exceeded {cap} rays; seed does not generate a "
-                    f"finite configuration under this insertion rule"
-                )
+                raise DivergenceGuard(f"closure exceeded {cap} rays; raise cap to admit more")
         i += 1
     return _assemble(vecs, strict=strict)
 
@@ -391,7 +383,11 @@ def ingest_rays(text: str) -> Configuration:
                 raise ParseError(lineno, f"coordinate {f!r} is not of the form a,b")
             if not all(ascii_digits(p.removeprefix("-")) for p in parts):
                 raise ParseError(lineno, f"non-integer coefficient in {f!r}")
-            coords.append(EisensteinInt(int(parts[0]), int(parts[1])))
+            try:
+                coords.append(EisensteinInt(int(parts[0]), int(parts[1])))
+            except ValueError:  # more digits than int() converts
+                raise ParseError(lineno, f"coefficient of {max(map(len, parts))} characters "
+                                 "exceeds the integer conversion limit") from None
         v = VecC3(tuple(coords))  # type: ignore[arg-type]
         if v.is_zero():
             raise ParseError(lineno, "zero vector is not a ray")

@@ -581,7 +581,11 @@ def load_phases(text: str) -> PhaseAssignment:
     if len(header) != 2 or header[0] != "K" or not ascii_digits(header[1]):
         raise ValueError("phase file must start with a 'K <value>' header, got "
                          f"{lines[0] if lines else ''!r}")
-    k = int(header[1])
+    try:
+        k = int(header[1])
+    except ValueError:  # more digits than int() converts
+        raise ValueError(f"phase file header: K of {len(header[1])} digits exceeds the "
+                         "integer conversion limit") from None
     entries: dict[int, int] = {}
     for ln in lines[1:]:
         fields = ln.split()
@@ -589,10 +593,15 @@ def load_phases(text: str) -> PhaseAssignment:
         if (len(fields) != 2 or not ascii_digits(fields[0])
                 or not ascii_digits(fields[1].removeprefix("-"))):
             raise ValueError(f"bad phase line: {ln!r}")
-        ray_id = int(fields[0])
+        try:
+            ray_id, nk = int(fields[0]), int(fields[1])
+        except ValueError:  # more digits than int() converts
+            raise ValueError(f"bad phase line {ln[:20]!r}...: a field of "
+                             f"{max(map(len, fields))} characters exceeds the integer "
+                             "conversion limit") from None
         if ray_id in entries:
             raise ValueError(f"ray id {ray_id} appears twice in the phase file")
-        entries[ray_id] = int(fields[1])
+        entries[ray_id] = nk
     if sorted(entries) != list(range(len(entries))):
         raise ValueError("phase file must cover ray ids 0..N-1")
     return PhaseAssignment(K=k, n=tuple(entries[i] for i in range(len(entries))))

@@ -89,6 +89,20 @@ class TestGenerate:
         cfg = ingest_rays(out.read_text())
         assert cfg.n_rays == 165
 
+    def test_failed_expectation_exits_2_and_keeps_the_file(self, capsys, tmp_path,
+                                                          monkeypatch):
+        cfg741 = ingest_rays(RAYS741.read_text())
+        monkeypatch.setattr(configuration, "closure_generate", lambda seed: cfg741)
+        out = tmp_path / "rays.txt"
+        code, report = run(capsys, "generate", "--out", str(out))
+        assert code == EXIT_DISCREPANCY
+        assert report["status"] == "discrepancy"
+        assert report["checks"] == [
+            {"name": "rays165", "ok": False, "detail": "rays=741"},
+            {"name": "contexts130", "ok": False, "detail": "contexts=490"},
+        ]
+        assert ingest_rays(out.read_text()).n_rays == 741
+
     def test_unwritable_path_leaves_no_partial_file(self, capsys, tmp_path):
         target = tmp_path / "missing-dir" / "rays.txt"
         code, report = run(capsys, "generate", "--out", str(target))

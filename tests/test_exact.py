@@ -80,6 +80,16 @@ class TestEisensteinRing:
     def test_norm_is_z_times_conj(self, z):
         assert z * z.conjugate() == EisensteinInt(z.norm(), 0)
 
+    @pytest.mark.parametrize("z, text", [(EisensteinInt(0, 3), "3ω"),
+                                         (EisensteinInt(2, -1), "2 - 1ω")])
+    def test_str_and_repr(self, z, text):
+        assert str(z) == text
+        assert repr(z) == f"EisensteinInt({z.a}, {z.b})"
+
+    def test_vector_coordinate_must_be_a_ring_element(self):
+        with pytest.raises(TypeError, match="from 1.5"):
+            VecC3.make(1.5, 0, 0)
+
 
 class TestHermitianInner:
     def test_self_norm(self):

@@ -6,6 +6,7 @@ import hashlib
 import math
 import random
 import re
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -1212,6 +1213,17 @@ class TestFiles:
     def test_entry_is_a_ray_id_and_an_integer(self, line):
         with pytest.raises(ValueError, match=re.escape(f"bad phase line: {line!r}")):
             load_phases(f"K 5\n{line}\n")
+
+    @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
+                        reason="int() converts any length here")
+    @pytest.mark.parametrize("template, message", [
+        ("K {}\n0 3\n", "phase file header: K of"),
+        ("K 5\n0 {}\n", "bad phase line '0 1111"),
+    ])
+    def test_integer_past_the_int_digit_limit(self, template, message):
+        digits = "1" * (sys.get_int_max_str_digits() + 1)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            load_phases(template.format(digits))
 
     def test_negative_entry_reduced_mod_2k(self):
         assert load_phases("K 5\n0 -3\n1 12\n").n == (7, 2)
