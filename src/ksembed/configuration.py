@@ -59,6 +59,12 @@ def ascii_digits(text: str) -> bool:
     return text.isascii() and text.isdigit()
 
 
+def echo(text: str) -> str:
+    """``text`` as a parse error quotes it: its repr, cut to the first 20
+    characters and "..." when it is longer, so an error stays short."""
+    return repr(text) if len(text) <= 20 else f"{text[:20]!r}..."
+
+
 class DuplicateRay(ValueError):
     """Two input rays canonicalize to the same projective class; ``first``
     and ``second`` are their 0-based positions among the input rays."""
@@ -380,9 +386,9 @@ def ingest_rays(text: str) -> Configuration:
         for f in fields:
             parts = f.split(",")
             if len(parts) != 2:
-                raise ParseError(lineno, f"coordinate {f!r} is not of the form a,b")
+                raise ParseError(lineno, f"coordinate {echo(f)} is not of the form a,b")
             if not all(ascii_digits(p.removeprefix("-")) for p in parts):
-                raise ParseError(lineno, f"non-integer coefficient in {f!r}")
+                raise ParseError(lineno, f"non-integer coefficient in {echo(f)}")
             try:
                 coords.append(EisensteinInt(int(parts[0]), int(parts[1])))
             except ValueError:  # more digits than int() converts

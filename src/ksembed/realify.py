@@ -27,7 +27,7 @@ from decimal import MAX_EMAX, MIN_EMIN, ROUND_HALF_EVEN, Context, Decimal
 from fractions import Fraction
 from math import gcd
 
-from .configuration import Configuration, ascii_digits
+from .configuration import Configuration, ascii_digits, echo
 from .exact import EisensteinInt, Flat, flat_lane_rows
 
 
@@ -580,7 +580,7 @@ def load_phases(text: str) -> PhaseAssignment:
     header = lines[0].split() if lines else []
     if len(header) != 2 or header[0] != "K" or not ascii_digits(header[1]):
         raise ValueError("phase file must start with a 'K <value>' header, got "
-                         f"{lines[0] if lines else ''!r}")
+                         f"{echo(lines[0] if lines else '')}")
     try:
         k = int(header[1])
     except ValueError:  # more digits than int() converts
@@ -592,11 +592,11 @@ def load_phases(text: str) -> PhaseAssignment:
         # "<ray id> <n_k>": digits, and an optional "-" then digits
         if (len(fields) != 2 or not ascii_digits(fields[0])
                 or not ascii_digits(fields[1].removeprefix("-"))):
-            raise ValueError(f"bad phase line: {ln!r}")
+            raise ValueError(f"bad phase line: {echo(ln)}")
         try:
             ray_id, nk = int(fields[0]), int(fields[1])
         except ValueError:  # more digits than int() converts
-            raise ValueError(f"bad phase line {ln[:20]!r}...: a field of "
+            raise ValueError(f"bad phase line {echo(ln)}: a field of "
                              f"{max(map(len, fields))} characters exceeds the integer "
                              "conversion limit") from None
         if ray_id in entries:

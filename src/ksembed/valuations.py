@@ -16,15 +16,17 @@ _Problem holds the AND masks of one configuration, built once by
 _build_tables, so setting a ray to 0, or to 1 (which zeroes its neighbors
 and covers its contexts), is one AND per context mask, with no loop over the
 neighbors.  Each search is
-``_solve(problem, must_cover, budget)``: the contexts to cover are a set of
-indices, all-zero contexts among them count against the uncovered budget,
-and once the budget is saturated the third ray of every open two-zero
-context is forced to 1, lowest index first.
+``_solve(problem, cover, budget)``: the contexts to cover are a bitmask over
+their indices, all-zero contexts among them count against the uncovered
+budget, and once the budget is saturated the third ray of every open
+two-zero context is forced to 1, lowest index first.
 
 Every budget-0 search is recorded as one CoverSearch: the contexts it lets
 stay uncovered, its node and propagation counts, and its witness (None when
 the rest cannot all be covered).  ks_colorable returns the one that excludes
-nothing, and a maximization certificate is a list of them.
+nothing, and a maximization certificate is a list of them.  Maximization
+solves the lines that leave at most one context uncovered first: they are
+the certificate or hold the witness, so the only other search has budget 2.
 """
 
 from __future__ import annotations
@@ -203,20 +205,20 @@ def _make_problem(cfg: Configuration) -> _Problem:
     return _build_tables(adj, cfg.contexts, order)
 
 
-def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, int, int]:
+def _solve(problem: _Problem, cover: int, budget: int) -> tuple[int | None, int, int]:
     """DFS with unit propagation.  Returns (ones mask by ray id | None,
     nodes, propagations).
     Iterative, so its depth is not bounded by the recursion limit.
 
-    ``must_cover`` is any iterable of context indices, read as a set: its
-    order and duplicates do not matter.  Value order is 1 before 0.  The only
-    conflict is more all-zero must-cover contexts than ``budget``; at it,
-    every open two-zero must-cover context forces its third ray to 1.
+    ``cover`` is the mask of must-cover contexts: bit c for context c.
+    Value order is 1 before 0.  The only conflict is more all-zero
+    must-cover contexts than ``budget``; at it, every open two-zero
+    must-cover context forces its third ray to 1.
 
     A state is (ones, zeros, unc, a0, a1, a2): ones and zeros over rays in
     rank order, the rest over context indices.  unc holds the uncovered
-    must-cover contexts (no ray set to 1; contexts outside ``must_cover``
-    never enter it), and ak those of them whose k-th ray is not zero, so
+    must-cover contexts (no ray set to 1; contexts outside ``cover`` never
+    enter it), and ak those of them whose k-th ray is not zero, so
     ak is a subset of unc, unc ^ (a0 | a1 | a2) is all-zero and
     a0 ^ a1 ^ a2 ^ (a0 & a1 & a2) exactly two-zero.  Setting r to 0 ANDs
     ``zero[k][r]`` into ak; setting it to 1 ORs adj[r] into zeros and ANDs
@@ -224,9 +226,10 @@ def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, int,
     the third ray of an open two-zero context, has a neighbor set to 1.  The
     branch ray is the lowest free bit.  The forcing sweep takes the lowest
     open two-zero context at or above a floor that moves past each forced
-    context: the order of a scan of the sorted ``must_cover`` that forces as
-    it goes (a force that opens an earlier context waits for the next sweep),
-    so node and propagation counts, and every certificate, follow that scan.
+    context: the order of a scan of the must-cover contexts by index that
+    forces as it goes (a force that opens an earlier context waits for the
+    next sweep), so node and propagation counts, and every certificate,
+    follow that scan.
     A sweep goes on past the conflict it meets, and its forces count; it
     updates only unc and the ak, and its forced rays reach ones and zeros
     only if the state survives.
@@ -235,14 +238,11 @@ def _solve(problem: _Problem, must_cover, budget: int) -> tuple[int | None, int,
     z0, z1, z2 = problem.zero
     o0, o1, o2 = problem.one
     full = (1 << len(adj)) - 1
-    unc = 0
-    for c in must_cover:
-        unc |= 1 << c
     nodes = propagations = 0
     # depth-first over an explicit stack of open states: the 0-branch is
     # pushed under the 1-branch, so the 1-subtree is exhausted first, as in
     # the recursive formulation, and the counts match it
-    stack = [(0, 0, unc, unc, unc, unc)]
+    stack = [(0, 0, cover, cover, cover, cover)]
     forced = []  # one list, reused: a new one per state would feed the cyclic GC
     while stack:
         ones, zeros, unc, a0, a1, a2 = stack.pop()
@@ -326,15 +326,16 @@ def _refutations(problem: _Problem, n_ctx: int, best: int, first=None):
     """The refutation of best + 1 .. n_ctx, in subproblem order: one
     CoverSearch per set of at most n_ctx - best - 1 contexts allowed to stay
     uncovered, by size, then lexicographically, each a budget-0 cover check
-    of the rest.  ``first`` is yielded for the empty set in place of solving
-    it again."""
+    of the rest, whose cover mask is every context's bit but the excluded.
+    ``first`` is yielded for the empty set in place of solving it again."""
+    full = (1 << n_ctx) - 1
     for size in range(n_ctx - best):
         for excluded in combinations(range(n_ctx), size):
             if first is not None and not excluded:
                 yield first
                 continue
             mask, nodes, propagations = _solve(
-                problem, set(range(n_ctx)).difference(excluded), 0)
+                problem, full ^ sum(1 << c for c in excluded), 0)
             witness = None if mask is None else Valuation.from_mask(mask, len(problem.adj))
             yield CoverSearch(excluded, nodes, propagations, witness)
 
@@ -359,22 +360,20 @@ def ks_colorable(cfg: Configuration) -> CoverSearch:
 
 def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     """Maximum number of contexts with sum exactly 1 over REAL_EMBEDDED-
-    admissible valuations, certified.
+    admissible valuations, certified; C is the context count.
 
-    Witness side: escalate an uncovered budget b = 0, 1, ... until the
-    budgeted search is satisfiable; the first witness covers best = C - u
-    contexts (u <= b its uncovered count); budget 0 is ks_colorable.
-    Refutation side: best + 1 is refuted by the subproblems of _refutations
-    (for the full configuration and best = 128 the 1 + 130 decomposition),
-    with ks_colorable's search as the empty set.  They are solved one after
-    another, in subproblem order; the first satisfiable one raises
-    InconsistentCertificates.
-
-    The first satisfiable budget is C - best, and the layout holds the
-    sets of fewer excluded contexts than it: at most 1 + C while it is at
-    most 2.  So escalation stops before budget 3 with LayoutTooLarge,
-    having proved budgets 0-2 unsatisfiable: every admissible valuation
-    leaves 3 or more of the C contexts uncovered.
+    A colouring from ks_colorable covers best = C, with an empty certificate.
+    Otherwise the 1 + C lines of _refutations for best = C - 2 are solved in
+    subproblem order, ks_colorable's search first: budget 1 is satisfiable
+    iff one of them is.  The first satisfiable line, a single exclusion, is
+    the witness of best = C - 1, which ks_colorable's line alone refutes.
+    If all 1 + C are UNSAT they refute C - 1 and C, and one budget-2 search
+    finds the witness of best = C - 2.  If it finds none, LayoutTooLarge:
+    every admissible valuation leaves 3 or more contexts uncovered, and the
+    layout would hold every set of up to C - best - 1 contexts.  A witness
+    that covers other than C - budget contexts raises
+    InconsistentCertificates.  ``stats["escalation_nodes"]`` counts
+    ks_colorable's nodes and those of every search outside the certificate.
     """
     # each public entry point builds its own problem (about 0.6 ms at 165 rays)
     # rather than sharing one through a cache
@@ -382,37 +381,38 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     n_ctx = len(cfg.contexts)
     problem = _make_problem(cfg)
 
-    witness = color.witness
-    budget = 0
-    escalation_nodes = color.nodes
-    while witness is None:
-        budget += 1
-        if budget > n_ctx:
+    budget, witness, source = 0, color.witness, "the colouring"
+    lines: list[CoverSearch] = []
+    if witness is None:
+        budget = 1
+        for entry in _refutations(problem, n_ctx, n_ctx - 2, color):
+            lines.append(entry)
+            if entry.satisfiable:
+                witness, source = entry.witness, f"subproblem excluding {entry.excluded}"
+                break
+    # a budget-1 witness leaves the colour line the only refutation
+    certificate = lines if witness is None else lines[:1]
+    escalation_nodes = color.nodes + sum(e.nodes for e in lines[len(certificate):])
+    if witness is None:
+        if n_ctx < 2:
             raise EngineError("budget escalation exceeded the context count")
-        if budget == 3:
+        budget = 2
+        mask, nodes, _ = _solve(problem, (1 << n_ctx) - 1, budget)
+        escalation_nodes += nodes
+        if mask is None:
             raise LayoutTooLarge(
                 f"budgets 0-2 are unsatisfiable: every admissible valuation leaves "
                 f"3 or more of the {n_ctx} contexts uncovered, and the refutation "
                 f"layout for that is not built")
-        mask, nodes, _ = _solve(problem, range(n_ctx), budget)
-        escalation_nodes += nodes
-        if mask is not None:
-            witness = Valuation.from_mask(mask, cfg.n_rays)
+        witness, source = Valuation.from_mask(mask, cfg.n_rays), "the budget-2 search"
 
-    best = covered_contexts(cfg, witness)
     bad = check_valuation(cfg, witness, ModelKind.REAL_EMBEDDED)
     if bad:
         raise EngineError(f"engine returned an inadmissible witness: {bad[:3]}")
-
-    # best < n_ctx only if colorability is UNSAT, which refutes the empty set
-    certificate: list[CoverSearch] = []
-    for entry in _refutations(problem, n_ctx, best, color):
-        if entry.satisfiable:
-            raise InconsistentCertificates(
-                f"subproblem excluding {entry.excluded} is satisfiable, but the "
-                f"witness search says best = {best}"
-            )
-        certificate.append(entry)
+    best = covered_contexts(cfg, witness)
+    if best != n_ctx - budget:
+        raise InconsistentCertificates(
+            f"{source} has a witness covering {best} contexts, not {n_ctx - budget}")
 
     return OptimizationResult(
         best=best,

@@ -394,14 +394,15 @@ class TestCertify:
         assert report["checks"] == []
 
     @pytest.mark.parametrize("mode, fake, message", [
-        # an all-ones witness breaks exclusivity
-        ("color", lambda p, must, budget: ((1 << len(p.adj)) - 1, 0, 0),
+        # an all-ones witness breaks exclusivity: the colouring's, or that of
+        # the single exclusion after an UNSAT colour line
+        ("color", lambda p, cover, budget: ((1 << len(p.adj)) - 1, 0, 0),
          "inadmissible witness"),
-        ("all", lambda p, must, budget: (
-            None if budget == 0 else (1 << len(p.adj)) - 1, 0, 0),
+        ("all", lambda p, cover, budget: (
+            None if cover == (1 << len(p.rays)) - 1 else (1 << len(p.adj)) - 1, 0, 0),
          "inadmissible witness"),
-        # nothing is ever satisfiable: escalation passes the context count
-        ("all", lambda p, must, budget: (None, 0, 0),
+        # nothing is ever satisfiable: budget 2 would pass the context count
+        ("all", lambda p, cover, budget: (None, 0, 0),
          "exceeded the context count"),
     ])
     def test_engine_error_is_a_json_status(self, capsys, tmp_path, monkeypatch,
@@ -417,7 +418,7 @@ class TestCertify:
 
     def test_layout_too_large_is_a_json_status(self, capsys, tmp_path, monkeypatch):
         # a stub engine that finds nothing: escalation stops before budget 3
-        monkeypatch.setattr(valuations, "_solve", lambda p, must, budget: (None, 0, 0))
+        monkeypatch.setattr(valuations, "_solve", lambda p, cover, budget: (None, 0, 0))
         cert = tmp_path / "certificate.txt"
         code, report = run(capsys, "certify", "--rays", str(RAYS165),
                            "--out-certificate", str(cert))
@@ -537,7 +538,7 @@ class TestReport:
         opt = valuations.maximize_covered_contexts(full_config)
         assert opt.stats == {
             "witness_budget": 2,
-            "escalation_nodes": 436,
+            "escalation_nodes": 120,
             "refuted_subproblems": 131,
             "refutation_nodes": 1499,
         }
@@ -555,10 +556,10 @@ class TestReport:
         phase = ["search"]
         real_solve, real_replay = valuations._solve, valuations.replay_certificate
 
-        def counting_solve(problem, must_cover, budget):
-            if budget == 0 and len(must_cover) == len(problem.rays):
+        def counting_solve(problem, cover, budget):
+            if budget == 0 and cover == (1 << len(problem.rays)) - 1:
                 solves[phase[0]] += 1
-            return real_solve(problem, must_cover, budget)
+            return real_solve(problem, cover, budget)
 
         def replay(cfg, result):
             phase[0] = "replay"

@@ -522,6 +522,16 @@ class TestRayFiles:
             ingest_rays(f"1,0 0,0 0,0\n{coordinate} 0,1 0,0\n")
         assert err.value.lineno == 2
 
+    @pytest.mark.parametrize("coordinate, message", [
+        ("x" * 100_000, "coordinate 'xxxxxxxxxxxxxxxxxxxx'... is not of the form a,b"),
+        ("x" * 100_000 + ",0", "non-integer coefficient in 'xxxxxxxxxxxxxxxxxxxx'..."),
+    ], ids=["not-a-pair", "non-integer"])
+    def test_long_coordinate_is_echoed_cut(self, coordinate, message):
+        with pytest.raises(ParseError) as err:
+            ingest_rays(f"1,0 0,0 0,0\n{coordinate} 0,1 0,0\n")
+        assert str(err.value) == f"line 2: {message}"
+        assert len(str(err.value)) < 200
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="int() converts any length here")
     def test_coefficient_past_the_int_digit_limit(self):

@@ -1214,6 +1214,17 @@ class TestFiles:
         with pytest.raises(ValueError, match=re.escape(f"bad phase line: {line!r}")):
             load_phases(f"K 5\n{line}\n")
 
+    @pytest.mark.parametrize("text, message", [
+        ("x" * 100_000 + "\n0 3\n",
+         "phase file must start with a 'K <value>' header, got 'xxxxxxxxxxxxxxxxxxxx'..."),
+        ("K 5\n0 " + "x" * 100_000 + "\n", "bad phase line: '0 xxxxxxxxxxxxxxxxxx'..."),
+    ], ids=["header", "entry"])
+    def test_long_line_is_echoed_cut(self, text, message):
+        with pytest.raises(ValueError) as err:
+            load_phases(text)
+        assert str(err.value) == message
+        assert len(str(err.value)) < 200
+
     @pytest.mark.skipif(not hasattr(sys, "get_int_max_str_digits"),
                         reason="int() converts any length here")
     @pytest.mark.parametrize("template, message", [

@@ -69,6 +69,11 @@ def brute_force(cfg):
     return colorable, best
 
 
+def cover_mask(contexts):
+    """The _solve cover mask of distinct context indices."""
+    return sum(1 << c for c in contexts)
+
+
 def scan_solve(adj, contexts, order, must_cover, budget):
     """Reference engine: the same DFS, by ray id, with propagation by a full
     scan of the must-cover contexts at every step, forcing as it goes in
@@ -135,8 +140,7 @@ def scan_solve(adj, contexts, order, must_cover, budget):
 def small_problems(draw):
     """Up to 30 rays; contexts are cliques, plus random extra edges; a random
     branching order, a random must-cover subset, budget 0-3.  Returns the
-    instance by ray id, must_cover sorted and unique, the same contexts
-    shuffled with duplicates, and the budget."""
+    instance by ray id, must_cover sorted and unique, and the budget."""
     n = draw(st.integers(3, 30))
     rays = st.integers(0, n - 1)
     contexts = draw(st.lists(
@@ -149,11 +153,9 @@ def small_problems(draw):
         adj[i] |= 1 << j
         adj[j] |= 1 << i
     must = draw(st.lists(st.integers(0, len(contexts) - 1), unique=True))
-    repeated = draw(st.lists(st.sampled_from(must), max_size=len(must))) if must else []
-    shuffled = draw(st.permutations(must + repeated))
     order = tuple(draw(st.permutations(range(n))))
     instance = (tuple(adj), tuple(contexts), order)
-    return instance, sorted(must), shuffled, draw(st.integers(0, 3))
+    return instance, sorted(must), draw(st.integers(0, 3))
 
 
 def scan_instance(cfg, order):
@@ -170,12 +172,12 @@ class TestEngineAgainstScan:
     @given(small_problems())
     @settings(max_examples=300, deadline=None)
     def test_same_search_as_full_scan(self, drawn):
-        instance, must, shuffled, budget = drawn
-        assert _solve(_build_tables(*instance), shuffled, budget) == \
+        instance, must, budget = drawn
+        assert _solve(_build_tables(*instance), cover_mask(must), budget) == \
             scan_solve(*instance, must, budget)
 
     def test_force_that_opens_an_earlier_context(self):
-        # must_cover positions: Q = (3, 4, 5) at 0, P = (0, 1, 2) at 1,
+        # context indices: Q = (3, 4, 5) at 0, P = (0, 1, 2) at 1,
         # R = (6, 7, 8) at 2, S = (9, 10, 11) at 3.  Ray 12, branched first,
         # zeroes 0, 1, 3, 6, 7, 9, so P and R are open two-zero contexts.
         # Forcing 2 (P) zeroes 4 and opens Q below the sweep; the sweep goes
@@ -193,14 +195,14 @@ class TestEngineAgainstScan:
         # the 12 = 0 branch then covers every context with 0, 3, 6, 9 and
         # no forcing: 6 nodes, and the 3 forces of the failed 12 = 1 branch
         assert scan_solve(adj, contexts, order, range(4), 0) == (585, 6, 3)
-        assert _solve(_build_tables(adj, contexts, order), range(4), 0) == (585, 6, 3)
+        assert _solve(_build_tables(adj, contexts, order), 0b1111, 0) == (585, 6, 3)
 
     # at published scale the context masks are 130 bits wide; the draws
     # above stop at 16 contexts
     def test_published_escalation(self, full_config):
         problem = _make_problem(full_config)
         instance = scan_instance(full_config, problem.order)
-        got = [_solve(problem, range(130), budget) for budget in range(3)]
+        got = [_solve(problem, (1 << 130) - 1, budget) for budget in range(3)]
         assert got == [scan_solve(*instance, range(130), budget) for budget in range(3)]
         # budgets 0 and 1 are UNSAT, budget 2 holds the witness
         assert [counts[1:] for counts in got] == [(11, 369), (316, 9671), (109, 2094)]
@@ -215,22 +217,13 @@ class TestEngineAgainstScan:
         for _ in range(30):
             must = sorted(rng.sample(range(130), rng.randint(100, 130)))
             budget = rng.randint(0, 3)
-            got = _solve(problem, must, budget)
+            got = _solve(problem, cover_mask(must), budget)
             assert got == scan_solve(*instance, must, budget), (must, budget)
             results.add(got[0] is None)
         assert results == {True, False}
 
 
 class TestEngineProblem:
-    def test_must_cover_is_a_set(self, full_config):
-        problem = _make_problem(full_config)
-        rng = random.Random(6)
-        for must, budget in ((range(130), 2), (sorted(rng.sample(range(130), 100)), 0)):
-            shuffled = list(must)
-            rng.shuffle(shuffled)
-            assert _solve(problem, shuffled + shuffled[:5], budget) == \
-                _solve(problem, must, budget)
-
     def test_tables_built_once_per_problem(self, full_config, monkeypatch):
         calls = {"problems": 0, "tables": 0, "solves": 0}
 
@@ -248,8 +241,8 @@ class TestEngineProblem:
         opt = maximize_covered_contexts(full_config)
         assert replay_certificate(full_config, opt)
         # one problem each for ks_colorable, maximization and replay;
-        # colourability, escalation to budget 2, 130 + 131 refutations
-        assert calls == {"problems": 3, "tables": 3, "solves": 264}
+        # colourability, 130 single exclusions, budget 2, and 131 in replay
+        assert calls == {"problems": 3, "tables": 3, "solves": 263}
 
 
 class TestCheckValuation:
@@ -355,8 +348,8 @@ class TestColorability:
         (0, 11, 865), (1, 24, 1961), (2, 20, 1556), (245, 11, 864), (489, 11, 860)])
     def test_stress_single_exclusions(self, stress_config, excluded, nodes, propagations):
         # budget-0 cover checks of all contexts but one: 490-bit context masks
-        must = set(range(490)) - {excluded}
-        assert _solve(_make_problem(stress_config), must, 0) == (None, nodes, propagations)
+        cover = ((1 << 490) - 1) ^ (1 << excluded)
+        assert _solve(_make_problem(stress_config), cover, 0) == (None, nodes, propagations)
 
     def test_contextless_configuration_rejected(self, full_config):
         lonely = subconfiguration(full_config, [0, 1])
@@ -374,7 +367,7 @@ class TestColorability:
             adj[r] = (0b111 << base) & ~(1 << r)
         contexts = [(3 * c, 3 * c + 1, 3 * c + 2) for c in range(m)]
         problem = _build_tables(adj, contexts, range(3 * m))
-        assert _solve(problem, range(m), 0) == (sum(1 << (3 * c) for c in range(m)), m + 1, 0)
+        assert _solve(problem, (1 << m) - 1, 0) == (sum(1 << (3 * c) for c in range(m)), m + 1, 0)
 
 
 class TestMaximize:
@@ -452,7 +445,7 @@ class TestMaximize:
         opt = maximize_covered_contexts(cfg)
         witness = Valuation(tuple(b if r in cfg.contexts[0] else 0
                                   for r, b in enumerate(opt.witness.bits)))
-        mask, nodes, propagations = _solve(_make_problem(cfg), range(2), 0)
+        mask, nodes, propagations = _solve(_make_problem(cfg), 0b11, 0)
         assert mask is not None
         line = CoverSearch((), nodes, propagations, Valuation.from_mask(mask, cfg.n_rays))
         assert not replay_certificate(cfg, replace(opt, best=1, witness=witness,
@@ -520,29 +513,42 @@ class TestMaximize:
         assert opt.colorability == real(full_config)
 
     def test_satisfiable_refutation_subproblem_raises(self, monkeypatch):
-        # a stub engine: uncolourable, then an all-zero witness at budget 1
-        # (best = 0), then every refutation subproblem satisfiable
-        def fake(problem, must_cover, budget):
-            everything = budget == 0 and len(set(must_cover)) == len(problem.rays)
-            return (None if everything else 0), 0, 0
+        # a stub engine: uncolourable, then an all-zero witness for the first
+        # single exclusion, which covers 0 of the 2 contexts, not 2 - 1
+        def fake(problem, cover, budget):
+            return (None if cover == (1 << len(problem.rays)) - 1 else 0), 0, 0
 
         monkeypatch.setattr(valuations, "_solve", fake)
         with pytest.raises(InconsistentCertificates,
-                           match=r"excluding \(0,\) is satisfiable.*best = 0"):
+                           match=r"excluding \(0,\) has a witness covering 0 contexts, not 1"):
             maximize_covered_contexts(two_disjoint_contexts())
 
     def test_escalation_stops_before_budget_3(self, full_config, monkeypatch):
-        # a stub engine that finds nothing: budgets 0-2 are searched, 3 is not
-        budgets = []
+        # a stub engine that finds nothing: the 1 + 130 lines prove budget 1
+        # unsatisfiable, so budget 1 is never searched; budget 2 is, 3 is not
+        calls = []
 
-        def unsatisfiable(problem, must_cover, budget):
-            budgets.append(budget)
+        def unsatisfiable(problem, cover, budget):
+            calls.append((budget, cover.bit_count()))
             return None, 0, 0
 
         monkeypatch.setattr(valuations, "_solve", unsatisfiable)
         with pytest.raises(LayoutTooLarge, match="3 or more of the 130 contexts"):
             maximize_covered_contexts(full_config)
-        assert budgets == [0, 1, 2]
+        assert calls == [(0, 130)] + [(0, 129)] * 130 + [(2, 130)]
+
+    def test_one_ray_deleted_best_is_one_short(self, full_config):
+        # without ray 3 the configuration is still uncolourable, but a single
+        # exclusion is coverable: the walk stops there, and the colour line
+        # alone is the certificate
+        sub = subconfiguration(full_config, [i for i in range(165) if i != 3])
+        assert (sub.n_rays, len(sub.edges), len(sub.contexts)) == (164, 376, 123)
+        opt = maximize_covered_contexts(sub)
+        assert (opt.best, opt.stats["witness_budget"]) == (122, 1)
+        assert opt.certificate == [ks_colorable(sub)]
+        assert check_valuation(sub, opt.witness, ModelKind.REAL_EMBEDDED) == []
+        assert covered_contexts(sub, opt.witness) == 122
+        assert replay_certificate(sub, opt)
 
     def test_two_published_copies_exceed_the_layout_cap(self, full_config):
         # each copy leaves 2 of its contexts uncovered, so the union leaves 4:
@@ -637,6 +643,10 @@ class TestHighsOracle:
 
     def test_published_configuration(self, full_config):
         assert milp_best(full_config) == maximize_covered_contexts(full_config).best == 128
+
+    def test_one_ray_deleted(self, full_config):
+        sub = subconfiguration(full_config, [i for i in range(165) if i != 3])
+        assert milp_best(sub) == maximize_covered_contexts(sub).best == 122
 
     def test_seeded_subconfigurations(self, full_config):
         # unions of sampled contexts; the larger ones are not colourable
