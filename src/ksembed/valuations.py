@@ -27,6 +27,11 @@ the rest cannot all be covered).  ks_colorable returns the one that excludes
 nothing, and a maximization certificate is a list of them.  Maximization
 solves the lines that leave at most one context uncovered first: they are
 the certificate or hold the witness, so the only other search has budget 2.
+A single exclusion follows the colour search exactly until a point that
+search can see, so maximization runs the colour search once more, watching
+every context, and resumes each line from its fork there instead of from
+the root.  replay_certificate searches every line from its root: for the
+forked lines it is a second method.
 """
 
 from __future__ import annotations
@@ -205,7 +210,24 @@ def _make_problem(cfg: Configuration) -> _Problem:
     return _build_tables(adj, cfg.contexts, order)
 
 
-def _solve(problem: _Problem, cover: int, budget: int) -> tuple[int | None, int, int]:
+def _fork(problem: _Problem, stack, state, forced, floor, nodes, propagations) -> tuple:
+    """The start of a line that leaves the colour search at ``state``, where
+    _solve resumes it: (stack, floor, nodes, propagations).  The stack is
+    copied (its states are shared tuples), with ``state`` on top and the
+    rays forced so far at this node applied to its ones and zeros, which no
+    sweep reads; the top state enters a forcing sweep at ``floor``, and the
+    counts are those so far.  The context masks are the colour search's:
+    _solve ANDs its cover into them, which clears the excluded context's
+    bit."""
+    ones, zeros, *masks = state
+    for r in forced:
+        ones |= 1 << r
+        zeros |= problem.adj[r]
+    return (*stack, (ones, zeros, *masks)), floor, nodes, propagations
+
+
+def _solve(problem: _Problem, cover: int, budget: int, start: tuple | None = None,
+           forks: dict | None = None) -> tuple[int | None, int, int]:
     """DFS with unit propagation.  Returns (ones mask by ray id | None,
     nodes, propagations).
     Iterative, so its depth is not bounded by the recursion limit.
@@ -233,31 +255,63 @@ def _solve(problem: _Problem, cover: int, budget: int) -> tuple[int | None, int,
     A sweep goes on past the conflict it meets, and its forces count; it
     updates only unc and the ak, and its forced rays reach ones and zeros
     only if the state survives.
+
+    The search begins at ``start`` (see _fork), the root by default: the
+    root state, which has no all-zero and no open two-zero context, entering
+    its sweep at floor 0.  The top state of a start enters its sweep at the
+    start's floor with no count of the all-zero contexts first: the count
+    that took the colour search into that sweep holds for the line too.
+
+    With ``forks``, a budget-0 search watches every context of ``cover``.
+    The line that excludes c is this search with bit c cleared from every
+    context mask until the first of two events: (a) a sweep reaches c, and
+    the line goes on with the same sweep at floor c + 1 without forcing c;
+    (b) c is the only all-zero context, and the line sweeps from floor 0
+    where this search prunes.  At that event ``forks[c]`` gets the line's
+    start and c leaves the watch mask; a line that never leaves has this
+    search's record.
     """
     adj, rays, uncover = problem.adj, problem.rays, problem.uncover
     z0, z1, z2 = problem.zero
     o0, o1, o2 = problem.one
     full = (1 << len(adj)) - 1
-    nodes = propagations = 0
+    if start is None:
+        start = ((0, 0, cover, cover, cover, cover),), 0, 0, 0
+    states, entry, nodes, propagations = start
+    watch = 0 if forks is None else cover
     # depth-first over an explicit stack of open states: the 0-branch is
     # pushed under the 1-branch, so the 1-subtree is exhausted first, as in
     # the recursive formulation, and the counts match it
-    stack = [(0, 0, cover, cover, cover, cover)]
+    stack = [(ones, zeros, unc & cover, a0 & cover, a1 & cover, a2 & cover)
+             for ones, zeros, unc, a0, a1, a2 in states]
     forced = []  # one list, reused: a new one per state would feed the cyclic GC
     while stack:
         ones, zeros, unc, a0, a1, a2 = stack.pop()
         forced.clear()
         while True:  # propagate
-            uncovered = (unc ^ (a0 | a1 | a2)).bit_count()
-            if uncovered != budget:  # over it a conflict, under it no force
-                break
+            if entry is None:
+                zero = unc ^ (a0 | a1 | a2)
+                uncovered = zero.bit_count()
+                if watch and uncovered == 1 and watch & zero:  # event (b)
+                    forks[zero.bit_length() - 1] = _fork(
+                        problem, stack, (ones, zeros, unc, a0, a1, a2), forced,
+                        0, nodes, propagations)
+                    watch ^= zero
+                if uncovered != budget:  # over it a conflict, under it no force
+                    break
+                floor = 0
+            else:  # the start's state, at its entry floor
+                uncovered, floor, entry = budget, entry, None
             # one sweep: contexts that open below the floor wait for the next
-            floor = 0
             while True:
                 open2 = (a0 ^ a1 ^ a2 ^ (a0 & a1 & a2)) >> floor
                 if not open2:
                     break
                 c = floor + (open2 & -open2).bit_length() - 1
+                if watch and watch >> c & 1:  # event (a)
+                    forks[c] = _fork(problem, stack, (ones, zeros, unc, a0, a1, a2),
+                                     forced, c + 1, nodes, propagations)
+                    watch ^= 1 << c
                 i, j, k = rays[c]
                 r = i if (a0 >> c) & 1 else j if (a1 >> c) & 1 else k
                 forced.append(r)
@@ -322,20 +376,32 @@ class OptimizationResult:
     stats: dict = field(default_factory=dict)
 
 
-def _refutations(problem: _Problem, n_ctx: int, best: int, first=None):
+def _refutations(problem: _Problem, n_ctx: int, best: int, first=None, forks=None):
     """The refutation of best + 1 .. n_ctx, in subproblem order: one
     CoverSearch per set of at most n_ctx - best - 1 contexts allowed to stay
     uncovered, by size, then lexicographically, each a budget-0 cover check
     of the rest, whose cover mask is every context's bit but the excluded.
-    ``first`` is yielded for the empty set in place of solving it again."""
+    ``first`` is yielded for the empty set in place of solving it again.
+
+    Without ``forks`` every line is searched from its root: replay's way,
+    the cross-check of the forked lines.  ``forks`` holds the starts that
+    the colour search ``first`` left, watching every context: a single
+    exclusion with a start resumes from it, and the start is dropped; one
+    without never left the colour search and has ``first``'s record."""
     full = (1 << n_ctx) - 1
     for size in range(n_ctx - best):
         for excluded in combinations(range(n_ctx), size):
             if first is not None and not excluded:
                 yield first
                 continue
+            start = None
+            if forks is not None and size == 1:
+                start = forks.pop(excluded[0], None)
+                if start is None:
+                    yield CoverSearch(excluded, first.nodes, first.propagations, first.witness)
+                    continue
             mask, nodes, propagations = _solve(
-                problem, full ^ sum(1 << c for c in excluded), 0)
+                problem, full ^ sum(1 << c for c in excluded), 0, start)
             witness = None if mask is None else Valuation.from_mask(mask, len(problem.adj))
             yield CoverSearch(excluded, nodes, propagations, witness)
 
@@ -365,7 +431,11 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     A colouring from ks_colorable covers best = C, with an empty certificate.
     Otherwise the 1 + C lines of _refutations for best = C - 2 are solved in
     subproblem order, ks_colorable's search first: budget 1 is satisfiable
-    iff one of them is.  The first satisfiable line, a single exclusion, is
+    iff one of them is.  The colour search runs once more, watching every
+    context, and each single exclusion resumes from where it first leaves
+    that search (see _solve) instead of re-running their shared prefix;
+    replay_certificate searches every line from its root, the second method
+    for the forked lines.  The first satisfiable line, a single exclusion, is
     the witness of best = C - 1, which ks_colorable's line alone refutes.
     If all 1 + C are UNSAT they refute C - 1 and C, and one budget-2 search
     finds the witness of best = C - 2.  If it finds none, LayoutTooLarge:
@@ -373,7 +443,10 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
     layout would hold every set of up to C - best - 1 contexts.  A witness
     that covers other than C - budget contexts raises
     InconsistentCertificates.  ``stats["escalation_nodes"]`` counts
-    ks_colorable's nodes and those of every search outside the certificate.
+    ks_colorable's nodes and those of every search outside the certificate;
+    ``stats["forked_lines"]`` the lines that resumed from a fork, and
+    ``stats["inherited_propagations"]`` the propagations they took from the
+    colour search instead of running them again.
     """
     # each public entry point builds its own problem (about 0.6 ms at 165 rays)
     # rather than sharing one through a cache
@@ -383,13 +456,22 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
 
     budget, witness, source = 0, color.witness, "the colouring"
     lines: list[CoverSearch] = []
+    forked_lines = inherited = 0
     if witness is None:
         budget = 1
-        for entry in _refutations(problem, n_ctx, n_ctx - 2, color):
+        forks: dict[int, tuple] = {}
+        if _solve(problem, (1 << n_ctx) - 1, 0, forks=forks) != (
+                None, color.nodes, color.propagations):
+            raise EngineError("the watched colour search differs from ks_colorable's")
+        # _refutations drops each start as its line resumes
+        forked_lines, inherited = len(forks), sum(start[3] for start in forks.values())
+        for entry in _refutations(problem, n_ctx, n_ctx - 2, color, forks):
             lines.append(entry)
             if entry.satisfiable:
                 witness, source = entry.witness, f"subproblem excluding {entry.excluded}"
                 break
+        forked_lines -= len(forks)
+        inherited -= sum(start[3] for start in forks.values())
     # a budget-1 witness leaves the colour line the only refutation
     certificate = lines if witness is None else lines[:1]
     escalation_nodes = color.nodes + sum(e.nodes for e in lines[len(certificate):])
@@ -424,6 +506,8 @@ def maximize_covered_contexts(cfg: Configuration) -> OptimizationResult:
             "escalation_nodes": escalation_nodes,
             "refuted_subproblems": len(certificate),
             "refutation_nodes": sum(e.nodes for e in certificate),
+            "forked_lines": forked_lines,
+            "inherited_propagations": inherited,
         },
     )
 
@@ -433,7 +517,9 @@ def replay_certificate(cfg: Configuration, result: OptimizationResult) -> bool:
     ``result.best`` contexts, and the certificate must be exactly the layout
     that _refutations derives from ``result.best``, each line UNSAT again
     with identical node and propagation counts (the engine is deterministic).
-    At most one line more than the certificate holds is solved."""
+    At most one line more than the certificate holds is solved.  Every line
+    is searched from its root, with no fork: for the lines that maximization
+    resumed from the colour search, replay is a second method."""
     if (check_valuation(cfg, result.witness, ModelKind.REAL_EMBEDDED)
             or covered_contexts(cfg, result.witness) != result.best):
         return False

@@ -61,3 +61,26 @@ def lifted(vecs, k):
         vecs = [VecC3(tuple(sum((v.coords[s] * m for s, m in enumerate(row)), E_ZERO)
                             for row in LIFT)) for v in vecs]
     return vecs
+
+
+def forking(fake):
+    """A stub engine ``fake(problem, cover, budget)`` as maximization calls
+    it: the watched colour search forks every line at its root, so each
+    single exclusion is one more call of ``fake``."""
+    def engine(problem, cover, budget, start=None, forks=None):
+        if forks is not None:
+            root = ((0, 0, cover, cover, cover, cover),), 0, 0, 0
+            forks.update(dict.fromkeys(range(len(problem.rays)), root))
+        return fake(problem, cover, budget)
+    return engine
+
+
+def losing_fork(solve, c):
+    """``solve`` with the watched colour search's fork of context c lost,
+    so that c's line takes that search's record for its own."""
+    def engine(problem, cover, budget, start=None, forks=None):
+        got = solve(problem, cover, budget, start, forks)
+        if forks is not None:
+            del forks[c]
+        return got
+    return engine

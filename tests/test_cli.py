@@ -10,6 +10,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from conftest import forking, losing_fork
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -409,7 +410,7 @@ class TestCertify:
                                            mode, fake, message):
         toy = tmp_path / "toy.txt"
         toy.write_text("1,0 0,0 0,0\n0,0 1,0 0,0\n0,0 0,0 1,0\n")
-        monkeypatch.setattr(valuations, "_solve", fake)
+        monkeypatch.setattr(valuations, "_solve", forking(fake))
         code, report = run(capsys, "certify", "--rays", str(toy), "--mode", mode)
         assert code == EXIT_ERROR
         assert report["status"] == "error"
@@ -418,7 +419,7 @@ class TestCertify:
 
     def test_layout_too_large_is_a_json_status(self, capsys, tmp_path, monkeypatch):
         # a stub engine that finds nothing: escalation stops before budget 3
-        monkeypatch.setattr(valuations, "_solve", lambda p, cover, budget: (None, 0, 0))
+        monkeypatch.setattr(valuations, "_solve", forking(lambda p, cover, budget: (None, 0, 0)))
         cert = tmp_path / "certificate.txt"
         code, report = run(capsys, "certify", "--rays", str(RAYS165),
                            "--out-certificate", str(cert))
@@ -443,6 +444,19 @@ class TestCertify:
         assert code == EXIT_ERROR
         assert report["status"] == "error"
         assert report["results"]["error"].startswith("InconsistentCertificates")
+        assert not cert.exists()
+
+    def test_lost_fork_fails_replay(self, capsys, rays_file, tmp_path, monkeypatch):
+        # context 7's line takes the colour search's record for its own:
+        # replay searches it from its root and refuses the certificate
+        monkeypatch.setattr(valuations, "_solve", losing_fork(valuations._solve, 7))
+        cert = tmp_path / "certificate.txt"
+        code, report = run(capsys, "certify", "--rays", rays_file, "--mode", "all",
+                           "--out-certificate", str(cert))
+        assert code == EXIT_ERROR
+        assert report["status"] == "error"
+        assert report["results"]["error"] == (
+            "InconsistentCertificates: certificate replay failed")
         assert not cert.exists()
 
     @pytest.mark.parametrize("rays", ["published", "missing"])
@@ -541,6 +555,8 @@ class TestReport:
             "escalation_nodes": 120,
             "refuted_subproblems": 131,
             "refutation_nodes": 1499,
+            "forked_lines": 126,
+            "inherited_propagations": 16657,
         }
 
     def test_works_on_the_generated_configuration(self, capsys, tmp_path, monkeypatch):
@@ -551,15 +567,16 @@ class TestReport:
             ingests.append(text)
             return real_ingest(text)
 
-        # all-contexts budget-0 solves, outside and inside certificate replay
-        solves = {"search": 0, "replay": 0}
+        # all-contexts budget-0 solves, outside and inside certificate replay;
+        # maximization's watched colour search apart
+        solves = {"search": 0, "watched": 0, "replay": 0}
         phase = ["search"]
         real_solve, real_replay = valuations._solve, valuations.replay_certificate
 
-        def counting_solve(problem, cover, budget):
+        def counting_solve(problem, cover, budget, start=None, forks=None):
             if budget == 0 and cover == (1 << len(problem.rays)) - 1:
-                solves[phase[0]] += 1
-            return real_solve(problem, cover, budget)
+                solves["watched" if forks is not None else phase[0]] += 1
+            return real_solve(problem, cover, budget, start, forks)
 
         def replay(cfg, result):
             phase[0] = "replay"
@@ -575,7 +592,7 @@ class TestReport:
         assert code == EXIT_OK
         assert report["results"]["certify"]["colorable"] is False
         assert ingests == []
-        assert solves == {"search": 1, "replay": 1}
+        assert solves == {"search": 1, "watched": 1, "replay": 1}
 
 
 @pytest.fixture(scope="module")

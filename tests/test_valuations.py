@@ -7,6 +7,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import forking, losing_fork
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -20,6 +21,7 @@ from ksembed.configuration import (
 )
 from ksembed.valuations import (
     CoverSearch,
+    EngineError,
     InconsistentCertificates,
     LayoutTooLarge,
     ModelKind,
@@ -223,6 +225,89 @@ class TestEngineAgainstScan:
         assert results == {True, False}
 
 
+def forked_lines(problem, cover):
+    """The watched colour search of ``cover``, then each single exclusion
+    resumed from its fork, or with the colour search's record where it
+    never leaves; and the forks."""
+    forks = {}
+    colour = _solve(problem, cover, 0, forks=forks)
+    singles = [c for c in range(cover.bit_length()) if cover >> c & 1]
+    return [colour] + [_solve(problem, cover ^ 1 << c, 0, forks[c]) if c in forks else colour
+                       for c in singles], forks
+
+
+def root_lines(problem, cover):
+    """The same lines as forked_lines, each searched from its root."""
+    singles = [c for c in range(cover.bit_length()) if cover >> c & 1]
+    return [_solve(problem, cover, 0)] + [_solve(problem, cover ^ 1 << c, 0) for c in singles]
+
+
+def forked_layout(cfg):
+    """Maximization's 1 + C lines of an uncolourable ``cfg``: the watched
+    colour search, then the single exclusions through _refutations; the
+    forks as the search left them, and those never resumed."""
+    problem = _make_problem(cfg)
+    n = len(cfg.contexts)
+    forks = {}
+    mask, nodes, propagations = _solve(problem, (1 << n) - 1, 0, forks=forks)
+    assert mask is None
+    starts = dict(forks)
+    lines = list(_refutations(problem, n, n - 2, CoverSearch((), nodes, propagations), forks))
+    assert lines == list(_refutations(problem, n, n - 2))
+    return lines, starts, forks
+
+
+class TestForkedLines:
+    """A line resumed from its fork is the search of its cover from the root."""
+
+    @given(small_problems())
+    @settings(max_examples=300, deadline=None)
+    def test_same_as_root_searches(self, drawn):
+        instance, must, _ = drawn
+        problem = _build_tables(*instance)
+        cover = cover_mask(must)
+        lines, forks = forked_lines(problem, cover)
+        assert lines == root_lines(problem, cover)
+        assert forks.keys() <= set(must)
+
+    def test_only_all_zero_context_excluded(self):
+        # contexts X = (0, 1, 2) at 0, Y = (3, 4, 5) at 1, Z = (6, 7, 8) at 2;
+        # ray 3, branched first, is orthogonal to 0, 1, 2, 6 and 7.  At 3 = 1
+        # X is the only all-zero context: the colour search prunes, and the
+        # line that excludes X forks there (event (b)) and sweeps from floor
+        # 0, which forces 8 (Z).  No sweep of the colour search reaches X
+        contexts = ((0, 1, 2), (3, 4, 5), (6, 7, 8))
+        edges = [(a, b) for ctx in contexts for a in ctx for b in ctx if a < b]
+        edges += [(3, r) for r in (0, 1, 2, 6, 7)]
+        adj = [0] * 9
+        for i, j in edges:
+            adj[i] |= 1 << j
+            adj[j] |= 1 << i
+        problem = _build_tables(adj, contexts, (3, 0, 1, 2, 4, 5, 6, 7, 8))
+        lines, forks = forked_lines(problem, 0b111)
+        assert lines == root_lines(problem, 0b111)
+        # the start, under the 3 = 1 state the 3 = 0 branch, enters its sweep
+        # at floor 0 after one node (the root) and no force
+        assert list(forks) == [0]
+        assert len(forks[0][0]) == 2 and forks[0][1:] == (0, 1, 0)
+        assert lines[1] == (1 << 3 | 1 << 8, 2, 1)
+
+    def test_published_lines(self, full_config):
+        lines, starts, unresumed = forked_layout(full_config)
+        assert len(lines) == 131 and unresumed == {}
+        # 126 lines leave the colour search at a sweep (event (a)); 0, 4, 5
+        # and 6 never leave it
+        assert sorted(set(range(130)) - starts.keys()) == [0, 4, 5, 6]
+        assert all(floor > 0 for _, floor, _, _ in starts.values())
+        assert sum(propagations for *_, propagations in starts.values()) == 16_657
+        assert sum(e.propagations for e in lines[1:]) == 50_415
+
+    def test_stress_lines(self, stress_config):
+        lines, starts, unresumed = forked_layout(stress_config)
+        assert len(lines) == 491 and unresumed == {}
+        assert not any(e.satisfiable for e in lines)
+
+
 class TestEngineProblem:
     def test_tables_built_once_per_problem(self, full_config, monkeypatch):
         calls = {"problems": 0, "tables": 0, "solves": 0}
@@ -241,8 +326,9 @@ class TestEngineProblem:
         opt = maximize_covered_contexts(full_config)
         assert replay_certificate(full_config, opt)
         # one problem each for ks_colorable, maximization and replay;
-        # colourability, 130 single exclusions, budget 2, and 131 in replay
-        assert calls == {"problems": 3, "tables": 3, "solves": 263}
+        # colourability, the watched colour search, the 126 single exclusions
+        # that leave it (the other 4 have its record), budget 2, and 131 in replay
+        assert calls == {"problems": 3, "tables": 3, "solves": 260}
 
 
 class TestCheckValuation:
@@ -518,7 +604,7 @@ class TestMaximize:
         def fake(problem, cover, budget):
             return (None if cover == (1 << len(problem.rays)) - 1 else 0), 0, 0
 
-        monkeypatch.setattr(valuations, "_solve", fake)
+        monkeypatch.setattr(valuations, "_solve", forking(fake))
         with pytest.raises(InconsistentCertificates,
                            match=r"excluding \(0,\) has a witness covering 0 contexts, not 1"):
             maximize_covered_contexts(two_disjoint_contexts())
@@ -532,10 +618,46 @@ class TestMaximize:
             calls.append((budget, cover.bit_count()))
             return None, 0, 0
 
-        monkeypatch.setattr(valuations, "_solve", unsatisfiable)
+        monkeypatch.setattr(valuations, "_solve", forking(unsatisfiable))
         with pytest.raises(LayoutTooLarge, match="3 or more of the 130 contexts"):
             maximize_covered_contexts(full_config)
-        assert calls == [(0, 130)] + [(0, 129)] * 130 + [(2, 130)]
+        # ks_colorable's search, the watched colour search, the 130 lines
+        # resumed from its forks, and budget 2
+        assert calls == [(0, 130)] * 2 + [(0, 129)] * 130 + [(2, 130)]
+
+    def test_replay_catches_a_lost_fork(self, full_config, monkeypatch):
+        # context 7's fork is lost, so its line takes the colour search's
+        # record (11 nodes) for its own (28): replay, which searches every
+        # line from its root and resumes none, refuses the certificate
+        real = valuations._solve
+        monkeypatch.setattr(valuations, "_solve", losing_fork(real, 7))
+        opt = maximize_covered_contexts(full_config)
+        line = opt.certificate[8]
+        assert (line.excluded, line.nodes, line.propagations) == ((7,), 11, 369)
+        assert opt.stats["forked_lines"] == 125
+        searches = []
+
+        def counting(problem, cover, budget, start=None, forks=None):
+            searches.append((budget, start, forks))
+            return real(problem, cover, budget, start, forks)
+
+        monkeypatch.setattr(valuations, "_solve", counting)
+        assert not replay_certificate(full_config, opt)
+        assert searches == [(0, None, None)] * 131
+
+    def test_watched_colour_search_must_repeat_ks_colorable(self, full_config,
+                                                              monkeypatch):
+        # the forks are only starts of the lines if the watched search is the
+        # colour search itself: one more node is an engine fault
+        real = valuations._solve
+
+        def drifting(problem, cover, budget, start=None, forks=None):
+            mask, nodes, propagations = real(problem, cover, budget, start, forks)
+            return mask, nodes + (forks is not None), propagations
+
+        monkeypatch.setattr(valuations, "_solve", drifting)
+        with pytest.raises(EngineError, match="watched colour search differs"):
+            maximize_covered_contexts(full_config)
 
     def test_one_ray_deleted_best_is_one_short(self, full_config):
         # without ray 3 the configuration is still uncolourable, but a single
