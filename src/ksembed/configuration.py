@@ -163,9 +163,10 @@ def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
     coefficient columns are packed once into big integers, one lane per
     ray, wide enough for every lane value, and each row is one packed
     combination whose lanes hold 2A - B of <u, v> = A + B*w, twice the real
-    part.  Its zero lanes, found with the row's index method, are the pairs
-    with zero real part, and only those get a scalar flat_inner_row, to
-    tell an edge (A = 0) from a purely imaginary pair."""
+    part.  Its zero lanes, found by an aligned bytes.find over an array
+    row's bytes (a list row's index method), are the pairs with zero real
+    part, and only those get a scalar flat_inner_row, to tell an edge
+    (A = 0) from a purely imaginary pair."""
     keyed = sorted((flat_sq_norm(f), f) for f in flats)
     rays = [Ray(i, f, sq) for i, (sq, f) in enumerate(keyed)]
     ordered = [f for _, f in keyed]
@@ -174,13 +175,24 @@ def _assemble(flats: list[Flat], strict: bool = True) -> Configuration:
     edges = set()
     imaginary = set()
     for i, row in enumerate(flat_lane_rows(ordered, 2, -1)):
-        js, p = [], -1
-        try:
-            while True:
-                p = row.index(0, p + 1)
-                js.append(i + 1 + p)
-        except ValueError:  # no zero lane after p
-            pass
+        js = []
+        if isinstance(row, list):  # lanes wider than 8 bytes
+            p = -1
+            try:
+                while True:
+                    p = row.index(0, p + 1)
+                    js.append(i + 1 + p)
+            except ValueError:  # no zero lane after p
+                pass
+        else:
+            # a zero run starting inside a lane straddles two: skip to the next
+            data, width = row.tobytes(), row.itemsize
+            zero = bytes(width)
+            p = data.find(zero)
+            while p >= 0:
+                if not p % width:
+                    js.append(i + 1 + p // width)
+                p = data.find(zero, p + width - p % width)
         for j, (a, _) in zip(js, flat_inner_row(ordered[i], [ordered[j] for j in js])):
             if a == 0:
                 edges.add((i, j))

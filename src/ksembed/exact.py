@@ -46,8 +46,8 @@ def flat_inner_row(u: Flat, vs) -> list[tuple[int, int]]:
 
 # The lane kernel.  The all-pairs scans read one linear form x*A + y*B of
 # every inner product <vs[i], vs[j]> = A + B*w, i < j: assembly reads
-# 2A - B (twice the real part) and looks up its zero lanes with the row's
-# index method, verification the key A*2^h + B, which gives back (A, B).
+# 2A - B (twice the real part) and finds its zero lanes in the row's bytes,
+# verification the key A*2^h + B, which gives back (A, B).
 # They share the packing below and differ only in (x, y).  By
 # flat_inner_row's terms the form is sum_k g_k * v[k], the weights g_k small
 # integers taken from u = vs[i], so a whole row of it is one 6-term integer
@@ -55,7 +55,10 @@ def flat_inner_row(u: Flat, vs) -> list[tuple[int, int]]:
 #
 # - Lanes.  Column k of the ray list is the integer sum_j vs[j][k] << (L*j),
 #   one L-bit lane per ray, packed once per scan; lane j of
-#   sum_k g_k * column_k is then the form on the pair (u, vs[j]).
+#   sum_k g_k * column_k is then the form on the pair (u, vs[j]).  A column
+#   is laid out in two's complement (by array.tobytes, or a signed to_bytes
+#   per ray for lanes over 8 bytes) and read back less 2^L at every lane
+#   whose top bit is set.
 # - Width.  With M the largest |coefficient| in the list, every lane value
 #   is at most (sum_k |g_k|) * M in magnitude.  L is a whole number of bytes
 #   with one bit more than the largest such bound over the rows (and M), so
@@ -63,8 +66,9 @@ def flat_inner_row(u: Flat, vs) -> list[tuple[int, int]]:
 # - Exactness.  Adding 2^(L-1) to every lane makes each lane a digit in
 #   [0, 2^L): the base-2^L digits of the biased row are its lanes, with no
 #   borrow between them.  XOR of each lane's top bit then leaves each lane's
-#   two's complement, which to_bytes lays out little-endian, lane j at byte
-#   offset j*L/8.  Nothing is rounded or truncated, for any input.
+#   two's complement, which one to_bytes per row lays out little-endian,
+#   lane j at byte offset j*L/8.  Nothing is rounded or truncated, for any
+#   input.
 #
 # Lanes of 1, 2, 4 or 8 bytes are read as a stdlib array, wider ones with
 # int.from_bytes.  flat_inner_row is the scalar kernel, and the reference
@@ -77,25 +81,34 @@ def flat_lane_rows(vs: list[Flat], x: int, y: int) -> Iterator[Sequence[int]]:
     """For i = 0..n-2, the values x*A + y*B of <vs[i], vs[j]> = A + B*w for
     j = i+1..n-1 in order: the upper triangle of the Gram matrix under one
     linear form, a row per packed multiply (see the lane layout above)."""
+    if len(vs) < 2:
+        return
     weights = [(x * (a1 - b1) - y * b1, x * b1 + y * a1,
                 x * (a2 - b2) - y * b2, x * b2 + y * a2,
                 x * (a3 - b3) - y * b3, x * b3 + y * a3)
                for a1, b1, a2, b2, a3, b3 in vs]
-    m = max((abs(c) for v in vs for c in v), default=0)
-    bound = max(m, m * max((sum(map(abs, g)) for g in weights), default=0))
+    columns = list(zip(*vs))
+    m = max(max(max(col), -min(col)) for col in columns)
+    bound = max(m, m * max(sum(map(abs, g)) for g in weights))
     width = -(-(bound.bit_length() + 1) // 8)
     if width <= 8:
         width = 1 << (width - 1).bit_length()
-
-    def column(k: int) -> int:
-        pos = b"".join(max(v[k], 0).to_bytes(width, "little") for v in vs)
-        neg = b"".join(max(-v[k], 0).to_bytes(width, "little") for v in vs)
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-
-    c0, c1, c2, c3, c4, c5 = (column(k) for k in range(6))
     top = int.from_bytes((bytes(width - 1) + b"\x80") * len(vs), "little")
     size = width * len(vs)
     code = _LANE_CODES.get(width)
+
+    def column(col: tuple[int, ...]) -> int:
+        if code is None:
+            raw = b"".join(c.to_bytes(width, "little", signed=True) for c in col)
+        else:
+            lanes = array(code, col)
+            if sys.byteorder == "big":
+                lanes.byteswap()
+            raw = lanes.tobytes()
+        packed = int.from_bytes(raw, "little")
+        return packed - ((packed & top) << 1)  # less 2^L at each negative lane
+
+    c0, c1, c2, c3, c4, c5 = map(column, columns)
     for i, (g0, g1, g2, g3, g4, g5) in enumerate(weights[:-1], 1):
         s = g0 * c0 + g1 * c1 + g2 * c2 + g3 * c3 + g4 * c4 + g5 * c5
         buf = ((s + top) ^ top).to_bytes(size, "little")

@@ -322,10 +322,10 @@ def scan_spurious_zero_phases(cfg: Configuration) -> list[tuple[int, int]]:
 
 
 def check_k(k: int) -> None:
-    """Raise InvalidK unless ``k`` is a positive integer coprime to 6, the
-    rule PhaseAssignment enforces."""
-    if k <= 0 or gcd(k, 6) != 1:
-        raise InvalidK(f"K={k}: need a positive integer coprime to 6")
+    """Raise InvalidK unless ``k`` is a positive int (not a bool) coprime
+    to 6, the rule PhaseAssignment enforces."""
+    if type(k) is not int or k <= 0 or gcd(k, 6) != 1:
+        raise InvalidK(f"K={k!r}: need a positive integer coprime to 6")
 
 
 # export digits: at least what phase_apply_export evaluates to, at most what
@@ -337,11 +337,11 @@ EXPORT_GUARD_DIGITS, EXPORT_MAX_GUARD_DIGITS = 15, 1000
 
 
 def check_precision(precision: int) -> None:
-    """Raise ValueError unless ``precision`` lies in MIN_PRECISION ..
-    MAX_PRECISION significant digits."""
-    if not MIN_PRECISION <= precision <= MAX_PRECISION:
+    """Raise ValueError unless ``precision`` is an int (not a bool) in
+    MIN_PRECISION .. MAX_PRECISION significant digits."""
+    if type(precision) is not int or not MIN_PRECISION <= precision <= MAX_PRECISION:
         raise ValueError(f"precision must be >= {MIN_PRECISION} and <= {MAX_PRECISION} "
-                         f"significant digits, got {precision}")
+                         f"significant digits, got {precision!r}")
 
 
 def phase_apply_export(

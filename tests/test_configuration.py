@@ -412,6 +412,13 @@ class TestAssemblyScan:
 
     @given(st.lists(big_vec, min_size=2, max_size=12, unique_by=canonicalize))
     @settings(max_examples=60, deadline=None)
+    # Two-byte lanes.  Three rays whose 2A - B rows, as bytes, are
+    # 02 00 00 00 and 00 00: the zero run at offset 1 straddles lanes 0 and
+    # 1, and the real zero lane 1 starts where it ends.  Five rays with the
+    # row [236, -256], ec 00 00 ff: a straddling run and no zero lane.
+    @example([VecC3.from_flat(f) for f in ((-1, 0, -2, 1, 0, 0), (1, 0, 0, 0, 0, -1))])
+    @example([VecC3.from_flat(f) for f in (
+        (0, -16, 0, 0, 0, 3), (0, 2, 0, -2, 0, -2), (-2, 0, 1, 0, -2, -2))])
     def test_random_large_vectors_with_completions(self, vecs):
         # each completion conj(u x v) is orthogonal to u and v: edges occur
         rays, done = list(vecs), set(map(canonicalize, vecs))

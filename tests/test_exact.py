@@ -308,11 +308,23 @@ def lane_lists(draw):
     return draw(st.lists(st.tuples(*[coef] * 6), max_size=40))
 
 
+def negative_ends(m):
+    """Four vectors whose coefficient columns hold negative lanes first and
+    last (lanes 0 and 3); m sets the lane width."""
+    return [(-m, -1, 0, 0, 0, 0), (m, 0, 0, 0, 0, 0), (1, 0, 0, 0, 0, 0), (-m, 0, 0, 0, 0, -1)]
+
+
 class TestLaneKernel:
     """flat_lane_rows against the scalar flat_inner_row, lane by lane."""
 
     @given(lane_lists(), lane_form)
     @settings(max_examples=300)
+    # negative column lanes, each less 2^L once packed, in lanes of 1, 2, 4
+    # and 8 bytes, the largest |A| near the top of each width
+    @example(negative_ends(10), (1, 0))
+    @example(negative_ends(180), (1, 0))
+    @example(negative_ends(46000), (1, 0))
+    @example(negative_ends(3037000498), (1, 0))
     # 2-byte lanes 5, 256, 0 in row 0: zero bytes straddle lanes 1 and 2
     @example([(1, 0, 0, 0, 0, 0), (5, 0, 0, 0, 0, 0), (256, 0, 0, 0, 0, 0),
               (0, 0, 0, 0, 0, 0)], (1, 0))

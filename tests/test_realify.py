@@ -283,6 +283,14 @@ class TestSpuriousExact:
         # 5 is coprime to 6, hence valid
         assert is_spurious_exact(EisensteinInt(1, 2), 5, 5) is True
 
+    @pytest.mark.parametrize("k", [True, 7.0, Fraction(7), "7", None])
+    def test_k_not_an_int_refused(self, k):
+        # a bool is an int to isinstance, and 7.0 would pass the range test
+        with pytest.raises(InvalidK, match=re.escape(f"K={k!r}:")):
+            realify.check_k(k)
+        with pytest.raises(InvalidK, match=re.escape(f"K={k!r}:")):
+            PhaseAssignment(K=k, n=(0, 1))
+
     def test_zero_c_rejected(self):
         with pytest.raises(ZeroInnerProduct):
             is_spurious_exact(EisensteinInt(0, 0), 0, 7)
@@ -383,6 +391,11 @@ class TestRationalSearch:
     def test_invalid_k_rejected(self):
         with pytest.raises(InvalidK):
             rational_phase_search(IMAGINARY_PAIR, 9, "distinct")
+
+    @pytest.mark.parametrize("k", [1009.0, True])
+    def test_k_not_an_int_rejected(self, k):
+        with pytest.raises(InvalidK, match=re.escape(f"K={k!r}:")):
+            rational_phase_search(IMAGINARY_PAIR, k)
 
     def test_unknown_strategy(self):
         with pytest.raises(ValueError):
@@ -786,6 +799,16 @@ class TestExport:
         cfg = unvalidated_config(VecC3.make(1, 0, 0))
         with pytest.raises(ValueError):
             phase_apply_export(cfg, PhaseAssignment(K=1009, n=(0,)), 10)
+
+    @pytest.mark.parametrize("precision", [20.5, 20.0, True, Fraction(20), "20"])
+    def test_precision_not_an_int_refused(self, precision):
+        cfg = unvalidated_config(VecC3.make(OMEGA, 0, 0))
+        pa = PhaseAssignment(K=1009, n=(0,))
+        got = re.escape(f"got {precision!r}")
+        with pytest.raises(ValueError, match=got):
+            realify.check_precision(precision)
+        with pytest.raises(ValueError, match=got):
+            phase_apply_export(cfg, pa, precision)
 
     def test_maximum_precision_enforced(self):
         cfg = unvalidated_config(VecC3.make(OMEGA, 0, 0))
