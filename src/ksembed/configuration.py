@@ -22,7 +22,7 @@ from .exact import (
     Flat,
     VecC3,
     flat_canonical,
-    flat_conj_cross,
+    flat_cross_row,
     flat_inner_row,
     flat_lane_rows,
     flat_sq_norm,
@@ -270,30 +270,44 @@ def closure_generate(
     order 6 (diag(1, 1, w) and conjugation) preserves the set; at bound 6 the
     165-ray set is invariant under the group of order 108.
 
-    A product x is skipped before it is canonicalized when its coordinate
-    norms n_k = N(x_k) give n1 + n2 + n3 > bound * gcd(n1, n2, n3).  The
-    test is exact.  Z[w] is a UFD: write x = d*y with y primitive and y0
-    its first nonzero coordinate.  flat_canonical(x) divides conj(x0) * x
-    = N(d) * conj(y0) * y by its integer content N(d) * g, giving
-    conj(y0) * y / g.  The integer g divides every conj(y0) * y_k, so it
-    divides conj(y0), as y is primitive; so g^2 divides N(y0), and the
-    canonical norm N(y0) * |y|^2 / g^2 is at least |y|^2 = |x|^2 / N(d).
-    N(d) divides every n_k, so N(d) <= gcd(n1, n2, n3): a skipped
-    product's canonical norm exceeds the bound and cannot divide it.  The
-    pretest only skips what the norm filter would, so the rays, their
+    A product x is skipped before it is canonicalized by two exact tests
+    on its coordinate norms n_k = N(x_k) (conjugation keeps them, so they
+    are read off u x v and only the survivors are conjugated).  Let z0 be
+    x's first nonzero coordinate, n_k0 = N(z0) and |x|^2 = n1 + n2 + n3.
+
+    First, x is skipped when bound * n_k0 is not a multiple of |x|^2.
+    flat_canonical multiplies x by conj(z0), which turns coordinate k0
+    into the integer n_k0, then divides by the content g, which therefore
+    divides n_k0.  So the canonical norm S = n_k0 * |x|^2 / g^2 satisfies
+    S * n_k0 = t^2 * |x|^2 with t = n_k0 / g a positive integer.  If S
+    divides the bound, bound = m * S, then bound * n_k0 = m * t^2 * |x|^2.
+
+    Second, x is skipped when |x|^2 > bound * gcd(n1, n2, n3).  Z[w] is a
+    UFD: write x = d*y with y primitive, so z0 = d*y0.  flat_canonical(x)
+    divides conj(z0) * x = N(d) * conj(y0) * y by its integer content
+    N(d) * h, giving conj(y0) * y / h.  The integer h divides every
+    conj(y0) * y_k, so it divides conj(y0), as y is primitive; so h^2
+    divides N(y0), and the canonical norm N(y0) * |y|^2 / h^2 is at least
+    |y|^2 = |x|^2 / N(d).  N(d) divides every n_k, so N(d) <= gcd(n1, n2,
+    n3): a skipped product's canonical norm exceeds the bound and cannot
+    divide it.
+
+    The pretests only skip what the norm filter would, so the rays, their
     order and the DivergenceGuard are those of the plain loop.
     ``keep_norm_dividing`` must be a positive int, since below 1 the
-    pretest would skip every product; anything else raises ValueError
-    before any work.
+    pretests would skip every product, and so must ``cap``; anything else
+    raises ValueError before any work.
 
-    Raises DivergenceGuard when the ray count exceeds ``cap``.  ``strict``
-    is passed to the assembly: non-strict admits the edges outside every
-    triangle that bounds above 6 produce (bound 18 gives the 741-ray stress
-    file).
+    Raises DivergenceGuard when the ray count, the seed's distinct rays
+    included, exceeds ``cap``.  ``strict`` is passed to the assembly:
+    non-strict admits the edges outside every triangle that bounds above 6
+    produce (bound 18 gives the 741-ray stress file).
     """
     bound = keep_norm_dividing
     if type(bound) is not int or bound <= 0:
         raise ValueError(f"keep_norm_dividing must be a positive int, not {bound!r}")
+    if type(cap) is not int or cap <= 0:
+        raise ValueError(f"cap must be a positive int, not {cap!r}")
     if not seed:
         raise ZeroVector("empty seed")
     vecs: list[Flat] = []
@@ -303,18 +317,19 @@ def closure_generate(
         if c not in seen:
             seen.add(c)
             vecs.append(c)
+    if len(vecs) > cap:
+        raise DivergenceGuard(f"closure exceeded {cap} rays; raise cap to admit more")
     i = 0
     while i < len(vecs):
-        u = vecs[i]
-        for j in range(i):
-            x = flat_conj_cross(u, vecs[j])
-            p1, q1, p2, q2, p3, q3 = x
+        # u x v for j < i, all in vecs before any product of row i is added
+        for p1, q1, p2, q2, p3, q3 in flat_cross_row(vecs[i], vecs[:i]):
             n1 = p1 * (p1 - q1) + q1 * q1
             n2 = p2 * (p2 - q2) + q2 * q2
             n3 = p3 * (p3 - q3) + q3 * q3
-            if n1 + n2 + n3 > bound * gcd(n1, n2, n3):
+            s = n1 + n2 + n3
+            if bound * (n1 or n2 or n3) % s or s > bound * gcd(n1, n2, n3):
                 continue
-            c = flat_canonical(x)
+            c = flat_canonical((p1 - q1, -q1, p2 - q2, -q2, p3 - q3, -q3))
             if c in seen or bound % flat_sq_norm(c):
                 continue
             seen.add(c)

@@ -128,19 +128,27 @@ def flat_sq_norm(u: Flat) -> int:
     return flat_inner_row(u, (u,))[0][0]
 
 
-def flat_cross(u: Flat, v: Flat) -> Flat:
-    """Bilinear cross product (u2 v3 - u3 v2, u3 v1 - u1 v3, u1 v2 - u2 v1),
-    each product by (a + b*w)(c + d*w) = (ac - bd) + (ad + bc - bd)*w."""
+def flat_cross_row(u: Flat, vs) -> list[Flat]:
+    """The bilinear cross products u x v = (u2 v3 - u3 v2, u3 v1 - u1 v3,
+    u1 v2 - u2 v1) for every v in ``vs``.
+
+    Each coordinate product is (a + b*w)(c + d*w) = (ac - bd) + (ad + bc - bd)*w:
+    with r = a - b, its coefficients are ac - bd and r*d + b*c.
+    """
     a1, b1, a2, b2, a3, b3 = u
-    c1, d1, c2, d2, c3, d3 = v
-    return (
-        a2 * c3 - b2 * d3 - a3 * c2 + b3 * d2,
-        a2 * d3 + b2 * c3 - b2 * d3 - a3 * d2 - b3 * c2 + b3 * d2,
-        a3 * c1 - b3 * d1 - a1 * c3 + b1 * d3,
-        a3 * d1 + b3 * c1 - b3 * d1 - a1 * d3 - b1 * c3 + b1 * d3,
-        a1 * c2 - b1 * d2 - a2 * c1 + b2 * d1,
-        a1 * d2 + b1 * c2 - b1 * d2 - a2 * d1 - b2 * c1 + b2 * d1,
-    )
+    r1, r2, r3 = a1 - b1, a2 - b2, a3 - b3
+    return [(a2 * c3 - b2 * d3 - a3 * c2 + b3 * d2,
+             r2 * d3 + b2 * c3 - r3 * d2 - b3 * c2,
+             a3 * c1 - b3 * d1 - a1 * c3 + b1 * d3,
+             r3 * d1 + b3 * c1 - r1 * d3 - b1 * c3,
+             a1 * c2 - b1 * d2 - a2 * c1 + b2 * d1,
+             r1 * d2 + b1 * c2 - r2 * d1 - b2 * c1)
+            for c1, d1, c2, d2, c3, d3 in vs]
+
+
+def flat_cross(u: Flat, v: Flat) -> Flat:
+    """Bilinear cross product u x v (flat_cross_row on one pair)."""
+    return flat_cross_row(u, (v,))[0]
 
 
 def flat_conj_cross(u: Flat, v: Flat) -> Flat:

@@ -60,14 +60,22 @@ STRATEGIES = ("distinct", "backtracking", "greedy-random")
 
 @dataclass(frozen=True)
 class PhaseAssignment:
-    """Integers n_k defining per-ray phases theta_k = n_k*pi/K, n_k mod 2K."""
+    """Integers n_k defining per-ray phases theta_k = n_k*pi/K, n_k mod 2K.
+
+    Raises InvalidK for a bad K (see check_k) and ValueError for a phase
+    whose type is not int, bool included: the exact faithfulness test and
+    the export both assume integer phases."""
 
     K: int
     n: tuple[int, ...]
 
     def __post_init__(self):
         check_k(self.K)
-        object.__setattr__(self, "n", tuple(v % (2 * self.K) for v in self.n))
+        n = tuple(self.n)
+        for k, v in enumerate(n):
+            if type(v) is not int:
+                raise ValueError(f"n[{k}]={v!r}: phases must be integers")
+        object.__setattr__(self, "n", tuple(v % (2 * self.K) for v in n))
 
 
 @dataclass

@@ -238,6 +238,19 @@ class TestClosure:
         with pytest.raises(DivergenceGuard, match="^closure exceeded 164 rays;"):
             closure_generate(mub_seed(), cap=164)
 
+    @pytest.mark.parametrize("cap", [0, -1, 165.0, True, "7", None])
+    def test_cap_not_a_positive_int_refused(self, cap, monkeypatch):
+        seed = mub_seed()
+        monkeypatch.setattr(configuration, "flat_canonical", None)  # refused before any work
+        with pytest.raises(ValueError, match=re.escape(f"cap must be a positive int, not {cap!r}")):
+            closure_generate(seed, cap=cap)
+
+    def test_cap_counts_the_seed_rays(self):
+        basis = mub_bases()[0]
+        assert closure_generate(basis * 2, cap=3).n_rays == 3
+        with pytest.raises(DivergenceGuard, match="^closure exceeded 2 rays;"):
+            closure_generate(basis, cap=2)
+
     def test_default_cap(self):
         assert inspect.signature(closure_generate).parameters["cap"].default == 10_000
 
@@ -290,7 +303,24 @@ seed_flat = st.one_of(st.sampled_from([v.flat() for v in mub_seed()]),
 
 class TestClosurePretest:
     """closure_generate skips a product x before canonicalizing it when
-    |x|^2 > bound * gcd of its coordinate norms; the skip is exact."""
+    |x|^2 does not divide bound * n_k0, the norm of x's first nonzero
+    coordinate, or exceeds bound * gcd of its coordinate norms; both skips
+    are exact."""
+
+    @given(st.tuples(st.integers(0, 2), st.tuples(*[st.integers(-1000, 1000)] * 6))
+           .map(lambda zx: (0, 0) * zx[0] + zx[1][2 * zx[0]:]).filter(any))
+    @example((0, 0, 2, 1, -1, 3))
+    @example((0, 0, 0, 0, 6, -3))
+    @example((0, 0, 3, 6, 9, 0))
+    @settings(max_examples=300, deadline=None)
+    def test_canonical_norm_times_leading_norm(self, x):
+        # S * n_k0 = t^2 * |x|^2, t the canonical form's leading coordinate
+        norms = coordinate_norms(x)
+        k0 = next(k for k, n in enumerate(norms) if n)
+        c = flat_canonical(x)
+        t = c[2 * k0]
+        assert c[:2 * k0] == (0, 0) * k0 and c[2 * k0 + 1] == 0 and t > 0
+        assert flat_sq_norm(c) * norms[k0] == t * t * sum(norms)
 
     @given(st.tuples(*[st.integers(-20, 20)] * 6).filter(any))
     @settings(max_examples=300, deadline=None)
@@ -316,7 +346,8 @@ class TestClosurePretest:
         cfg = closure_generate(seed, bound, cap=60, strict=False)
         assert [(r.sq_norm, r.flat) for r in cfg.rays] == ref
 
-    def test_canonicalizes_5874_products_of_the_mub_seed(self, monkeypatch):
+    @pytest.mark.parametrize("bound, n_rays, n_calls", [(6, 165, 2850), (18, 741, 23046)])
+    def test_canonicalization_calls_on_the_mub_seed(self, bound, n_rays, n_calls, monkeypatch):
         seed = mub_seed()
         calls = []
 
@@ -325,10 +356,11 @@ class TestClosurePretest:
             return flat_canonical(v)
 
         monkeypatch.setattr(configuration, "flat_canonical", counted)
-        assert closure_generate(seed).n_rays == 165
-        # 12 seed rays and 5,862 products; canonicalizing all 13,530 products
-        # would make 13,542 calls
-        assert len(calls) == 5874
+        assert closure_generate(seed, bound, strict=False).n_rays == n_rays
+        # the 12 seed rays and the products that pass both pretests; at
+        # bound 6 every such product is new or already seen (2,838), and
+        # canonicalizing all 13,530 products would make 13,542 calls
+        assert len(calls) == n_calls
 
     def test_bound_18_gives_the_committed_stress_file(self):
         path = Path(__file__).resolve().parents[1] / "perfbench" / "data" / "rays741.txt"

@@ -291,6 +291,12 @@ class TestSpuriousExact:
         with pytest.raises(InvalidK, match=re.escape(f"K={k!r}:")):
             PhaseAssignment(K=k, n=(0, 1))
 
+    @pytest.mark.parametrize("v", [0.5, 1.0, True, Fraction(1), "1", None])
+    def test_phase_not_an_int_refused(self, v):
+        # 0.5 would pass as faithful in verify_faithful, then fail in the export
+        with pytest.raises(ValueError, match=re.escape(f"n[1]={v!r}:")):
+            PhaseAssignment(K=7, n=(0, v))
+
     def test_zero_c_rejected(self):
         with pytest.raises(ZeroInnerProduct):
             is_spurious_exact(EisensteinInt(0, 0), 0, 7)
